@@ -33,16 +33,13 @@ from .fuzzy import (
     fit_consequents_lsq,
     g_hat,
     membership,
-    snapshot_text,
 )
 from .nlp_optimizer import (
     NlpProblem,
     QpInfeasibleError,
     Solution,
     SolverSettings,
-    lagrangian,
     minimize,
-    search_step,
 )
 from .mpc import (
     AdaptationLoop,

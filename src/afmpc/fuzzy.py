@@ -27,7 +27,6 @@ __all__ = [
     "adapt",
     "build_rule_grid",
     "fit_consequents_lsq",
-    "snapshot_text",
 ]
 
 
@@ -172,14 +171,6 @@ def g_hat(model: FuzzyModel, X: np.ndarray) -> float:
     return max(float(model.theta_g @ basis(model, X)), model.g_floor)
 
 
-def fg_hat(model: FuzzyModel, X: np.ndarray) -> tuple:
-    """Both estimates from a single basis evaluation (hot-loop helper)."""
-    eps = basis(model, X)
-    f = float(model.theta_f @ eps)
-    g = max(float(model.theta_g @ eps), model.g_floor)
-    return f, g
-
-
 def adapt(
     model: FuzzyModel,
     e: np.ndarray,
@@ -271,21 +262,3 @@ def fit_consequents_lsq(
     theta_f, *_ = np.linalg.lstsq(E, targets, rcond=None)
     theta_g = model.theta_g if g_value is None else np.full(model.n_rules, float(g_value))
     return model._replace_thetas(theta_f, theta_g)
-
-
-def snapshot_text(model: FuzzyModel) -> str:
-    """Flat text serialization, one value per line.
-
-    Ordering: for each state variable, the MF count then all centers then
-    all widths; then every theta_f component; then every theta_g component
-    in rule order; then g_floor.
-    """
-    lines: list[str] = []
-    for group in model.mfs:
-        lines.append(repr(len(group)))
-        lines.extend(repr(m.center) for m in group)
-        lines.extend(repr(m.width) for m in group)
-    lines.extend(repr(float(v)) for v in model.theta_f)
-    lines.extend(repr(float(v)) for v in model.theta_g)
-    lines.append(repr(model.g_floor))
-    return "\n".join(lines) + "\n"

@@ -21,7 +21,7 @@ import numpy as np
 
 from .plant import CoeffSet, DisturbanceSpec, IntegrationDivergenceError, disturbance_value, dynamics, step as plant_step
 from . import fuzzy as fz
-from .nlp_optimizer import NlpProblem, SolverSettings, minimize
+from .nlp_optimizer import NlpProblem, QpInfeasibleError, SolverSettings, minimize
 
 __all__ = [
     "MpcConfig",
@@ -200,7 +200,8 @@ def solve_step(
 
     Never returns a worse sequence than the warm start: if the solver's
     point does not improve the horizon cost, the warm start is applied and
-    the status flags the fallback.
+    the status flags the fallback. Solver trouble means a QpInfeasibleError
+    or LinAlgError out of minimize; any other exception propagates.
     """
     kp = config.prediction_horizon
     kc = config.control_horizon
@@ -236,7 +237,7 @@ def solve_step(
         sequence = np.clip(sol.minimizer, -config.input_bound, config.input_bound)
         cost = objective(sequence)
         evals = sol.objective_evaluations + 2
-    except Exception:
+    except (QpInfeasibleError, np.linalg.LinAlgError):
         status, sequence, cost, evals = "fallback", warm, warm_cost, 2
     if cost > warm_cost or not np.all(np.isfinite(sequence)):
         status, sequence, cost = "fallback", warm, warm_cost

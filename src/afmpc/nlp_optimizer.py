@@ -6,6 +6,17 @@ Hessian, an active-set QP for the search direction, and an l1-merit
 backtracking line search. Bounds enter the QP as linear rows, so every
 accepted iterate stays inside the box.
 
+Gradients and constraint Jacobians come from one finite-difference helper.
+It takes forward differences, one evaluation per coordinate, for tolerances
+of 1e-5 and above, and central differences below that, where the O(h)
+forward bias would mask the residual. On stiff problems that bias can exceed
+even a loose tolerance: a forward-difference run that stalls within 1e-3 of
+stationarity but above its tolerance switches to central differences and
+restarts from its best point under the same iteration budget.
+
+A linearized QP that admits no point raises QpInfeasibleError out of
+minimize; there is no elastic fallback.
+
 Everything is deterministic: no randomness, no wall-clock dependence.
 """
 
@@ -21,8 +32,6 @@ __all__ = [
     "SolverSettings",
     "Solution",
     "QpInfeasibleError",
-    "lagrangian",
-    "search_step",
     "minimize",
 ]
 
@@ -31,6 +40,12 @@ _QP_FEAS_TOL = 1e-9
 _MULT_TOL = 1e-10
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 30
+_FD_STEP = 1e-6
+_HESSIAN_RESET = 1e8
+# tolerances below this use central differences from the first iterate
+_CENTRAL_BELOW = 1e-5
+# a stalled forward-difference run within this residual switches to central
+_RESCUE_GATE = 1e-3
 
 
 class QpInfeasibleError(RuntimeError):
@@ -71,16 +86,9 @@ class NlpProblem:
 class SolverSettings:
     kkt_tolerance: float = 1e-6
     max_iterations: int = 100
-    finite_difference_step: float = 1e-6
-    hessian_reset_threshold: float = 1e8
 
     def __post_init__(self) -> None:
-        if (
-            self.kkt_tolerance <= 0.0
-            or self.max_iterations <= 0
-            or self.finite_difference_step <= 0.0
-            or self.hessian_reset_threshold <= 0.0
-        ):
+        if self.kkt_tolerance <= 0.0 or self.max_iterations <= 0:
             raise ValueError("solver settings must all be positive")
 
 
@@ -97,97 +105,29 @@ class Solution:
     merit_decreases: tuple = field(default_factory=tuple)
 
 
-def lagrangian(problem: NlpProblem, z: np.ndarray, lam: np.ndarray) -> float:
-    """Objective plus multiplier-weighted inequality values."""
-    z = np.asarray(z, dtype=float)
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    c = problem.constraint_values(z)
-    if lam.shape != c.shape:
-        raise ValueError("multiplier vector length must match the constraint count")
-    return float(problem.objective(z)) + float(lam @ c)
+def _fd_derivatives(fun, confun, z, f0, c0, central):
+    """Gradient of fun and Jacobian of confun at z by finite differences.
 
-
-def _forward_grad(fun, z, f0, h):
+    Forward differences reuse f0 and c0 and cost one evaluation per
+    coordinate; central ones cost two but carry no O(h) bias.
+    """
     n = z.shape[0]
     g = np.empty(n)
-    for i in range(n):
-        zp = z.copy()
-        zp[i] += h
-        g[i] = (fun(zp) - f0) / h
-    return g
-
-
-def _central_grad(fun, z, h):
-    n = z.shape[0]
-    g = np.empty(n)
-    for i in range(n):
-        zp = z.copy()
-        zm = z.copy()
-        zp[i] += h
-        zm[i] -= h
-        g[i] = (fun(zp) - fun(zm)) / (2.0 * h)
-    return g
-
-
-def _forward_jac(confun, z, c0, h):
-    n = z.shape[0]
     J = np.empty((c0.shape[0], n))
     for i in range(n):
         zp = z.copy()
-        zp[i] += h
-        J[:, i] = (confun(zp) - c0) / h
-    return J
-
-
-def _central_jac(confun, z, h):
-    n = z.shape[0]
-    cp = None
-    cols = []
-    for i in range(n):
-        zp = z.copy()
-        zm = z.copy()
-        zp[i] += h
-        zm[i] -= h
-        cols.append((confun(zp) - confun(zm)) / (2.0 * h))
-    return np.stack(cols, axis=1) if cols else np.zeros((0, n))
-
-
-def _fd_lagrangian_hessian(fun, confun, lam, z, h):
-    """Second-difference Hessian of the Lagrangian, eigenvalue-floored."""
-
-    def lagr(zz):
-        val = fun(zz)
-        if lam.size:
-            val += float(lam @ confun(zz))
-        return val
-
-    n = z.shape[0]
-    step = max(h, 1e-4) * max(1.0, float(np.abs(z).max()))
-    H = np.empty((n, n))
-    l0 = lagr(z)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = step
-        H[i, i] = (lagr(z + ei) - 2.0 * l0 + lagr(z - ei)) / step**2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = step
-            mixed = (
-                lagr(z + ei + ej)
-                - lagr(z + ei - ej)
-                - lagr(z - ei + ej)
-                + lagr(z - ei - ej)
-            ) / (4.0 * step**2)
-            H[i, j] = mixed
-            H[j, i] = mixed
-    if not np.all(np.isfinite(H)):
-        return np.eye(n)
-    H = 0.5 * (H + H.T)
-    vals, vecs = np.linalg.eigh(H)
-    floor = 1e-6 * max(1.0, float(np.abs(vals).max()))
-    # clip weak or negative curvature so the QP stays convex
-    vals = np.maximum(vals, floor)
-    return (vecs * vals) @ vecs.T
+        zp[i] += _FD_STEP
+        if central:
+            zm = z.copy()
+            zm[i] -= _FD_STEP
+            g[i] = (fun(zp) - fun(zm)) / (2.0 * _FD_STEP)
+            if c0.size:
+                J[:, i] = (confun(zp) - confun(zm)) / (2.0 * _FD_STEP)
+        else:
+            g[i] = (fun(zp) - f0) / _FD_STEP
+            if c0.size:
+                J[:, i] = (confun(zp) - c0) / _FD_STEP
+    return g, J
 
 
 def _solve_sym(M, rhs):
@@ -250,25 +190,19 @@ def _bound_rows(problem: NlpProblem, z: np.ndarray):
     n = problem.dimension
     rows = []
     gaps = []
-    signs = []
-    idxs = []
     for i in range(n):
         if problem.upper_bounds[i] < _UNBOUNDED:
             e = np.zeros(n)
             e[i] = 1.0
             rows.append(e)
             gaps.append(problem.upper_bounds[i] - z[i])
-            signs.append(1.0)
-            idxs.append(i)
         if problem.lower_bounds[i] > -_UNBOUNDED:
             e = np.zeros(n)
             e[i] = -1.0
             rows.append(e)
             gaps.append(z[i] - problem.lower_bounds[i])
-            signs.append(-1.0)
-            idxs.append(i)
     A = np.array(rows) if rows else np.zeros((0, n))
-    return A, np.array(gaps), np.array(signs), np.array(idxs, dtype=int)
+    return A, np.array(gaps)
 
 
 def _kkt_residual(g, c0, Jc, lam_gen, lam_bnd, bnd_A, bnd_gaps):
@@ -287,54 +221,6 @@ def _kkt_residual(g, c0, Jc, lam_gen, lam_bnd, bnd_A, bnd_gaps):
     return max(stat, feas, comp)
 
 
-def search_step(problem: NlpProblem, z: np.ndarray, lam: np.ndarray, hessian_approx: np.ndarray):
-    """QP search direction from linearized constraints at z.
-
-    Returns (p, lam_next) where lam_next are the multipliers of the general
-    inequality rows. Raises QpInfeasibleError when the linearized rows admit
-    no point.
-    """
-    z = np.asarray(z, dtype=float)
-    h = 1e-6
-    f0 = float(problem.objective(z))
-    g = _forward_grad(problem.objective, z, f0, h)
-    c0 = problem.constraint_values(z)
-    Jc = _forward_jac(problem.constraint_values, z, c0, h) if c0.size else np.zeros((0, z.size))
-    bnd_A, bnd_gaps, _, _ = _bound_rows(problem, z)
-    A = np.vstack([Jc, bnd_A]) if (c0.size or bnd_A.shape[0]) else np.zeros((0, z.size))
-    b = np.concatenate([-c0, bnd_gaps])
-    p, lam_all = _active_set_qp(hessian_approx, g, A, b)
-    return p, lam_all[: c0.size]
-
-
-def _elastic_qp(H, g, Jc, c0, bnd_A, bnd_gaps, rho):
-    """l1-relaxed QP with one slack per general constraint row."""
-    n = g.shape[0]
-    mg = c0.shape[0]
-    nb = bnd_A.shape[0]
-    H_ext = np.zeros((n + mg, n + mg))
-    H_ext[:n, :n] = H
-    reg = 1e-8 * max(1.0, float(np.abs(H).max()))
-    H_ext[n:, n:] = reg * np.eye(mg)
-    g_ext = np.concatenate([g, rho * np.ones(mg)])
-    rows = []
-    rhs = []
-    # general rows get a slack: Jc p - s <= -c
-    gen = np.hstack([Jc, -np.eye(mg)])
-    rows.append(gen)
-    rhs.append(-c0)
-    if nb:
-        rows.append(np.hstack([bnd_A, np.zeros((nb, mg))]))
-        rhs.append(bnd_gaps)
-    # slacks stay non-negative
-    rows.append(np.hstack([np.zeros((mg, n)), -np.eye(mg)]))
-    rhs.append(np.zeros(mg))
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
-    p_ext, lam = _active_set_qp(H_ext, g_ext, A, b)
-    return p_ext[:n], lam[:mg], lam[mg : mg + nb]
-
-
 def _merit(f, c0, mu):
     return f + mu * float(np.maximum(c0, 0.0).sum()) if c0.size else f
 
@@ -342,9 +228,15 @@ def _merit(f, c0, mu):
 def minimize(problem: NlpProblem, z0: np.ndarray, settings: Optional[SolverSettings] = None) -> Solution:
     """SQP iteration with l1-merit backtracking; deterministic.
 
-    The main loop uses forward differences; once the residual is small the
-    solution is polished with a few central-difference steps, which are
-    bias-free on quadratics and sharpen the final KKT residual.
+    Differences are forward for kkt_tolerance >= 1e-5 and central below it.
+    Two consecutive failed line searches end the run, unless it is still on
+    forward differences with a best residual of at most 1e-3: then it
+    switches to central differences, restarts from the best point with an
+    identity Hessian, and continues within max_iterations. Central-difference
+    line searches accept a merit rise of 1e-12 relative, the objective's
+    rounding noise, so they can close the last digits of the residual. The
+    returned point is the best one seen by KKT residual. QpInfeasibleError
+    from the QP subproblem propagates to the caller.
     """
     if settings is None:
         settings = SolverSettings()
@@ -361,45 +253,35 @@ def minimize(problem: NlpProblem, z0: np.ndarray, settings: Optional[SolverSetti
         return float(raw_objective(x))
 
     confun = problem.constraint_values
-    h = settings.finite_difference_step
     tol = settings.kkt_tolerance
+    central = tol < _CENTRAL_BELOW
 
     f0 = fun(z)
     c0 = confun(z)
     m = c0.shape[0]
-    g = _forward_grad(fun, z, f0, h)
-    Jc = _forward_jac(confun, z, c0, h) if m else np.zeros((0, n))
+    g, Jc = _fd_derivatives(fun, confun, z, f0, c0, central)
     H = np.eye(n)
     lam_gen = np.zeros(m)
-    bnd_A, bnd_gaps, _, _ = _bound_rows(problem, z)
+    bnd_A, bnd_gaps = _bound_rows(problem, z)
     lam_bnd = np.zeros(bnd_A.shape[0])
     mu = 10.0
     iters = 0
     merit_pairs: list[tuple[float, float]] = []
-    best = (float("inf"), z.copy(), lam_gen.copy(), f0, float("inf"))  # residual-keyed
+    # (residual, z, lam_gen, lam_bnd, f) of the lowest residual seen
+    best = (float("inf"), z, lam_gen, lam_bnd, f0)
     stall = 0
 
-    def record_best(res, zc, lamc, fc):
-        nonlocal best
-        if res < best[0]:
-            best = (res, zc.copy(), lamc.copy(), fc, res)
-
-    status = "max_iter"
     for _ in range(settings.max_iterations):
         res = _kkt_residual(g, c0, Jc, lam_gen, lam_bnd, bnd_A, bnd_gaps)
-        record_best(res, z, lam_gen, f0)
+        if res < best[0]:
+            best = (res, z, lam_gen, lam_bnd, f0)
         if res <= tol:
-            status = "converged"
             break
-        try:
-            A_all = np.vstack([Jc, bnd_A]) if (m or bnd_A.shape[0]) else np.zeros((0, n))
-            b_all = np.concatenate([-c0, bnd_gaps])
-            p, lam_all = _active_set_qp(H, g, A_all, b_all)
-            lam_gen_new = lam_all[:m]
-            lam_bnd_new = lam_all[m:]
-        except QpInfeasibleError:
-            rho = 1e4 * max(1.0, float(np.abs(g).max()))
-            p, lam_gen_new, lam_bnd_new = _elastic_qp(H, g, Jc, c0, bnd_A, bnd_gaps, rho)
+        A_all = np.vstack([Jc, bnd_A]) if (m or bnd_A.shape[0]) else np.zeros((0, n))
+        b_all = np.concatenate([-c0, bnd_gaps])
+        p, lam_all = _active_set_qp(H, g, A_all, b_all)
+        lam_gen_new = lam_all[:m]
+        lam_bnd_new = lam_all[m:]
         iters += 1
         if float(np.abs(p).max()) <= 1e-14:
             lam_gen, lam_bnd = lam_gen_new, lam_bnd_new
@@ -408,6 +290,9 @@ def minimize(problem: NlpProblem, z0: np.ndarray, settings: Optional[SolverSetti
         phi0 = _merit(f0, c0, mu)
         # directional derivative of the l1 merit along p
         d = float(g @ p) - mu * float(np.maximum(c0, 0.0).sum() if m else 0.0)
+        # near a solution the merit decrease ~res**2/curvature that central
+        # differences still resolve can sink below the rounding noise of J
+        slack = 1e-12 * (1.0 + abs(phi0)) if central else 0.0
         alpha = 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
@@ -415,20 +300,29 @@ def minimize(problem: NlpProblem, z0: np.ndarray, settings: Optional[SolverSetti
             f_try = fun(z_try)
             c_try = confun(z_try)
             phi_try = _merit(f_try, c_try, mu)
-            if phi_try <= phi0 + _ARMIJO * alpha * min(d, 0.0) and phi_try <= phi0:
+            if phi_try <= phi0 + slack + _ARMIJO * alpha * min(d, 0.0):
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
             stall += 1
-            if stall >= 2:
-                break
             H = np.eye(n)
+            if stall < 2:
+                continue
+            if central or best[0] > _RESCUE_GATE:
+                break
+            # stall switch: the O(h) forward-difference bias can exceed the
+            # tolerance on stiff problems; restart bias-free from the best point
+            central = True
+            stall = 0
+            _, z, lam_gen, lam_bnd, f0 = best
+            c0 = confun(z)
+            g, Jc = _fd_derivatives(fun, confun, z, f0, c0, central)
+            bnd_A, bnd_gaps = _bound_rows(problem, z)
             continue
         stall = 0
         merit_pairs.append((phi0, phi_try))
-        g_new = _forward_grad(fun, z_try, f_try, h)
-        Jc_new = _forward_jac(confun, z_try, c_try, h) if m else Jc
+        g_new, Jc_new = _fd_derivatives(fun, confun, z_try, f_try, c_try, central)
         # damped BFGS on the Lagrangian gradient difference
         s = z_try - z
         y = g_new - g
@@ -444,66 +338,17 @@ def minimize(problem: NlpProblem, z0: np.ndarray, settings: Optional[SolverSetti
             if sy > 1e-12:
                 Hs = H @ s
                 H = H + np.outer(y, y) / sy - np.outer(Hs, Hs) / sHs
-        if not np.all(np.isfinite(H)) or float(np.abs(H).max()) > settings.hessian_reset_threshold:
+        if not np.all(np.isfinite(H)) or float(np.abs(H).max()) > _HESSIAN_RESET:
             H = np.eye(n)
         z, f0, c0, g, Jc = z_try, f_try, c_try, g_new, Jc_new
         lam_gen, lam_bnd = lam_gen_new, lam_bnd_new
-        bnd_A, bnd_gaps, _, _ = _bound_rows(problem, z)
+        bnd_A, bnd_gaps = _bound_rows(problem, z)
     else:
         res = _kkt_residual(g, c0, Jc, lam_gen, lam_bnd, bnd_A, bnd_gaps)
-        record_best(res, z, lam_gen, f0)
+        if res < best[0]:
+            best = (res, z, lam_gen, lam_bnd, f0)
 
-    # central-difference polish: bias-free gradients near the solution.
-    # The forward-difference residual can underreport the true one by the
-    # bias ~ h*||H||/2, so for tight tolerances this runs even when the
-    # main loop met tol. For loose tolerances (bias irrelevant) it is a
-    # rescue pass, engaged only when the main loop stalled above tol.
-    if best[0] <= 1e-3 and (tol < 1e-5 or best[0] > tol):
-        z = best[1].copy()
-        lam_gen = best[2].copy()
-        f0 = fun(z)
-        c0 = confun(z)
-        for _ in range(3):
-            g = _central_grad(fun, z, h)
-            Jc = _central_jac(confun, z, h) if m else np.zeros((0, n))
-            bnd_A, bnd_gaps, _, _ = _bound_rows(problem, z)
-            res = _kkt_residual(g, c0, Jc, lam_gen, lam_bnd, bnd_A, bnd_gaps)
-            record_best(res, z, lam_gen, f0)
-            if res <= max(1e-12, 1e-4 * tol):
-                break
-            H_pol = _fd_lagrangian_hessian(fun, confun, lam_gen, z, h)
-            try:
-                A_all = np.vstack([Jc, bnd_A]) if (m or bnd_A.shape[0]) else np.zeros((0, n))
-                b_all = np.concatenate([-c0, bnd_gaps])
-                p, lam_all = _active_set_qp(H_pol, g, A_all, b_all)
-            except QpInfeasibleError:
-                break
-            lam_gen = lam_all[:m]
-            lam_bnd = lam_all[m:]
-            iters += 1
-            improved = False
-            alpha = 1.0
-            # halve until the residual actually drops
-            for _ in range(6):
-                z_try = z + alpha * p
-                f_try = fun(z_try)
-                c_try = confun(z_try)
-                g_try = _central_grad(fun, z_try, h)
-                Jc_try = _central_jac(confun, z_try, h) if m else np.zeros((0, n))
-                bnd_A_t, bnd_gaps_t, _, _ = _bound_rows(problem, z_try)
-                res_try = _kkt_residual(
-                    g_try, c_try, Jc_try, lam_gen, lam_bnd, bnd_A_t, bnd_gaps_t
-                )
-                if res_try < 0.5 * res:
-                    z, f0, c0 = z_try, f_try, c_try
-                    record_best(res_try, z, lam_gen, f0)
-                    improved = True
-                    break
-                alpha *= 0.5
-            if not improved:
-                break
-
-    res_final, z_best, lam_best, f_best, _ = best
+    res_final, z_best, lam_best, _, f_best = best
     feas_final = float(np.maximum(confun(z_best), 0.0).max()) if m else 0.0
     if res_final <= tol:
         status = "converged"

@@ -17,7 +17,6 @@ from afmpc.fuzzy import (
     fit_consequents_lsq,
     g_hat,
     membership,
-    snapshot_text,
 )
 
 UNIT_RANGES = ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0))
@@ -247,15 +246,3 @@ def test_fit_consequents_recovers_representable_target():
     # uniform theta_g makes g_hat exactly the requested constant
     for i in range(0, 500, 100):
         assert g_hat(fitted, X[i]) == pytest.approx(142.0, rel=1e-12)
-
-
-def test_snapshot_text_layout():
-    model = two_rule_model()
-    model = model._replace_thetas(np.array([1.5, -2.5]), np.array([3.5, 4.5]))
-    text = snapshot_text(model)
-    lines = text.splitlines()
-    assert any("1.5" in ln for ln in lines)
-    assert any("-2.5" in ln for ln in lines)
-    assert any("4.5" in ln for ln in lines)
-    # one value per line in the theta sections: reconstruct and compare
-    assert len(lines) > model.n_rules * 2

@@ -347,7 +347,7 @@ def test_export_load_csv_round_trip(tmp_path):
     log.u = rng.normal(size=n)
     log.V = rng.uniform(0.0, 2.0, n)
     log.predicted_cost = rng.uniform(size=n)
-    log.solver_status = ["converged"] * 5 + ["fallback", "max_iterations"]
+    log.solver_status = ["converged"] * 5 + ["fallback", "max_iter"]
     path = str(tmp_path / "log.csv")
     harness.export_csv(log, path)
     cols = harness.load_csv(path)

@@ -8,6 +8,7 @@ import pytest
 
 from afmpc import fuzzy as fz
 from afmpc import mpc
+from afmpc.nlp_optimizer import QpInfeasibleError
 from afmpc.plant import (
     DisturbanceSpec,
     PlantParams,
@@ -71,6 +72,22 @@ class InfinitePredictor:
 
     def predict(self, x, u, d=0.0):
         return np.full(4, np.inf)
+
+
+class BrokenAfterWarmStartPredictor:
+    """Nominal predictor that raises KeyError once the warm-start rollout is done."""
+
+    effort_per_eval = 1e-5
+
+    def __init__(self, cfg: mpc.MpcConfig):
+        self.inner = mpc.NominalPredictor(COEFFS, cfg.dt)
+        self.calls_left = cfg.prediction_horizon
+
+    def predict(self, x, u, d=0.0):
+        if self.calls_left == 0:
+            raise KeyError("predictor bug")
+        self.calls_left -= 1
+        return self.inner.predict(x, u, d)
 
 
 def test_config_defaults():
@@ -247,6 +264,37 @@ def test_solve_step_never_worse_than_warm_start():
         assert ctrl.predicted_cost <= warm_cost + 1e-12
 
 
+def test_solve_step_propagates_predictor_errors():
+    # a bug inside the rollout is not solver trouble: it must surface
+    # instead of being relabelled as a fallback period
+    cfg = mpc.MpcConfig()
+    model = BrokenAfterWarmStartPredictor(cfg)
+    x = np.array([0.2, -0.5, 0.3, 1.0])
+    x_ref = np.zeros((cfg.prediction_horizon, 4))
+    with pytest.raises(KeyError, match="predictor bug"):
+        mpc.solve_step(model, x, x_ref, cfg, np.zeros(3))
+    assert model.calls_left == 0
+
+
+def test_solve_step_falls_back_on_qp_infeasibility(monkeypatch):
+    def infeasible_minimize(*args, **kwargs):
+        raise QpInfeasibleError("QP infeasible")
+
+    monkeypatch.setattr(mpc, "minimize", infeasible_minimize)
+    cfg = mpc.MpcConfig()
+    model = mpc.NominalPredictor(COEFFS, cfg.dt)
+    x = np.array([0.2, -0.5, 0.3, 1.0])
+    x_ref = np.zeros((cfg.prediction_horizon, 4))
+    warm = np.array([0.7, -0.2, 0.1])
+    d = np.zeros(cfg.prediction_horizon)
+    warm_cost = mpc.horizon_cost(mpc.predict_trajectory(model, x, warm, d), warm, x_ref, cfg)
+    ctrl = mpc.solve_step(model, x, x_ref, cfg, warm)
+    assert ctrl.solver_status == "fallback"
+    assert ctrl.applied_input == 0.7
+    np.testing.assert_array_equal(ctrl.optimized_sequence, warm)
+    assert ctrl.predicted_cost == warm_cost
+
+
 def test_solve_step_matches_linear_quadratic_closed_form():
     # with the sine removed and a single horizon slot the program is a
     # one-dimensional convex quadratic with an interior optimum:
@@ -338,7 +386,7 @@ def test_closed_loop_log_structure_and_regulation():
     # V uses the full 4-state error with the supplied matrix
     expect_v = 0.5 * np.sum(log.states**2, axis=1)
     np.testing.assert_allclose(log.V, expect_v, rtol=1e-12)
-    assert set(log.solver_status) <= {"converged", "max_iterations", "fallback"}
+    assert set(log.solver_status) <= {"converged", "max_iter", "fallback"}
     assert np.all(log.solve_time > 0.0)
     # the pendulum offset must be regulated away, not just logged
     assert abs(log.states[-1, 2]) < 0.05
