@@ -10,14 +10,13 @@ from .plant import (
     derive_coefficients,
     disturbance_value,
     dynamics,
-    output,
+    rk4,
     step,
 )
 from .dense_linalg import (
     NotPositiveDefiniteWarning,
     SingularLyapunovError,
     is_positive_definite,
-    quadratic_form,
     solve_lyapunov,
 )
 from .fuzzy import (

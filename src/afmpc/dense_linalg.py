@@ -11,7 +11,6 @@ __all__ = [
     "SingularLyapunovError",
     "solve_lyapunov",
     "is_positive_definite",
-    "quadratic_form",
 ]
 
 _SYMMETRY_RTOL = 1e-9
@@ -81,8 +80,3 @@ def is_positive_definite(M: np.ndarray) -> bool:
     except np.linalg.LinAlgError:
         return False
 
-
-def quadratic_form(e: np.ndarray, M: np.ndarray) -> float:
-    """Evaluate e^T M e."""
-    e = np.asarray(e, dtype=float)
-    return float(e @ (np.asarray(M, dtype=float) @ e))

@@ -63,12 +63,9 @@ class FuzzyModel:
     theta_g: np.ndarray
     g_floor: float = 1.0
     state_ranges: tuple[tuple[float, float], ...] = ()
-    # per-rule center/width grids, shape (n_rules, 4), derived from mfs
-    centers: np.ndarray = field(init=False, repr=False)
-    widths: np.ndarray = field(init=False, repr=False)
     # quadratic-expansion coefficients of the squared scaled distance,
-    # s(x) = mat @ [x*x, x] + const per rule; hot-path form that needs a
-    # single small matrix-vector product per evaluation
+    # s(x) = mat @ [x*x, x] + const per rule, derived from mfs; basis and
+    # basis_matrix both evaluate the rule distance in this form
     _s_mat: np.ndarray = field(init=False, repr=False)
     _s_const: np.ndarray = field(init=False, repr=False)
     _scratch: np.ndarray = field(init=False, repr=False)
@@ -86,15 +83,16 @@ class FuzzyModel:
             raise ValueError("theta vectors must be finite")
         per_state_centers = [np.array([m.center for m in group]) for group in self.mfs]
         per_state_widths = [np.array([m.width for m in group]) for group in self.mfs]
-        self.centers = np.stack(
+        # per-rule center and width grids, shape (n_rules, n_states)
+        centers = np.stack(
             np.meshgrid(*per_state_centers, indexing="ij"), axis=-1
         ).reshape(n_rules, len(self.mfs))
-        self.widths = np.stack(
+        widths = np.stack(
             np.meshgrid(*per_state_widths, indexing="ij"), axis=-1
         ).reshape(n_rules, len(self.mfs))
-        inv_sq = 1.0 / (self.widths * self.widths)
-        self._s_mat = np.hstack([inv_sq, -2.0 * self.centers * inv_sq])
-        self._s_const = np.sum(self.centers * self.centers * inv_sq, axis=1)
+        inv_sq = 1.0 / (widths * widths)
+        self._s_mat = np.hstack([inv_sq, -2.0 * centers * inv_sq])
+        self._s_const = np.sum(centers * centers * inv_sq, axis=1)
         self._scratch = np.empty(2 * len(self.mfs))
 
     @property
@@ -108,8 +106,6 @@ class FuzzyModel:
         clone.theta_g = theta_g
         clone.g_floor = self.g_floor
         clone.state_ranges = self.state_ranges
-        clone.centers = self.centers
-        clone.widths = self.widths
         clone._s_mat = self._s_mat
         clone._s_const = self._s_const
         clone._scratch = np.empty_like(self._scratch)
@@ -122,8 +118,8 @@ def basis(model: FuzzyModel, X: np.ndarray) -> np.ndarray:
     The shared exponential shift does not change the normalized value and
     keeps the normalizer away from underflow for states far outside the
     membership ranges. The squared scaled distance is evaluated through
-    its precomputed quadratic expansion, two matrix-vector products per
-    call on the hot path.
+    its precomputed quadratic expansion: one matrix-vector product with
+    [x*x, x], which is built in a per-model scratch buffer.
     """
     x = np.asarray(X, dtype=float)
     n = x.shape[0]
@@ -144,21 +140,22 @@ def basis(model: FuzzyModel, X: np.ndarray) -> np.ndarray:
 
 
 def basis_matrix(model: FuzzyModel, X: np.ndarray) -> np.ndarray:
-    """Row-wise basis vectors for a batch of states, shape (len(X), n_rules)."""
+    """Row-wise basis vectors for a batch of states, shape (len(X), n_rules).
+
+    Each row is basis(model, X[i]) up to rounding, by the same quadratic
+    expansion in one matrix product for the whole batch.
+    """
     X = np.asarray(X, dtype=float)
-    out = np.empty((X.shape[0], model.n_rules))
-    # chunked to keep the (rows, rules, 4) intermediate small
-    chunk = max(1, 2_000_000 // max(model.n_rules, 1))
-    for start in range(0, X.shape[0], chunk):
-        rows = X[start : start + chunk]
-        z = (rows[:, None, :] - model.centers[None, :, :]) / model.widths[None, :, :]
-        s = np.sum(z * z, axis=2)
-        w = np.exp(-0.5 * (s - s.min(axis=1, keepdims=True)))
-        total = w.sum(axis=1, keepdims=True)
-        if not np.all(np.isfinite(total)) or np.any(total <= 0.0):
-            raise DegenerateFiringError("rule-firing normalizer degenerated to zero")
-        out[start : start + chunk] = w / total
-    return out
+    s = np.hstack([X * X, X]) @ model._s_mat.T
+    s += model._s_const
+    s -= s.min(axis=1, keepdims=True)
+    s *= -0.5
+    w = np.exp(s, out=s)
+    total = w.sum(axis=1, keepdims=True)
+    if not np.all(np.isfinite(total)) or np.any(total <= 0.0):
+        raise DegenerateFiringError("rule-firing normalizer degenerated to zero")
+    w /= total
+    return w
 
 
 def f_hat(model: FuzzyModel, X: np.ndarray) -> float:

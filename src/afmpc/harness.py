@@ -244,8 +244,6 @@ def _build_config(flat: dict) -> ScenarioConfig:
             k_p=flat["plant.k_p"],
         ),
     )
-    if flat["mpc.kc"] > flat["mpc.kp"]:
-        errors.append("mpc.kc: K_c <= K_p violated")
     mpc_cfg = attempt(
         "mpc",
         lambda: MpcConfig(
@@ -518,7 +516,6 @@ def build_closed_loop(config: ScenarioConfig):
             )
         predictor = AdaptiveFuzzyPredictor(model_fz, nominal, config.mpc.dt)
         adaptation = AdaptationLoop(
-            fuzzy=model_fz,
             P=p_mat,
             b=np.array([0.0, 0.0, 0.0, 1.0]),
             gain=config.adapt_gain,

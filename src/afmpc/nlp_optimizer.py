@@ -305,6 +305,9 @@ def minimize(problem: NlpProblem, z0: np.ndarray, settings: Optional[SolverSetti
                 break
             alpha *= 0.5
         if not accepted:
+            # z stays put, and this QP's multipliers describe z; those of
+            # an earlier, damped step can hold a bound that is no longer hit
+            lam_gen, lam_bnd = lam_gen_new, lam_bnd_new
             stall += 1
             H = np.eye(n)
             if stall < 2:

@@ -8,6 +8,7 @@ is y = x3.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,8 +22,8 @@ __all__ = [
     "derive_coefficients",
     "disturbance_value",
     "dynamics",
+    "rk4",
     "step",
-    "output",
 ]
 
 
@@ -108,18 +109,12 @@ class DisturbanceSpec:
             raise ValueError("disturbance amplitude must be non-negative")
 
 
-_noise_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _noise_table(seed: int) -> tuple[np.ndarray, np.ndarray]:
-    table = _noise_tables.get(seed)
-    if table is None:
-        rng = np.random.default_rng(seed)
-        freqs = rng.uniform(0.05, _NOISE_CUTOFF_HZ, _NOISE_TONES)
-        phases = rng.uniform(0.0, 2.0 * math.pi, _NOISE_TONES)
-        table = (freqs, phases)
-        _noise_tables[seed] = table
-    return table
+    rng = np.random.default_rng(seed)
+    freqs = rng.uniform(0.05, _NOISE_CUTOFF_HZ, _NOISE_TONES)
+    phases = rng.uniform(0.0, 2.0 * math.pi, _NOISE_TONES)
+    return freqs, phases
 
 
 def disturbance_value(spec: DisturbanceSpec, t: float) -> float:
@@ -150,6 +145,20 @@ def dynamics(state: np.ndarray, u: float, coeffs: CoeffSet, d: float = 0.0) -> n
     )
 
 
+def rk4(field_fn, x: np.ndarray, dt: float, d=(0.0, 0.0, 0.0)) -> np.ndarray:
+    """One classical RK4 step of x' = field_fn(x, d).
+
+    d holds the disturbance at the start, the middle and the end of the
+    step; the two middle stages share the middle value.
+    """
+    d0, dm, d1 = d
+    k1 = field_fn(x, d0)
+    k2 = field_fn(x + 0.5 * dt * k1, dm)
+    k3 = field_fn(x + 0.5 * dt * k2, dm)
+    k4 = field_fn(x + dt * k3, d1)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def step(
     state: np.ndarray,
     u: float,
@@ -162,25 +171,18 @@ def step(
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if disturbance is None:
-        d0 = dm = d1 = 0.0
+        d = (0.0, 0.0, 0.0)
     else:
-        d0 = disturbance_value(disturbance, t)
-        dm = disturbance_value(disturbance, t + 0.5 * dt)
-        d1 = disturbance_value(disturbance, t + dt)
+        d = (
+            disturbance_value(disturbance, t),
+            disturbance_value(disturbance, t + 0.5 * dt),
+            disturbance_value(disturbance, t + dt),
+        )
     try:
         # sin() of an overflowed angle raises; fold that into divergence
-        k1 = dynamics(state, u, coeffs, d0)
-        k2 = dynamics(state + 0.5 * dt * k1, u, coeffs, dm)
-        k3 = dynamics(state + 0.5 * dt * k2, u, coeffs, dm)
-        k4 = dynamics(state + dt * k3, u, coeffs, d1)
+        out = rk4(lambda s, dd: dynamics(s, u, coeffs, dd), state, dt, d)
     except (ValueError, OverflowError) as exc:
         raise IntegrationDivergenceError(f"integration diverged at t={t}") from exc
-    out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(out)):
         raise IntegrationDivergenceError(f"integration diverged at t={t}")
     return out
-
-
-def output(state: np.ndarray) -> float:
-    """Controlled output y = x3 (pendulum angle)."""
-    return float(state[2])

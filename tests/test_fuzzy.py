@@ -1,9 +1,11 @@
 """Tests for the fuzzy approximator: membership, basis, and adaptation."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from afmpc.fuzzy import (
     FuzzyModel,
@@ -77,6 +79,49 @@ def test_basis_far_outside_ranges_stays_normalized():
     eps = basis(model, np.array([1e6, -1e6, 1e6, -1e6]))
     assert np.all(np.isfinite(eps))
     assert eps.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def rule_grids(draw):
+    """1-5 memberships per state over ranges centred on 0, like the
+    configured grids."""
+    counts = tuple(draw(st.integers(1, 5)) for _ in range(4))
+    halves = [draw(st.floats(0.5, 10.0)) for _ in range(4)]
+    return build_rule_grid(counts, tuple((-h, h) for h in halves))
+
+
+def states(bound):
+    return st.lists(st.floats(-bound, bound), min_size=4, max_size=4).map(np.array)
+
+
+def direct_basis(model, x):
+    """Reference: normalized product of the membership degrees."""
+    degrees = [[membership(m, xi) for m in group] for group, xi in zip(model.mfs, x)]
+    raw = functools.reduce(np.multiply.outer, degrees).ravel()
+    return raw / raw.sum()
+
+
+@hyp_settings(max_examples=200, deadline=None)
+@given(model=rule_grids(), x=states(1e6))
+def test_basis_normalized_at_any_state(model, x):
+    for eps in (basis(model, x), basis_matrix(model, x[None, :])[0]):
+        assert np.all(eps >= 0.0)
+        assert abs(eps.sum() - 1.0) <= 1e-12
+
+
+@hyp_settings(max_examples=200, deadline=None)
+@given(model=rule_grids(), units=st.lists(states(10.0), min_size=1, max_size=8))
+def test_basis_matrix_rows_equal_basis(model, units):
+    # batch and single share one expansion, whose cancellation grows as
+    # |x|^2 (up to 6e-11 apart at |x| ~ 1e3 on 625 rules); within 10x the
+    # ranges it stays below 1e-12
+    X = np.array(units) * np.array([hi for _, hi in model.state_ranges])
+    E = basis_matrix(model, X)
+    for x, row in zip(X, E):
+        np.testing.assert_allclose(row, basis(model, x), rtol=0.0, atol=1e-12)
+    # inside the ranges the expansion agrees with the direct form
+    for x, row in zip(X / 10.0, basis_matrix(model, X / 10.0)):
+        np.testing.assert_allclose(row, direct_basis(model, x), rtol=0.0, atol=1e-12)
 
 
 def test_rule_order_is_lexicographic_with_last_state_fastest():

@@ -166,8 +166,10 @@ def test_load_config_reports_every_parse_error(tmp_path):
 
 def test_load_config_rejects_kc_exceeding_kp(tmp_path):
     path = write_config(tmp_path, "mpc.kc = 6\n")
-    with pytest.raises(harness.ConfigError, match="K_c <= K_p violated"):
+    with pytest.raises(harness.ConfigError, match="K_c <= K_p violated") as excinfo:
         harness.load_config(path)
+    # one problem, one line
+    assert len(str(excinfo.value).splitlines()) == 1
 
 
 def test_build_validation_reports_all_problems(tmp_path):
@@ -415,13 +417,12 @@ def test_build_closed_loop_afmpc_pieces(tmp_path):
     assert ad.gain == 32.0
     assert ad.theta_bound == 1e6
     np.testing.assert_array_equal(ad.b, np.array([0.0, 0.0, 0.0, 1.0]))
-    assert loop.model.fuzzy is ad.fuzzy
     # nominal_fit primes the consequents from the mismatched model
-    assert np.any(ad.fuzzy.theta_f != 0.0)
-    assert np.all(ad.fuzzy.theta_g == loop.model.coeffs.b2)
+    assert np.any(loop.model.fuzzy.theta_f != 0.0)
+    assert np.all(loop.model.fuzzy.theta_g == loop.model.coeffs.b2)
     zero_path = write_config(tmp_path, "controller = afmpc\nfuzzy.init = zero\n")
     loop0, _, _ = harness.build_closed_loop(harness.load_config(zero_path))
-    assert np.all(loop0.adaptation.fuzzy.theta_f == 0.0)
+    assert np.all(loop0.model.fuzzy.theta_f == 0.0)
 
 
 def test_run_scenario_and_comparison_short(tmp_path):

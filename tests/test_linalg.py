@@ -10,7 +10,6 @@ from afmpc.dense_linalg import (
     NotPositiveDefiniteWarning,
     SingularLyapunovError,
     is_positive_definite,
-    quadratic_form,
     solve_lyapunov,
 )
 
@@ -129,18 +128,3 @@ def test_is_positive_definite_cases():
         asym[1, 0] = 0.3
         is_positive_definite(asym)
 
-
-def test_quadratic_form_values():
-    assert quadratic_form(np.zeros(4), np.eye(4)) == 0.0
-    assert quadratic_form(np.array([1.0, 0.0, 0.0, 0.0]), np.eye(4)) == 1.0
-    M = np.zeros((4, 4))
-    M[:2, :2] = [[2.0, 1.0], [1.0, 2.0]]
-    assert quadratic_form(np.array([1.0, 1.0, 0.0, 0.0]), M) == pytest.approx(6.0)
-
-
-def test_quadratic_form_matches_numpy():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        e = rng.normal(size=4)
-        M = rng.normal(size=(4, 4))
-        assert quadratic_form(e, M) == pytest.approx(float(e @ M @ e), rel=1e-12)

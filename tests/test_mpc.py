@@ -414,7 +414,6 @@ def test_closed_loop_flags_parameter_blowup():
     cfg = mpc.MpcConfig()
     grid = fz.build_rule_grid((3, 3, 3, 3), WIDE_RANGES)
     adaptation = mpc.AdaptationLoop(
-        fuzzy=grid,
         P=np.eye(4),
         b=np.array([0.0, 0.0, 0.0, 1.0]),
         gain=1.0,
@@ -434,21 +433,50 @@ def test_closed_loop_flags_parameter_blowup():
     assert log.final_fuzzy is not None
 
 
-def test_adaptation_disabled_at_zero_gain():
-    cfg = mpc.MpcConfig()
+def adaptive_loop(cfg: mpc.MpcConfig, gain: float) -> mpc.ClosedLoop:
     grid = fz.build_rule_grid((3, 3, 3, 3), WIDE_RANGES)
     model = fz.fit_consequents_lsq(grid, true_drift, g_value=COEFFS.b2, n_samples=2000, seed=0)
-    adaptation = mpc.AdaptationLoop(
-        fuzzy=model, P=np.eye(4), b=np.array([0.0, 0.0, 0.0, 1.0]), gain=0.0
-    )
-    loop = mpc.ClosedLoop(
+    return mpc.ClosedLoop(
         model=mpc.AdaptiveFuzzyPredictor(model, COEFFS, cfg.dt),
         config=cfg,
         true_coeffs=COEFFS,
         x_ref_fn=zero_ref,
         lyapunov_p=np.eye(4),
-        adaptation=adaptation,
+        adaptation=mpc.AdaptationLoop(P=np.eye(4), b=np.array([0.0, 0.0, 0.0, 1.0]), gain=gain),
     )
+
+
+def test_adaptive_loop_runs_twice_identically():
+    # the run adapts a model of its own; the loop it is given stays as built
+    loop = adaptive_loop(mpc.MpcConfig(), gain=32.0)
+    theta_f = loop.model.fuzzy.theta_f.copy()
+    x0 = np.array([0.0, 0.0, 0.2, 0.0])
+    first = mpc.run_receding_horizon(x0, loop, 20)
+    second = mpc.run_receding_horizon(x0, loop, 20)
+    assert np.array_equal(loop.model.fuzzy.theta_f, theta_f)
+    assert not np.array_equal(first.final_fuzzy.theta_f, theta_f)
+    for name in ("states", "u", "V", "w_diag", "predicted_cost"):
+        assert np.array_equal(getattr(first, name), getattr(second, name)), name
+    assert first.solver_status == second.solver_status
+    assert np.array_equal(first.final_fuzzy.theta_f, second.final_fuzzy.theta_f)
+    assert np.array_equal(first.final_fuzzy.theta_g, second.final_fuzzy.theta_g)
+
+
+def test_closed_loop_adaptation_needs_fuzzy_predictor():
+    with pytest.raises(ValueError, match="AdaptiveFuzzyPredictor"):
+        mpc.ClosedLoop(
+            model=mpc.NominalPredictor(COEFFS, 0.05),
+            config=mpc.MpcConfig(),
+            true_coeffs=COEFFS,
+            x_ref_fn=zero_ref,
+            lyapunov_p=np.eye(4),
+            adaptation=mpc.AdaptationLoop(P=np.eye(4), b=np.array([0.0, 0.0, 0.0, 1.0])),
+        )
+
+
+def test_adaptation_disabled_at_zero_gain():
+    loop = adaptive_loop(mpc.MpcConfig(), gain=0.0)
+    model = loop.model.fuzzy
     log = mpc.run_receding_horizon(np.array([0.0, 0.0, 0.2, 0.0]), loop, 10)
     assert not log.diverged
     assert log.final_fuzzy is not None

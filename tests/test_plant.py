@@ -13,7 +13,6 @@ from afmpc.plant import (
     derive_coefficients,
     disturbance_value,
     dynamics,
-    output,
     step,
 )
 
@@ -72,12 +71,6 @@ def test_dynamics_disturbance_enters_pendulum_channel_only():
     diff = with_d - base
     np.testing.assert_allclose(diff[:3], 0.0)
     assert diff[3] == pytest.approx(0.5 * c.b2, rel=1e-12)
-
-
-def test_output_is_pendulum_angle():
-    assert output(np.zeros(4)) == 0.0
-    assert output(np.array([1.0, 2.0, 3.0, 4.0])) == 3.0
-    assert output(np.array([0.0, 0.0, 0.3, 0.0])) == pytest.approx(0.3)
 
 
 def test_step_keeps_equilibrium():
