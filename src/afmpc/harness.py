@@ -61,8 +61,8 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ReferenceSpec:
     kind: str = "sinusoid"  # zero | step | sinusoid
-    amplitude: float = 0.3  # rad
-    frequency: float = 0.8  # Hz, sinusoid only
+    amplitude: float = 0.2  # rad
+    frequency: float = 0.65  # Hz, sinusoid only
     step_time: float = 1.0  # seconds, step only
     consistent_arm: bool = True
 

@@ -198,7 +198,10 @@ def solve_step(
     Never returns a worse sequence than the warm start: if the solver's
     point does not improve the horizon cost, the warm start is applied and
     the status flags the fallback. Solver trouble means a QpInfeasibleError
-    or LinAlgError out of minimize; any other exception propagates.
+    or LinAlgError out of minimize; any other exception propagates. The
+    program has box bounds only, so p = 0 is always feasible for its QPs:
+    QpInfeasibleError here means numerical trouble, such as a nearly
+    singular BFGS Hessian or a non-finite gradient, not an empty QP.
     """
     kp = config.prediction_horizon
     kc = config.control_horizon

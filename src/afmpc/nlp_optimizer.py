@@ -2,9 +2,9 @@
 
 Solves minimize J(z) subject to c(z) <= 0 and lb <= z <= ub with
 finite-difference gradients, a damped BFGS approximation of the Lagrangian
-Hessian, an active-set QP for the search direction, and an l1-merit
-backtracking line search. Bounds enter the QP as linear rows, so every
-accepted iterate stays inside the box.
+Hessian, a dual active-set QP (Goldfarb-Idnani) for the search direction,
+and an l1-merit backtracking line search. Bounds enter the QP as linear
+rows, built once per call, so every accepted iterate stays inside the box.
 
 Gradients and constraint Jacobians come from one finite-difference helper.
 It takes forward differences, one evaluation per coordinate, for tolerances
@@ -15,9 +15,8 @@ stationarity but above its tolerance switches to central differences and
 restarts from its best point under the same iteration budget.
 
 A linearized QP that admits no point raises QpInfeasibleError out of
-minimize; there is no elastic fallback.
-
-Everything is deterministic: no randomness, no wall-clock dependence.
+minimize; there is no fallback solve. Everything is deterministic: no
+randomness, no wall-clock dependence.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
 
 _UNBOUNDED = 1e19
 _QP_FEAS_TOL = 1e-9
-_MULT_TOL = 1e-10
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 30
 _FD_STEP = 1e-6
@@ -130,79 +128,78 @@ def _fd_derivatives(fun, confun, z, f0, c0, central):
     return g, J
 
 
-def _solve_sym(M, rhs):
-    try:
-        sol = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        sol = None
-    if sol is None or not np.all(np.isfinite(sol)):
-        sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    return sol
-
-
 def _active_set_qp(H, g, A, b):
-    """min 1/2 p'Hp + g'p s.t. A p <= b. Returns (p, multipliers).
+    """min 1/2 p'Hp + g'p s.t. A p <= b by the Goldfarb-Idnani dual method.
 
-    Add-most-violated / drop-most-negative working-set iteration; adequate
-    for the small dense subproblems built here.
+    From the unconstrained minimizer, raise the multiplier of the most
+    violated row j until j is active (full step: j joins the working set)
+    or a working multiplier reaches 0 (partial step: that row leaves and j
+    is pursued further). Each step raises the dual objective, so no working
+    set repeats, and the working rows stay linearly independent, so every
+    KKT matrix is nonsingular for positive definite H. Returns (p, multipliers).
     """
     n = g.shape[0]
     m = A.shape[0]
-    scale = max(1.0, float(np.abs(b).max())) if b.size else 1.0
+    feas_tol = _QP_FEAS_TOL * max(1.0, float(np.abs(b).max())) if m else 0.0
+    p = np.linalg.solve(H, -g)
     work: list[int] = []
+    lam = np.zeros(0)  # multipliers of the working rows, in work order
+    j = None  # the violated row being made active
     cap = 5 * (m + n) + 25
     for _ in range(cap):
-        if work:
-            Aw = A[work]
-            k = len(work)
-            kkt = np.zeros((n + k, n + k))
-            kkt[:n, :n] = H
-            kkt[:n, n:] = Aw.T
-            kkt[n:, :n] = Aw
-            sol = _solve_sym(kkt, np.concatenate([-g, b[work]]))
-            p = sol[:n]
-            lam_w = sol[n:]
-        else:
-            p = _solve_sym(H, -g)
-            lam_w = np.zeros(0)
-        if not np.all(np.isfinite(p)):
-            raise QpInfeasibleError("QP infeasible")
-        viol = A @ p - b if m else np.zeros(0)
-        worst = float(viol.max()) if m else 0.0
-        if worst > _QP_FEAS_TOL * scale:
+        if j is None:
+            viol = A @ p - b
+            if not m or float(viol.max()) <= feas_tol:
+                out = np.zeros(m)
+                out[work] = np.maximum(lam, 0.0)
+                return p, out
             j = int(np.argmax(viol))
-            if j in work:
-                raise QpInfeasibleError("QP infeasible")
+            lam_j = 0.0
+        # direction of a unit rise in lam_j that keeps the working rows active
+        k = len(work)
+        kkt = np.zeros((n + k, n + k))
+        kkt[:n, :n] = H
+        kkt[:n, n:] = A[work].T
+        kkt[n:, :n] = A[work]
+        sol = np.linalg.solve(kkt, np.concatenate([-A[j], np.zeros(k)]))
+        dp, dlam = sol[:n], sol[n:]
+        curv = -float(A[j] @ dp)
+        slack = float(A[j] @ p - b[j])
+        # a row dependent on the working rows leaves dp at rounding level
+        dependent = curv <= 0.0 or float(np.abs(dp).max()) <= 1e-12 * float(np.abs(sol).max())
+        t_full = np.inf if dependent else slack / curv
+        shrink = np.flatnonzero(dlam < 0.0)
+        ratios = -lam[shrink] / dlam[shrink]
+        t_part = float(ratios.min()) if shrink.size else np.inf
+        t = min(t_full, t_part)
+        if not np.isfinite(t):
+            raise QpInfeasibleError(
+                f"QP infeasible: no finite step makes row {j} feasible (violation {slack:.3g})"
+            )
+        p = p + t * dp
+        lam = lam + t * dlam
+        lam_j += t
+        if t_full <= t_part:
             work.append(j)
-            continue
-        if lam_w.size and float(lam_w.min()) < -_MULT_TOL:
-            work.pop(int(np.argmin(lam_w)))
-            continue
-        lam = np.zeros(m)
-        if work:
-            lam[work] = np.maximum(lam_w, 0.0)
-        return p, lam
-    raise QpInfeasibleError("QP infeasible")
+            lam = np.append(lam, lam_j)
+            j = None
+        else:
+            drop = int(shrink[np.argmin(ratios)])
+            del work[drop]
+            lam = np.delete(lam, drop)
+    raise QpInfeasibleError(f"QP working set did not settle in {cap} steps")
 
 
-def _bound_rows(problem: NlpProblem, z: np.ndarray):
-    """Box bounds as rows of A p <= b around the current iterate."""
-    n = problem.dimension
-    rows = []
-    gaps = []
-    for i in range(n):
-        if problem.upper_bounds[i] < _UNBOUNDED:
-            e = np.zeros(n)
-            e[i] = 1.0
-            rows.append(e)
-            gaps.append(problem.upper_bounds[i] - z[i])
-        if problem.lower_bounds[i] > -_UNBOUNDED:
-            e = np.zeros(n)
-            e[i] = -1.0
-            rows.append(e)
-            gaps.append(z[i] - problem.lower_bounds[i])
-    A = np.array(rows) if rows else np.zeros((0, n))
-    return A, np.array(gaps)
+def _bound_rows(problem: NlpProblem):
+    """Box bounds as rows A and offsets c of A p <= c - A z around iterate z.
+
+    Each bounded coordinate gives an upper row, then a lower row.
+    """
+    eye = np.eye(problem.dimension)
+    rows = np.stack([eye, -eye], axis=1).reshape(-1, problem.dimension)
+    offsets = np.stack([problem.upper_bounds, -problem.lower_bounds], axis=1).ravel()
+    bounded = offsets < _UNBOUNDED
+    return rows[bounded], offsets[bounded]
 
 
 def _kkt_residual(g, c0, Jc, lam_gen, lam_bnd, bnd_A, bnd_gaps):
@@ -262,7 +259,8 @@ def minimize(problem: NlpProblem, z0: np.ndarray, settings: Optional[SolverSetti
     g, Jc = _fd_derivatives(fun, confun, z, f0, c0, central)
     H = np.eye(n)
     lam_gen = np.zeros(m)
-    bnd_A, bnd_gaps = _bound_rows(problem, z)
+    bnd_A, bnd_c = _bound_rows(problem)
+    bnd_gaps = bnd_c - bnd_A @ z
     lam_bnd = np.zeros(bnd_A.shape[0])
     mu = 10.0
     iters = 0
@@ -277,7 +275,7 @@ def minimize(problem: NlpProblem, z0: np.ndarray, settings: Optional[SolverSetti
             best = (res, z, lam_gen, lam_bnd, f0)
         if res <= tol:
             break
-        A_all = np.vstack([Jc, bnd_A]) if (m or bnd_A.shape[0]) else np.zeros((0, n))
+        A_all = np.vstack([Jc, bnd_A])
         b_all = np.concatenate([-c0, bnd_gaps])
         p, lam_all = _active_set_qp(H, g, A_all, b_all)
         lam_gen_new = lam_all[:m]
@@ -321,7 +319,7 @@ def minimize(problem: NlpProblem, z0: np.ndarray, settings: Optional[SolverSetti
             _, z, lam_gen, lam_bnd, f0 = best
             c0 = confun(z)
             g, Jc = _fd_derivatives(fun, confun, z, f0, c0, central)
-            bnd_A, bnd_gaps = _bound_rows(problem, z)
+            bnd_gaps = bnd_c - bnd_A @ z
             continue
         stall = 0
         merit_pairs.append((phi0, phi_try))
@@ -345,7 +343,7 @@ def minimize(problem: NlpProblem, z0: np.ndarray, settings: Optional[SolverSetti
             H = np.eye(n)
         z, f0, c0, g, Jc = z_try, f_try, c_try, g_new, Jc_new
         lam_gen, lam_bnd = lam_gen_new, lam_bnd_new
-        bnd_A, bnd_gaps = _bound_rows(problem, z)
+        bnd_gaps = bnd_c - bnd_A @ z
     else:
         res = _kkt_residual(g, c0, Jc, lam_gen, lam_bnd, bnd_A, bnd_gaps)
         if res < best[0]:

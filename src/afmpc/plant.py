@@ -99,7 +99,7 @@ class DisturbanceSpec:
 
     kind: str = "none"
     amplitude: float = 0.0
-    frequency: float = 0.0   # Hz, sinusoid only
+    frequency: float = 1.0   # Hz, sinusoid only
     seed: int = 0            # noise only
 
     def __post_init__(self) -> None:

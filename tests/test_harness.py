@@ -7,7 +7,7 @@ import pytest
 
 from afmpc import harness
 from afmpc.mpc import TrajectoryLog
-from afmpc.plant import PlantParams, derive_coefficients
+from afmpc.plant import DisturbanceSpec, PlantParams, derive_coefficients
 
 TRUE_COEFFS = derive_coefficients(PlantParams())
 
@@ -86,6 +86,13 @@ def test_default_config_values():
     assert cfg.duration == 10.0
     assert cfg.plant_dt == 0.001
     assert cfg.seed == 0
+
+
+def test_default_config_matches_dataclass_defaults():
+    # one default scenario: the registry and the dataclasses agree
+    cfg = harness.default_config()
+    assert cfg.reference == harness.ReferenceSpec()
+    assert cfg.disturbance == DisturbanceSpec()
 
 
 def test_load_config_empty_file_gives_defaults(tmp_path):

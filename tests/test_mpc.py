@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from afmpc import fuzzy as fz
 from afmpc import mpc
@@ -262,6 +263,33 @@ def test_solve_step_never_worse_than_warm_start():
         ctrl = mpc.solve_step(model, x, x_ref, cfg, warm)
         assert np.isfinite(ctrl.predicted_cost)
         assert ctrl.predicted_cost <= warm_cost + 1e-12
+
+
+@st.composite
+def solve_step_cases(draw):
+    """A state inside the fuzzy ranges, a reference per slot, a warm start
+    (clipped by solve_step) and one of three input bounds."""
+    cfg = mpc.MpcConfig(input_bound=draw(st.sampled_from([0.0, 0.5, 5.0])))
+    x = np.array([draw(st.floats(lo, hi)) for lo, hi in WIDE_RANGES])
+    x_ref = np.array(
+        [[draw(st.floats(lo, hi)) for lo, hi in WIDE_RANGES] for _ in range(cfg.prediction_horizon)]
+    )
+    warm = np.array([draw(st.floats(-6.0, 6.0)) for _ in range(cfg.control_horizon)])
+    return cfg, x, x_ref, warm
+
+
+@hyp_settings(max_examples=60, deadline=None)
+@given(case=solve_step_cases())
+def test_solve_step_never_above_warm_start_cost(case):
+    cfg, x, x_ref, warm = case
+    model = mpc.NominalPredictor(COEFFS, cfg.dt)
+    clipped = np.clip(warm, -cfg.input_bound, cfg.input_bound)
+    d = np.zeros(cfg.prediction_horizon)
+    warm_cost = mpc.horizon_cost(mpc.predict_trajectory(model, x, clipped, d), clipped, x_ref, cfg)
+    ctrl = mpc.solve_step(model, x, x_ref, cfg, warm)
+    assert ctrl.predicted_cost <= warm_cost
+    assert abs(ctrl.applied_input) <= cfg.input_bound
+    assert ctrl.solver_status in ("converged", "max_iter", "fallback")
 
 
 def test_solve_step_propagates_predictor_errors():

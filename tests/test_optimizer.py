@@ -4,9 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings as hyp_settings, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
-from afmpc.nlp_optimizer import NlpProblem, QpInfeasibleError, SolverSettings, minimize
+from afmpc.nlp_optimizer import NlpProblem, QpInfeasibleError, SolverSettings, _active_set_qp, minimize
 
 TOL = 1e-6
 
@@ -183,22 +183,27 @@ def box_qp(Q, q, lb, ub) -> NlpProblem:
     )
 
 
+def enumerated_qp_solution(H, g, A, b) -> np.ndarray:
+    """Minimizer of 1/2 p'Hp + g'p s.t. A p <= b: the KKT point over all
+    linearly independent subsets of active rows."""
+    n, m = len(g), len(b)
+    scale = 1e-8 * (1.0 + np.abs(b).max())
+    for k in range(min(n, m) + 1):
+        for rows in itertools.combinations(range(m), k):
+            Aw = A[list(rows)]
+            if k and np.linalg.matrix_rank(Aw) < k:
+                continue
+            kkt = np.block([[H, Aw.T], [Aw, np.zeros((k, k))]])
+            sol = np.linalg.solve(kkt, np.concatenate([-g, b[list(rows)]]))
+            if np.all(A @ sol[:n] <= b + scale) and np.all(sol[n:] >= -scale):
+                return sol[:n]
+    raise AssertionError("no KKT point among the row subsets")
+
+
 def enumerated_minimizer(Q, q, lb, ub) -> np.ndarray:
-    """Exact box-QP minimizer: best feasible stationary point over all faces."""
-    best = None
-    for pattern in itertools.product((0, 1, 2), repeat=len(q)):
-        pattern = np.array(pattern)
-        z = np.where(pattern == 1, lb, ub).astype(float)
-        free = pattern == 0
-        if free.any():
-            rhs = -(q[free] + Q[np.ix_(free, ~free)] @ z[~free])
-            z[free] = np.linalg.solve(Q[np.ix_(free, free)], rhs)
-        if np.any(z < lb) or np.any(z > ub):
-            continue
-        value = 0.5 * z @ Q @ z + q @ z
-        if best is None or value < best[0]:
-            best = (value, z)
-    return best[1]
+    """Exact box-QP minimizer: the box as an upper and a lower row per coordinate."""
+    n = len(q)
+    return enumerated_qp_solution(Q, q, np.vstack([np.eye(n), -np.eye(n)]), np.concatenate([ub, -lb]))
 
 
 @st.composite
@@ -262,12 +267,7 @@ def test_box_qp_converges_to_enumerated_minimizer(tol, qp):
     # the MPC path: box bounds only, forward differences at 1e-4 and
     # central ones at 1e-6
     Q, q, lb, ub, z0 = qp
-    try:
-        sol = minimize(box_qp(Q, q, lb, ub), z0, SolverSettings(kkt_tolerance=tol))
-    except QpInfeasibleError:
-        # the known working-set cycling pinned by test_box_qp_cycling below
-        event("QP working-set cycling")
-        return
+    sol = minimize(box_qp(Q, q, lb, ub), z0, SolverSettings(kkt_tolerance=tol))
     assert sol.status == "converged"
     assert sol.kkt_residual <= tol
     # strong convexity turns the stationarity residual plus the
@@ -277,14 +277,10 @@ def test_box_qp_converges_to_enumerated_minimizer(tol, qp):
     np.testing.assert_allclose(sol.minimizer, enumerated_minimizer(Q, q, lb, ub), rtol=0.0, atol=atol)
 
 
-@pytest.mark.xfail(
-    raises=QpInfeasibleError,
-    strict=True,
-    reason="_active_set_qp cycles between working sets on some box-only QPs",
-)
 def test_box_qp_cycling():
-    # p = 0 is always feasible for box rows, yet the add-most-violated /
-    # drop-most-negative iteration revisits its working sets until its cap
+    # p = 0 is always feasible for box rows, so no QP here may raise; a
+    # working-set iteration that can revisit its working sets cycles on
+    # this problem until its cap and reports the QP infeasible
     Q = np.array([[589.76, 225.48, 217.23], [225.48, 197.61, 160.47], [217.23, 160.47, 655.9]])
     q = np.array([-8.97, -9.34, -8.5])
     lb = np.full(3, -0.57)
@@ -308,3 +304,48 @@ def test_box_qp_start_on_bound():
     )
     assert sol.status == "converged"
     assert abs(sol.minimizer[0]) <= 1e-4
+
+
+def test_inconsistent_linear_rows_raise():
+    # z <= -1 and z >= 1 linearize to the same two rows at every iterate
+    p = NlpProblem(1, lambda z: z[0] ** 2, lambda z: np.array([z[0] + 1.0, 1.0 - z[0]]))
+    with pytest.raises(QpInfeasibleError, match="no finite step makes row 1 feasible"):
+        minimize(p, np.array([0.0]), settings())
+
+
+@st.composite
+def general_qps(draw):
+    """Strictly convex 1-3 dimensional QPs with 1-4 rows feasible by construction:
+    b = A p0 + s with s >= 0.
+
+    Row entries are 0 or at least 0.1 in magnitude, because the QP's
+    feasibility tolerance is absolute in row units.
+    """
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+
+    def vector(lo, hi, size):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+    W = vector(-20.0, 20.0, n * n).reshape(n, n)
+    H = W @ W.T + draw(st.floats(0.1, 10.0)) * np.eye(n)
+    g = vector(-10.0, 10.0, n)
+    entry = st.one_of(st.just(0.0), st.floats(0.1, 5.0), st.floats(-5.0, -0.1))
+    A = np.array(draw(st.lists(entry, min_size=m * n, max_size=m * n))).reshape(m, n)
+    p0 = vector(-5.0, 5.0, n)
+    s = vector(0.0, 5.0, m)
+    return H, g, A, A @ p0 + s
+
+
+@hyp_settings(max_examples=300, deadline=None)
+@given(qp=general_qps())
+def test_active_set_qp_matches_enumeration(qp):
+    H, g, A, b = qp
+    p, lam = _active_set_qp(H, g, A, b)
+    scale = 1e-7 * (1.0 + np.abs(b).max() + np.abs(g).max())
+    np.testing.assert_allclose(p, enumerated_qp_solution(H, g, A, b), rtol=0.0, atol=scale)
+    assert np.all(A @ p - b <= scale)
+    assert np.all(lam >= 0.0)
+    # complementary: a row off its boundary carries no multiplier
+    assert np.all(np.abs(lam * (b - A @ p)) <= scale * (1.0 + lam.max()))
+    np.testing.assert_allclose(H @ p + g + A.T @ lam, 0.0, atol=scale * (1.0 + lam.max()))
