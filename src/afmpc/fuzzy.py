@@ -63,9 +63,11 @@ class FuzzyModel:
     theta_g: np.ndarray
     g_floor: float = 1.0
     state_ranges: tuple[tuple[float, float], ...] = ()
-    # quadratic-expansion coefficients of the squared scaled distance,
-    # s(x) = mat @ [x*x, x] + const per rule, derived from mfs; basis and
-    # basis_matrix both evaluate the rule distance in this form
+    # quadratic-expansion coefficients of the log firing strength, minus
+    # half the squared scaled distance: s(x) = mat @ [x*x, x] + const per
+    # rule, derived from mfs; basis and basis_matrix both evaluate it in
+    # this form (the factor -0.5 is a power of two, so folding it into the
+    # coefficients leaves every result bit for bit as without it)
     _s_mat: np.ndarray = field(init=False, repr=False)
     _s_const: np.ndarray = field(init=False, repr=False)
     _scratch: np.ndarray = field(init=False, repr=False)
@@ -91,8 +93,8 @@ class FuzzyModel:
             np.meshgrid(*per_state_widths, indexing="ij"), axis=-1
         ).reshape(n_rules, len(self.mfs))
         inv_sq = 1.0 / (widths * widths)
-        self._s_mat = np.hstack([inv_sq, -2.0 * centers * inv_sq])
-        self._s_const = np.sum(centers * centers * inv_sq, axis=1)
+        self._s_mat = -0.5 * np.hstack([inv_sq, -2.0 * centers * inv_sq])
+        self._s_const = -0.5 * np.sum(centers * centers * inv_sq, axis=1)
         self._scratch = np.empty(2 * len(self.mfs))
 
     @property
@@ -117,8 +119,8 @@ def basis(model: FuzzyModel, X: np.ndarray) -> np.ndarray:
 
     The shared exponential shift does not change the normalized value and
     keeps the normalizer away from underflow for states far outside the
-    membership ranges. The squared scaled distance is evaluated through
-    its precomputed quadratic expansion: one matrix-vector product with
+    membership ranges. The log firing strengths are evaluated through
+    their precomputed quadratic expansion: one matrix-vector product with
     [x*x, x], which is built in a per-model scratch buffer.
     """
     x = np.asarray(X, dtype=float)
@@ -129,8 +131,7 @@ def basis(model: FuzzyModel, X: np.ndarray) -> np.ndarray:
     v[n:] = x
     s = model._s_mat @ v
     s += model._s_const
-    s -= s.min()
-    s *= -0.5
+    s -= s.max()
     w = np.exp(s, out=s)
     total = w.sum()
     if not np.isfinite(total) or total <= 0.0:
@@ -148,8 +149,7 @@ def basis_matrix(model: FuzzyModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     s = np.hstack([X * X, X]) @ model._s_mat.T
     s += model._s_const
-    s -= s.min(axis=1, keepdims=True)
-    s *= -0.5
+    s -= s.max(axis=1, keepdims=True)
     w = np.exp(s, out=s)
     total = w.sum(axis=1, keepdims=True)
     if not np.all(np.isfinite(total)) or np.any(total <= 0.0):

@@ -4,7 +4,13 @@ Two predictors are provided: a nominal rigid-body predictor and an adaptive
 fuzzy predictor whose pendulum-acceleration channel is replaced by the
 fuzzy estimates. The per-period solve builds a box-bounded program over the
 control sequence and hands it to the dense SQP solver; only the first input
-is applied.
+is applied. Each period warm-starts from the previous optimum shifted by
+one slot, and its BFGS Hessian starts from the final one of the previous
+period's solve, unshifted, when that solve converged (from the identity
+otherwise). The carry cuts the objective evaluations per solve by half
+or more; shifting the Hessian with the inputs did worse, because the slot
+shifted in past the control horizon repeats the last input and carries no
+curvature estimate.
 
 Logged solve times come from a deterministic effort model (objective
 evaluations times a calibrated per-evaluation cost) so that identical runs
@@ -145,6 +151,9 @@ class ControlStep:
     solver_status: str
     solve_time: float
     optimized_sequence: np.ndarray
+    # final BFGS Hessian of a converged solve, for the next period's solve;
+    # None after max_iter or fallback
+    hessian: Optional[np.ndarray]
 
 
 def predict_trajectory(model, x0: np.ndarray, U: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -192,8 +201,14 @@ def solve_step(
     config: MpcConfig,
     warm_start: np.ndarray,
     d: Optional[np.ndarray] = None,
+    hessian: Optional[np.ndarray] = None,
 ) -> ControlStep:
     """One receding-horizon solve; fail-operational on solver trouble.
+
+    `hessian` seeds the solver's BFGS approximation (the identity when
+    None); the returned ControlStep.hessian is the solver's final one when
+    the status is converged, and None otherwise, so a period after solver
+    trouble starts afresh.
 
     Never returns a worse sequence than the warm start: if the solver's
     point does not improve the horizon cost, the warm start is applied and
@@ -232,13 +247,14 @@ def solve_step(
     try:
         # control-grade accuracy: inputs are O(1), so 1e-4 KKT residual is
         # far below actuator resolution and keeps per-step solves cheap
-        sol = minimize(problem, warm, SolverSettings(kkt_tolerance=1e-4))
+        sol = minimize(problem, warm, SolverSettings(kkt_tolerance=1e-4), hessian=hessian)
         status = sol.status
         sequence = np.clip(sol.minimizer, -config.input_bound, config.input_bound)
         cost = objective(sequence)
         evals = sol.objective_evaluations + 2
+        next_hessian = sol.hessian
     except (QpInfeasibleError, np.linalg.LinAlgError):
-        status, sequence, cost, evals = "fallback", warm, warm_cost, 2
+        status, sequence, cost, evals, next_hessian = "fallback", warm, warm_cost, 2, None
     if cost > warm_cost or not np.all(np.isfinite(sequence)):
         status, sequence, cost = "fallback", warm, warm_cost
     solve_time = _SOLVE_OVERHEAD_SECONDS + evals * model.effort_per_eval
@@ -248,6 +264,7 @@ def solve_step(
         solver_status=status,
         solve_time=float(solve_time),
         optimized_sequence=sequence,
+        hessian=next_hessian if status == "converged" else None,
     )
 
 
@@ -319,9 +336,10 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
     input across the fast plant sub-steps, and, for the adaptive variant,
     update the fuzzy parameters once per sub-step from the latest
     measurement. Terminates early on plant divergence or parameter blow-up
-    with the log collected so far preserved. The adapting model is local
-    to the run, which starts from loop.model.fuzzy and returns the last one
-    as final_fuzzy; the loop itself is never written.
+    with the log collected so far preserved. The adapting model and the
+    Hessian carried from one solve to the next are local to the run, which
+    starts from loop.model.fuzzy and returns the last model as final_fuzzy;
+    the loop itself is never written.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -329,6 +347,7 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
     n_sub = round(cfg.dt / loop.plant_dt)
     x = np.asarray(x0, dtype=float).copy()
     warm = np.zeros(cfg.control_horizon)
+    hessian = None
     true_b2 = loop.true_coeffs.b2
     ad = loop.adaptation
     fuzzy = None if ad is None else loop.model.fuzzy
@@ -352,7 +371,7 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
             [loop.x_ref_fn(t + (p + 1) * cfg.dt) for p in range(cfg.prediction_horizon)]
         )
         d_seq = _predicted_disturbances(loop.disturbance, t, cfg.prediction_horizon, cfg.dt)
-        ctrl = solve_step(model, x, x_ref_seq, cfg, warm, d_seq)
+        ctrl = solve_step(model, x, x_ref_seq, cfg, warm, d_seq, hessian)
         u = ctrl.applied_input
 
         xr_now = loop.x_ref_fn(t)
@@ -403,6 +422,7 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
             diverged = True
             break
         warm = shift_warm_start(ctrl.optimized_sequence)
+        hessian = ctrl.hessian
 
     return TrajectoryLog(
         dt=cfg.dt,

@@ -14,6 +14,16 @@ even a loose tolerance: a forward-difference run that stalls within 1e-3 of
 stationarity but above its tolerance switches to central differences and
 restarts from its best point under the same iteration budget.
 
+The BFGS approximation starts from the identity, or from a caller's
+symmetric positive definite matrix: a receding-horizon controller passes
+the final Hessian of the previous period's solve, which cuts the
+iterations spent relearning curvature that barely changes between periods
+(Diehl, Bock, Schloeder, SIAM J. Control Optim. 43(5), 2005). The
+approximation is reset to the identity whenever an update leaves it
+non-finite, with an entry above 1e8 or with a 1-norm condition number
+above 1e10, so a carried matrix never hands the QP a nearly singular
+system.
+
 A linearized QP that admits no point raises QpInfeasibleError out of
 minimize; there is no fallback solve. Everything is deterministic: no
 randomness, no wall-clock dependence.
@@ -40,6 +50,7 @@ _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 30
 _FD_STEP = 1e-6
 _HESSIAN_RESET = 1e8
+_HESSIAN_COND_RESET = 1e10
 # tolerances below this use central differences from the first iterate
 _CENTRAL_BELOW = 1e-5
 # a stalled forward-difference run within this residual switches to central
@@ -98,6 +109,9 @@ class Solution:
     kkt_residual: float
     iterations: int
     status: str  # converged | max_iter | infeasible
+    # final BFGS approximation, symmetric positive definite; a warm start
+    # for the next solve of a nearby problem
+    hessian: np.ndarray
     objective_evaluations: int = 0
     # (merit_before, merit_after) per accepted line-search step
     merit_decreases: tuple = field(default_factory=tuple)
@@ -202,6 +216,24 @@ def _bound_rows(problem: NlpProblem):
     return rows[bounded], offsets[bounded]
 
 
+def _initial_hessian(hessian, n):
+    """The identity, or a validated copy of a caller's n x n SPD matrix."""
+    if hessian is None:
+        return np.eye(n)
+    H = np.array(hessian, dtype=float)
+    if H.shape != (n, n):
+        raise ValueError(f"hessian must be a {n}x{n} matrix, got shape {H.shape}")
+    if not np.all(np.isfinite(H)):
+        raise ValueError("hessian must be finite")
+    if float(np.abs(H - H.T).max()) > 1e-12 * float(np.abs(H).max()):
+        raise ValueError("hessian must be symmetric")
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("hessian must be positive definite") from exc
+    return H
+
+
 def _kkt_residual(g, c0, Jc, lam_gen, lam_bnd, bnd_A, bnd_gaps):
     grad_l = g.copy()
     if lam_gen.size:
@@ -222,8 +254,17 @@ def _merit(f, c0, mu):
     return f + mu * float(np.maximum(c0, 0.0).sum()) if c0.size else f
 
 
-def minimize(problem: NlpProblem, z0: np.ndarray, settings: Optional[SolverSettings] = None) -> Solution:
+def minimize(
+    problem: NlpProblem,
+    z0: np.ndarray,
+    settings: Optional[SolverSettings] = None,
+    hessian: Optional[np.ndarray] = None,
+) -> Solution:
     """SQP iteration with l1-merit backtracking; deterministic.
+
+    BFGS starts from `hessian` (symmetric positive definite, n x n; a
+    ValueError otherwise) or, by default, from the identity; the final
+    approximation is returned as Solution.hessian.
 
     Differences are forward for kkt_tolerance >= 1e-5 and central below it.
     Two consecutive failed line searches end the run, unless it is still on
@@ -241,6 +282,7 @@ def minimize(problem: NlpProblem, z0: np.ndarray, settings: Optional[SolverSetti
     z = np.clip(np.asarray(z0, dtype=float).copy(), problem.lower_bounds, problem.upper_bounds)
     if z.shape != (n,):
         raise ValueError(f"z0 must be a vector of length {n}")
+    H = _initial_hessian(hessian, n)
 
     evals = [0]
     raw_objective = problem.objective
@@ -257,7 +299,6 @@ def minimize(problem: NlpProblem, z0: np.ndarray, settings: Optional[SolverSetti
     c0 = confun(z)
     m = c0.shape[0]
     g, Jc = _fd_derivatives(fun, confun, z, f0, c0, central)
-    H = np.eye(n)
     lam_gen = np.zeros(m)
     bnd_A, bnd_c = _bound_rows(problem)
     bnd_gaps = bnd_c - bnd_A @ z
@@ -339,7 +380,14 @@ def minimize(problem: NlpProblem, z0: np.ndarray, settings: Optional[SolverSetti
             if sy > 1e-12:
                 Hs = H @ s
                 H = H + np.outer(y, y) / sy - np.outer(Hs, Hs) / sHs
-        if not np.all(np.isfinite(H)) or float(np.abs(H).max()) > _HESSIAN_RESET:
+        if (
+            not np.all(np.isfinite(H))
+            or float(np.abs(H).max()) > _HESSIAN_RESET
+            # the 1-norm condition number takes an LU factorization, as the
+            # QP's solves do; the default 2-norm one takes an SVD, whose
+            # first call alone raised a classical run's peak RSS by 0.7 MB
+            or np.linalg.cond(H, 1) > _HESSIAN_COND_RESET
+        ):
             H = np.eye(n)
         z, f0, c0, g, Jc = z_try, f_try, c_try, g_new, Jc_new
         lam_gen, lam_bnd = lam_gen_new, lam_bnd_new
@@ -364,6 +412,7 @@ def minimize(problem: NlpProblem, z0: np.ndarray, settings: Optional[SolverSetti
         kkt_residual=float(res_final),
         iterations=iters,
         status=status,
+        hessian=H,
         objective_evaluations=evals[0],
         merit_decreases=tuple(merit_pairs),
     )

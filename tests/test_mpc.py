@@ -1,6 +1,7 @@
 """Tests for the receding-horizon controller and its prediction models."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from afmpc import fuzzy as fz
-from afmpc import mpc
-from afmpc.nlp_optimizer import QpInfeasibleError
+from afmpc import harness, mpc
+from afmpc.nlp_optimizer import QpInfeasibleError, Solution
 from afmpc.plant import (
     DisturbanceSpec,
     PlantParams,
@@ -321,6 +322,93 @@ def test_solve_step_falls_back_on_qp_infeasibility(monkeypatch):
     assert ctrl.applied_input == 0.7
     np.testing.assert_array_equal(ctrl.optimized_sequence, warm)
     assert ctrl.predicted_cost == warm_cost
+
+
+@pytest.mark.parametrize(
+    "outcome, status",
+    [("converged", "converged"), ("max_iter", "max_iter"), ("raise", "fallback"), ("worse", "fallback")],
+)
+def test_solve_step_hands_on_hessian_only_when_converged(monkeypatch, outcome, status):
+    cfg = mpc.MpcConfig()
+    carried = 2.0 * np.eye(3)
+    final = np.diag([1.0, 2.0, 3.0])
+    seen = []
+
+    def fake_minimize(problem, z0, settings=None, hessian=None):
+        seen.append(hessian)
+        if outcome == "raise":
+            raise QpInfeasibleError("QP infeasible")
+        # full input on every slot costs far more than the zero warm start
+        z = np.full(3, cfg.input_bound) if outcome == "worse" else z0
+        return Solution(
+            minimizer=z,
+            multipliers=np.zeros(0),
+            objective_value=problem.objective(z),
+            kkt_residual=0.0,
+            iterations=1,
+            status="max_iter" if outcome == "max_iter" else "converged",
+            hessian=final,
+        )
+
+    monkeypatch.setattr(mpc, "minimize", fake_minimize)
+    model = mpc.NominalPredictor(COEFFS, cfg.dt)
+    x = np.array([0.2, -0.5, 0.3, 1.0])
+    x_ref = np.zeros((cfg.prediction_horizon, 4))
+    ctrl = mpc.solve_step(model, x, x_ref, cfg, np.zeros(3), hessian=carried)
+    assert len(seen) == 1 and seen[0] is carried
+    assert ctrl.solver_status == status
+    if status == "converged":
+        assert ctrl.hessian is final
+    else:
+        assert ctrl.hessian is None
+
+
+def test_run_carries_each_converged_hessian_to_the_next_solve(monkeypatch):
+    calls = []
+    inner = mpc.solve_step
+
+    def recording(*args, **kwargs):
+        ctrl = inner(*args, **kwargs)
+        handed = inspect.signature(inner).bind(*args, **kwargs).arguments.get("hessian")
+        calls.append((handed, ctrl))
+        return ctrl
+
+    monkeypatch.setattr(mpc, "solve_step", recording)
+    cfg = mpc.MpcConfig()
+    loop = mpc.ClosedLoop(
+        model=mpc.NominalPredictor(COEFFS, cfg.dt),
+        config=cfg,
+        true_coeffs=COEFFS,
+        x_ref_fn=zero_ref,
+        lyapunov_p=np.eye(4),
+    )
+    mpc.run_receding_horizon(np.array([0.0, 0.0, 0.3, 0.0]), loop, 10)
+    assert calls[0][0] is None
+    for (_, before), (handed, _) in zip(calls, calls[1:]):
+        assert before.solver_status == "converged"
+        assert handed is before.hessian
+        np.linalg.cholesky(handed)
+
+
+@pytest.mark.parametrize("controller", ["classical", "afmpc"])
+def test_default_loop_evaluations_per_solve(monkeypatch, controller):
+    # from the carried Hessian a default solve takes about 13 (classical)
+    # and 18-19 (afmpc) objective evaluations after period 0; restarting
+    # BFGS from the identity every period takes 37-39
+    evals = []
+    inner = mpc.minimize
+
+    def counting(*args, **kwargs):
+        sol = inner(*args, **kwargs)
+        evals.append(sol.objective_evaluations)
+        return sol
+
+    monkeypatch.setattr(mpc, "minimize", counting)
+    config = dataclasses.replace(harness.default_config(), controller=controller)
+    loop, x0, _ = harness.build_closed_loop(config)
+    mpc.run_receding_horizon(x0, loop, 40)
+    assert len(evals) == 40
+    assert np.mean(evals[1:]) <= 25.0
 
 
 def test_solve_step_matches_linear_quadratic_closed_form():

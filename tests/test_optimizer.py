@@ -15,6 +15,11 @@ def settings(**kw) -> SolverSettings:
     return SolverSettings(**kw)
 
 
+def assert_spd(H: np.ndarray) -> None:
+    assert np.array_equal(H, H.T)
+    np.linalg.cholesky(H)
+
+
 def assert_kkt(problem: NlpProblem, sol) -> None:
     assert sol.status == "converged"
     assert sol.kkt_residual <= TOL
@@ -49,6 +54,7 @@ def test_rosenbrock():
     sol = minimize(p, np.array([-1.2, 1.0]), settings())
     assert_kkt(p, sol)
     np.testing.assert_allclose(sol.minimizer, [1.0, 1.0], atol=1e-4)
+    assert_spd(sol.hessian)
 
 
 def test_inactive_constraint_zero_multiplier():
@@ -107,6 +113,38 @@ def test_random_unconstrained_qps_match_closed_form():
         sol = minimize(p, rng.normal(size=3), settings())
         assert sol.status == "converged"
         np.testing.assert_allclose(sol.minimizer, -np.linalg.solve(Q, q), atol=1e-6)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-4])
+def test_exact_initial_hessian_converges_in_one_iteration(tol):
+    # started from the true curvature the first QP step is the Newton step,
+    # exact up to the finite-difference error of the gradient
+    Q = np.array([[3.0, 1.0], [1.0, 2.0]])
+    q = np.array([1.0, -1.0])
+    p = NlpProblem(2, lambda z: 0.5 * float(z @ Q @ z) + float(q @ z))
+    z0 = np.array([4.0, -3.0])
+    sol = minimize(p, z0, settings(kkt_tolerance=tol), hessian=Q)
+    assert sol.status == "converged"
+    assert sol.iterations == 1
+    np.testing.assert_allclose(sol.minimizer, -np.linalg.solve(Q, q), atol=10.0 * tol)
+    assert minimize(p, z0, settings(kkt_tolerance=tol)).iterations > 1
+
+
+@pytest.mark.parametrize(
+    "hessian, message",
+    [
+        (np.array([[2.0, 1.0], [0.0, 2.0]]), "symmetric"),
+        (np.array([[1.0, 0.0], [0.0, -1.0]]), "positive definite"),
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), "positive definite"),
+        (np.eye(3), "2x2"),
+        (np.ones(2), "2x2"),
+        (np.array([[1.0, 0.0], [0.0, np.nan]]), "finite"),
+    ],
+)
+def test_initial_hessian_validation(hessian, message):
+    p = NlpProblem(2, lambda z: float(z @ z))
+    with pytest.raises(ValueError, match=message):
+        minimize(p, np.zeros(2), settings(), hessian=hessian)
 
 
 def test_merit_non_increasing_over_accepted_steps():
@@ -212,6 +250,8 @@ def box_qps(draw):
 
     Each coordinate of the start lies on its lower bound, on its upper
     bound, or inside the box at least 1% of its width from each bound.
+    The initial BFGS Hessian is the identity (None) or a random symmetric
+    positive definite matrix, as a carried one from an earlier solve.
     """
     n = draw(st.integers(1, 3))
 
@@ -233,7 +273,11 @@ def box_qps(draw):
         )
     )
     z0 = np.where(spot == 0.0, lb, np.where(spot == 1.0, ub, lb + spot * (ub - lb)))
-    return Q, q, lb, ub, z0
+    H0 = None
+    if draw(st.booleans()):
+        V = vector(-20.0, 20.0, n * n).reshape(n, n)
+        H0 = V @ V.T + draw(st.floats(0.01, 10.0)) * np.eye(n)
+    return Q, q, lb, ub, z0, H0
 
 
 # forward differences stall at a residual of ~1.3e-4 here, above the MPC
@@ -244,6 +288,7 @@ STIFF_QP = (
     np.full(2, -4.63),
     np.full(2, 4.63),
     np.array([0.41, -4.25]),
+    None,
 )
 
 # at 1e-6 the merit decrease of the last steps sinks below the objective's
@@ -255,21 +300,23 @@ ROUNDING_QP = (
     np.array([-0.32, -2.36, -1.1]),
     np.array([2.21, 4.57, 2.06]),
     np.array([0.05, -2.15, 0.52]),
+    None,
 )
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-4])
-@hyp_settings(max_examples=150, deadline=None)
+@hyp_settings(max_examples=300, deadline=None)
 @given(qp=box_qps())
 @example(qp=STIFF_QP)
 @example(qp=ROUNDING_QP)
 def test_box_qp_converges_to_enumerated_minimizer(tol, qp):
     # the MPC path: box bounds only, forward differences at 1e-4 and
     # central ones at 1e-6
-    Q, q, lb, ub, z0 = qp
-    sol = minimize(box_qp(Q, q, lb, ub), z0, SolverSettings(kkt_tolerance=tol))
+    Q, q, lb, ub, z0, H0 = qp
+    sol = minimize(box_qp(Q, q, lb, ub), z0, SolverSettings(kkt_tolerance=tol), hessian=H0)
     assert sol.status == "converged"
     assert sol.kkt_residual <= tol
+    assert_spd(sol.hessian)
     # strong convexity turns the stationarity residual plus the
     # forward-difference bias h*max|Q|/2 into a distance to the minimizer
     lam_min = np.linalg.eigvalsh(Q)[0]
