@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one controller and write a CSV log")
     run_p.add_argument("--config", required=True, help="path to the scenario config file")
     run_p.add_argument(
-        "--controller", required=True, choices=("classical", "afmpc"),
+        "--controller", required=True, choices=harness.CONTROLLERS,
         help="which controller to simulate",
     )
     run_p.add_argument("--out", required=True, help="output CSV path")

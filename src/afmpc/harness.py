@@ -10,13 +10,13 @@ tracking with the adaptive controller's knobs at their tuned defaults and a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
 from .dense_linalg import solve_lyapunov
-from .plant import CoeffSet, DisturbanceSpec, PlantParams, derive_coefficients
+from .plant import _DISTURBANCE_KINDS, CoeffSet, DisturbanceSpec, PlantParams, derive_coefficients
 from . import fuzzy as fz
 from .mpc import (
     AdaptationLoop,
@@ -29,6 +29,7 @@ from .mpc import (
 )
 
 __all__ = [
+    "CONTROLLERS",
     "ConfigError",
     "ReferenceSpec",
     "MismatchFactors",
@@ -50,6 +51,8 @@ __all__ = [
 ]
 
 CSV_HEADER = "t,x1,x2,x3,x4,u,y_ref,e,V,w_diag,cost,status,solve_ms"
+
+CONTROLLERS = ("classical", "afmpc")
 
 _STEP_SMOOTH_WINDOW = 0.5  # seconds of quintic ramp after the step time
 
@@ -79,24 +82,8 @@ class MismatchFactors:
     b2: float = 1.0
 
     def apply(self, c: CoeffSet) -> CoeffSet:
-        return CoeffSet(
-            a1=c.a1 * self.a1,
-            a2=c.a2 * self.a2,
-            a3=c.a3 * self.a3,
-            a4=c.a4 * self.a4,
-            b1=c.b1 * self.b1,
-            b2=c.b2 * self.b2,
-        )
-
-
-# corrected error-system matrix: Hurwitz, block-diagonal so the solved P
-# de-weights the unregulated arm channels in the adaptation drive
-_DEFAULT_LYAPUNOV_A = (
-    -1.0, 0.0, 0.0, 0.0,
-    0.0, -1.0, 0.0, 0.0,
-    0.0, 0.0, 0.0, 1.0,
-    0.0, 0.0, -9.0, -4.8,
-)
+        scaled = {f.name: getattr(c, f.name) * getattr(self, f.name) for f in fields(self)}
+        return CoeffSet(**scaled)
 
 
 @dataclass
@@ -131,130 +118,118 @@ class RunMetrics:
     max_solve_time: float
 
 
-# registry of every legal config key: (type tag, default-value string)
-def _fmt_float(v: float) -> str:
-    return repr(float(v))
-
-
-_KEYS: dict[str, tuple] = {
-    "plant.m1": ("float", "0.0861"),
-    "plant.k1": ("float", "0.0019"),
-    "plant.a_p": ("float", "33.04"),
-    "plant.j1": ("float", "0.001"),
-    "plant.g": ("float", "9.8066"),
-    "plant.l1": ("float", "0.113"),
-    "plant.c1": ("float", "0.0029"),
-    "plant.k_p": ("float", "74.89"),
-    "controller": (("choice", ("classical", "afmpc")), "classical"),
-    "mpc.kp": ("int", "5"),
-    "mpc.kc": ("int", "3"),
-    "mpc.q_diag": (("floats", 4), "0.1 0.1 0.1 0.1"),
-    "mpc.r": ("float", "0.3"),
-    "mpc.u_max": ("float", "5.0"),
-    "mpc.dt": ("float", "0.05"),
-    "fuzzy.counts": (("ints", 4), "3 3 3 3"),
-    "fuzzy.range_x1": (("floats", 2), f"{-math.pi!r} {math.pi!r}"),
-    "fuzzy.range_x2": (("floats", 2), "-8.0 8.0"),
-    "fuzzy.range_x3": (("floats", 2), f"{-math.pi / 2!r} {math.pi / 2!r}"),
-    "fuzzy.range_x4": (("floats", 2), "-8.0 8.0"),
-    "fuzzy.g_floor": ("float", "1.0"),
-    "fuzzy.theta_bound": ("float", "1000000.0"),
-    "fuzzy.init": (("choice", ("zero", "nominal_fit")), "nominal_fit"),
-    "fuzzy.init_samples": ("int", "4000"),
-    "adapt.gain": ("float", "32.0"),
-    "adapt.lyapunov_a": (("floats", 16), " ".join(_fmt_float(v) for v in _DEFAULT_LYAPUNOV_A)),
-    "adapt.lyapunov_q_diag": ("float", "500.0"),
-    "reference.kind": (("choice", ("zero", "step", "sinusoid")), "sinusoid"),
-    "reference.amplitude": ("float", "0.2"),
-    "reference.frequency": ("float", "0.65"),
-    "reference.step_time": ("float", "1.0"),
-    "reference.consistent_arm": ("bool", "true"),
-    "disturbance.kind": (
-        ("choice", ("none", "constant", "sinusoid", "band_limited_noise")),
-        "none",
+# config sections that a dataclass holds: section -> (dataclass, {field: key
+# name} where the two differ); a key's default is its field's default
+_SECTIONS = {
+    "plant": (PlantParams, {"J1": "j1"}),
+    "mpc": (
+        MpcConfig,
+        {
+            "prediction_horizon": "kp",
+            "control_horizon": "kc",
+            "state_weight": "q_diag",  # the diagonal only
+            "input_weight": "r",
+            "input_bound": "u_max",
+        },
     ),
-    "disturbance.amplitude": ("float", "0.0"),
-    "disturbance.frequency": ("float", "1.0"),
-    "disturbance.seed": ("int", "0"),
-    "mismatch.a1": ("float", "1.0"),
-    "mismatch.a2": ("float", "1.0"),
-    "mismatch.a3": ("float", "1.2"),
-    "mismatch.a4": ("float", "1.0"),
-    "mismatch.b1": ("float", "1.0"),
-    "mismatch.b2": ("float", "1.0"),
-    "scenario.alpha0": ("float", "0.0"),
-    "run.duration": ("float", "10.0"),
-    "run.dt": ("float", "0.001"),
-    "run.seed": ("int", "0"),
+    "reference": (ReferenceSpec, {}),
+    "disturbance": (DisturbanceSpec, {}),
+    "mismatch": (MismatchFactors, {}),
 }
 
 
-def _parse_value(key: str, kind, raw: str):
-    if kind == "float":
-        return float(raw)
-    if kind == "int":
-        return int(raw)
-    if kind == "bool":
+# section -> {field name: config key}, in field order
+_FIELD_KEYS = {
+    section: {f.name: f"{section}.{renames.get(f.name, f.name)}" for f in fields(cls)}
+    for section, (cls, renames) in _SECTIONS.items()
+}
+
+
+def _section_defaults(section: str) -> dict:
+    default = _SECTIONS[section][0]()
+    flat = {key: getattr(default, name) for name, key in _FIELD_KEYS[section].items()}
+    if section == "mpc":
+        flat["mpc.q_diag"] = tuple(np.diag(default.state_weight).tolist())
+    return flat
+
+
+# every legal key with its default, in file order; a key's type is its
+# default's type (float, int, bool, str or a tuple of one of them)
+_DEFAULTS: dict = {
+    **_section_defaults("plant"),
+    "controller": "classical",
+    **_section_defaults("mpc"),
+    "fuzzy.counts": (3, 3, 3, 3),
+    "fuzzy.range_x1": (-math.pi, math.pi),
+    "fuzzy.range_x2": (-8.0, 8.0),
+    "fuzzy.range_x3": (-math.pi / 2, math.pi / 2),
+    "fuzzy.range_x4": (-8.0, 8.0),
+    "fuzzy.g_floor": 1.0,
+    "fuzzy.theta_bound": 1e6,
+    "fuzzy.init": "nominal_fit",
+    "fuzzy.init_samples": 4000,
+    "adapt.gain": 32.0,
+    # corrected error-system matrix: Hurwitz, block-diagonal so the solved P
+    # de-weights the unregulated arm channels in the adaptation drive
+    "adapt.lyapunov_a": (
+        -1.0, 0.0, 0.0, 0.0,
+        0.0, -1.0, 0.0, 0.0,
+        0.0, 0.0, 0.0, 1.0,
+        0.0, 0.0, -9.0, -4.8,
+    ),
+    "adapt.lyapunov_q_diag": 500.0,
+    **_section_defaults("reference"),
+    **_section_defaults("disturbance"),
+    **_section_defaults("mismatch"),
+    "scenario.alpha0": 0.0,
+    "run.duration": 10.0,
+    "run.dt": 0.001,
+    "run.seed": 0,
+}
+
+# the legal values of each string key
+_CHOICES = {
+    "controller": CONTROLLERS,
+    "fuzzy.init": ("zero", "nominal_fit"),
+    "reference.kind": ("zero", "step", "sinusoid"),
+    "disturbance.kind": _DISTURBANCE_KINDS,
+}
+
+
+def _parse_value(default, raw: str, choices: tuple = ()):
+    """Parse raw as a value of default's type; a string must be a choice."""
+    if isinstance(default, tuple):
+        vals = tuple(_parse_value(default[0], v) for v in raw.split())
+        if len(vals) != len(default):
+            raise ValueError(f"expected {len(default)} values, got {len(vals)}")
+        return vals
+    if isinstance(default, bool):
         low = raw.lower()
         if low in ("true", "false"):
             return low == "true"
         raise ValueError("expected true or false")
-    tag, arg = kind
-    if tag == "choice":
-        if raw not in arg:
-            raise ValueError(f"expected one of {', '.join(arg)}")
+    if isinstance(default, str):
+        if raw not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
         return raw
-    if tag == "floats":
-        vals = [float(v) for v in raw.split()]
-        if len(vals) != arg:
-            raise ValueError(f"expected {arg} values, got {len(vals)}")
-        return tuple(vals)
-    if tag == "ints":
-        vals = [int(v) for v in raw.split()]
-        if len(vals) != arg:
-            raise ValueError(f"expected {arg} values, got {len(vals)}")
-        return tuple(vals)
-    raise AssertionError(f"unhandled kind for {key}")
-
-
-def _default_flat() -> dict:
-    return {key: _parse_value(key, kind, default) for key, (kind, default) in _KEYS.items()}
+    return float(raw) if isinstance(default, float) else int(raw)
 
 
 def _build_config(flat: dict) -> ScenarioConfig:
     errors: list[str] = []
 
-    def attempt(label, fn):
+    def section(name: str):
+        kwargs = {field: flat[key] for field, key in _FIELD_KEYS[name].items()}
+        if name == "mpc":
+            kwargs["state_weight"] = np.diag(kwargs["state_weight"])
         try:
-            return fn()
+            return _SECTIONS[name][0](**kwargs)
         except ValueError as exc:
-            errors.append(f"{label}: {exc}")
+            errors.append(f"{name}: {exc}")
             return None
 
-    plant = attempt(
-        "plant",
-        lambda: PlantParams(
-            m1=flat["plant.m1"],
-            k1=flat["plant.k1"],
-            a_p=flat["plant.a_p"],
-            J1=flat["plant.j1"],
-            g=flat["plant.g"],
-            l1=flat["plant.l1"],
-            c1=flat["plant.c1"],
-            k_p=flat["plant.k_p"],
-        ),
-    )
-    mpc_cfg = attempt(
-        "mpc",
-        lambda: MpcConfig(
-            prediction_horizon=flat["mpc.kp"],
-            control_horizon=flat["mpc.kc"],
-            state_weight=np.diag(flat["mpc.q_diag"]),
-            input_weight=flat["mpc.r"],
-            input_bound=flat["mpc.u_max"],
-            dt=flat["mpc.dt"],
-        ),
-    )
+    plant = section("plant")
+    mpc_cfg = section("mpc")
     ranges = []
     for i in (1, 2, 3, 4):
         lo, hi = flat[f"fuzzy.range_x{i}"]
@@ -273,32 +248,15 @@ def _build_config(flat: dict) -> ScenarioConfig:
         errors.append("adapt.gain: must be non-negative")
     if flat["adapt.lyapunov_q_diag"] <= 0.0:
         errors.append("adapt.lyapunov_q_diag: must be positive")
-    ref = attempt(
-        "reference",
-        lambda: ReferenceSpec(
-            kind=flat["reference.kind"],
-            amplitude=flat["reference.amplitude"],
-            frequency=flat["reference.frequency"],
-            step_time=flat["reference.step_time"],
-            consistent_arm=flat["reference.consistent_arm"],
-        ),
-    )
+    ref = section("reference")
     if flat["reference.kind"] == "sinusoid" and flat["reference.frequency"] <= 0.0:
         errors.append("reference.frequency: must be positive for a sinusoid reference")
     if flat["reference.step_time"] < 0.0:
         errors.append("reference.step_time: must be non-negative")
-    dist = attempt(
-        "disturbance",
-        lambda: DisturbanceSpec(
-            kind=flat["disturbance.kind"],
-            amplitude=flat["disturbance.amplitude"],
-            frequency=flat["disturbance.frequency"],
-            seed=flat["disturbance.seed"],
-        ),
-    )
-    for name in ("a1", "a2", "a3", "a4", "b1", "b2"):
-        if flat[f"mismatch.{name}"] <= 0.0:
-            errors.append(f"mismatch.{name}: factor must be positive")
+    dist = section("disturbance")
+    for key in _FIELD_KEYS["mismatch"].values():
+        if flat[key] <= 0.0:
+            errors.append(f"{key}: factor must be positive")
     if flat["run.duration"] <= 0.0:
         errors.append("run.duration: must be positive")
     if flat["run.dt"] <= 0.0:
@@ -326,14 +284,7 @@ def _build_config(flat: dict) -> ScenarioConfig:
         lyapunov_q_diag=flat["adapt.lyapunov_q_diag"],
         reference=ref,
         disturbance=dist,
-        mismatch=MismatchFactors(
-            a1=flat["mismatch.a1"],
-            a2=flat["mismatch.a2"],
-            a3=flat["mismatch.a3"],
-            a4=flat["mismatch.a4"],
-            b1=flat["mismatch.b1"],
-            b2=flat["mismatch.b2"],
-        ),
+        mismatch=section("mismatch"),
         alpha0=flat["scenario.alpha0"],
         duration=flat["run.duration"],
         plant_dt=flat["run.dt"],
@@ -342,12 +293,23 @@ def _build_config(flat: dict) -> ScenarioConfig:
 
 
 def default_config() -> ScenarioConfig:
-    return _build_config(_default_flat())
+    return _build_config(dict(_DEFAULTS))
+
+
+def _assign(flat: dict, key: str, raw: str, where: str, errors: list) -> None:
+    """Parse raw into flat[key], or append the error line to errors."""
+    if key not in _DEFAULTS:
+        errors.append(f"{where}: unknown key {key!r}")
+        return
+    try:
+        flat[key] = _parse_value(_DEFAULTS[key], raw, _CHOICES.get(key, ()))
+    except ValueError as exc:
+        errors.append(f"{where}: {key}: {exc}")
 
 
 def _parse_lines(text: str, source: str) -> dict:
     """Parse key = value lines onto the defaults; all errors at once."""
-    flat = _default_flat()
+    flat = dict(_DEFAULTS)
     errors: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -357,14 +319,7 @@ def _parse_lines(text: str, source: str) -> dict:
             errors.append(f"{source}:{lineno}: expected 'key = value', got {line.strip()!r}")
             continue
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in _KEYS:
-            errors.append(f"{source}:{lineno}: unknown key {key!r}")
-            continue
-        kind, _ = _KEYS[key]
-        try:
-            flat[key] = _parse_value(key, kind, raw)
-        except ValueError as exc:
-            errors.append(f"{source}:{lineno}: {key}: {exc}")
+        _assign(flat, key, raw, f"{source}:{lineno}", errors)
     if errors:
         raise ConfigError("\n".join(errors))
     return flat
@@ -382,43 +337,31 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     flat = _parse_lines(text, path)
-    if overrides:
-        errors = []
-        for key, raw in overrides.items():
-            if key not in _KEYS:
-                errors.append(f"override: unknown key {key!r}")
-                continue
-            try:
-                flat[key] = _parse_value(key, _KEYS[key][0], raw)
-            except ValueError as exc:
-                errors.append(f"override: {key}: {exc}")
-        if errors:
-            raise ConfigError("\n".join(errors))
+    errors: list[str] = []
+    for key, raw in (overrides or {}).items():
+        _assign(flat, key, raw, "override", errors)
+    if errors:
+        raise ConfigError("\n".join(errors))
     return _build_config(flat)
 
 
-def _format_value(kind, value) -> str:
-    if kind == "float":
-        return _fmt_float(value)
-    if kind == "int":
-        return str(int(value))
-    if kind == "bool":
+def _format_value(default, value) -> str:
+    if isinstance(default, tuple):
+        return " ".join(_format_value(default[0], v) for v in value)
+    if isinstance(default, bool):
         return "true" if value else "false"
-    tag = kind[0]
-    if tag == "choice":
-        return str(value)
-    if tag == "floats":
-        return " ".join(_fmt_float(v) for v in value)
-    if tag == "ints":
-        return " ".join(str(int(v)) for v in value)
-    raise AssertionError
+    if isinstance(default, float):
+        return repr(float(value))
+    if isinstance(default, int):
+        return str(int(value))
+    return str(value)
 
 
 def dump_config(flat: Optional[dict] = None) -> str:
     """Render a flat key dict (defaults when omitted) as a config file."""
     if flat is None:
-        flat = _default_flat()
-    lines = [f"{key} = {_format_value(_KEYS[key][0], flat[key])}" for key in _KEYS]
+        flat = _DEFAULTS
+    lines = [f"{key} = {_format_value(default, flat[key])}" for key, default in _DEFAULTS.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -566,27 +509,13 @@ def compute_metrics(log: TrajectoryLog, dt: float) -> RunMetrics:
 
 def export_csv(log: TrajectoryLog, path: str) -> None:
     """Write the log as CSV; floats use shortest round-trip formatting."""
+    # the float columns before status, in CSV_HEADER order
+    floats = [log.t, *log.states.T, log.u, log.y_ref, log.e, log.V, log.w_diag, log.predicted_cost]
+    solve_ms = log.solve_time * 1e3
     lines = [CSV_HEADER]
     for i in range(len(log)):
-        lines.append(
-            ",".join(
-                [
-                    repr(float(log.t[i])),
-                    repr(float(log.states[i, 0])),
-                    repr(float(log.states[i, 1])),
-                    repr(float(log.states[i, 2])),
-                    repr(float(log.states[i, 3])),
-                    repr(float(log.u[i])),
-                    repr(float(log.y_ref[i])),
-                    repr(float(log.e[i])),
-                    repr(float(log.V[i])),
-                    repr(float(log.w_diag[i])),
-                    repr(float(log.predicted_cost[i])),
-                    log.solver_status[i],
-                    repr(float(log.solve_time[i] * 1e3)),
-                ]
-            )
-        )
+        row = [repr(float(col[i])) for col in floats]
+        lines.append(",".join([*row, log.solver_status[i], repr(float(solve_ms[i]))]))
     text = "\n".join(lines) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as handle:

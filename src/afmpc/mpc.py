@@ -210,13 +210,15 @@ def solve_step(
     the status is converged, and None otherwise, so a period after solver
     trouble starts afresh.
 
-    Never returns a worse sequence than the warm start: if the solver's
-    point does not improve the horizon cost, the warm start is applied and
-    the status flags the fallback. Solver trouble means a QpInfeasibleError
-    or LinAlgError out of minimize; any other exception propagates. The
-    program has box bounds only, so p = 0 is always feasible for its QPs:
-    QpInfeasibleError here means numerical trouble, such as a nearly
-    singular BFGS Hessian or a non-finite gradient, not an empty QP.
+    The solver's point is applied as returned: minimize keeps every
+    iterate inside the input box. Never returns a worse sequence than the
+    warm start: if the solver's point does not improve the horizon cost,
+    the warm start is applied and the status flags the fallback. Solver
+    trouble means a QpInfeasibleError or LinAlgError out of minimize; any
+    other exception propagates. The program has box bounds only, so p = 0
+    is always feasible for its QPs: QpInfeasibleError here means numerical
+    trouble, such as a nearly singular BFGS Hessian or a non-finite
+    gradient, not an empty QP.
     """
     kp = config.prediction_horizon
     kc = config.control_horizon
@@ -249,7 +251,7 @@ def solve_step(
         # far below actuator resolution and keeps per-step solves cheap
         sol = minimize(problem, warm, SolverSettings(kkt_tolerance=1e-4), hessian=hessian)
         status = sol.status
-        sequence = np.clip(sol.minimizer, -config.input_bound, config.input_bound)
+        sequence = sol.minimizer
         cost = objective(sequence)
         evals = sol.objective_evaluations + 2
         next_hessian = sol.hessian

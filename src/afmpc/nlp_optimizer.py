@@ -273,8 +273,10 @@ def minimize(
     identity Hessian, and continues within max_iterations. Central-difference
     line searches accept a merit rise of 1e-12 relative, the objective's
     rounding noise, so they can close the last digits of the residual. The
-    returned point is the best one seen by KKT residual. QpInfeasibleError
-    from the QP subproblem propagates to the caller.
+    returned point is the best one seen by KKT residual. Every iterate lies
+    inside the box bounds: the QP accepts a bound row within its feasibility
+    tolerance, so each line-search trial point is clipped to the box.
+    QpInfeasibleError from the QP subproblem propagates to the caller.
     """
     if settings is None:
         settings = SolverSettings()
@@ -335,7 +337,7 @@ def minimize(
         alpha = 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
-            z_try = z + alpha * p
+            z_try = np.clip(z + alpha * p, problem.lower_bounds, problem.upper_bounds)
             f_try = fun(z_try)
             c_try = confun(z_try)
             phi_try = _merit(f_try, c_try, mu)

@@ -29,6 +29,63 @@ def test_print_defaults_round_trip(tmp_path, capsys):
     assert cfg.reference == ref.reference
 
 
+# the whole config surface, key order included: a change to any default,
+# type or key name shows here
+PRINT_DEFAULTS = """\
+plant.m1 = 0.0861
+plant.k1 = 0.0019
+plant.a_p = 33.04
+plant.j1 = 0.001
+plant.g = 9.8066
+plant.l1 = 0.113
+plant.c1 = 0.0029
+plant.k_p = 74.89
+controller = classical
+mpc.kp = 5
+mpc.kc = 3
+mpc.q_diag = 0.1 0.1 0.1 0.1
+mpc.r = 0.3
+mpc.u_max = 5.0
+mpc.dt = 0.05
+fuzzy.counts = 3 3 3 3
+fuzzy.range_x1 = -3.141592653589793 3.141592653589793
+fuzzy.range_x2 = -8.0 8.0
+fuzzy.range_x3 = -1.5707963267948966 1.5707963267948966
+fuzzy.range_x4 = -8.0 8.0
+fuzzy.g_floor = 1.0
+fuzzy.theta_bound = 1000000.0
+fuzzy.init = nominal_fit
+fuzzy.init_samples = 4000
+adapt.gain = 32.0
+adapt.lyapunov_a = -1.0 0.0 0.0 0.0 0.0 -1.0 0.0 0.0 0.0 0.0 0.0 1.0 0.0 0.0 -9.0 -4.8
+adapt.lyapunov_q_diag = 500.0
+reference.kind = sinusoid
+reference.amplitude = 0.2
+reference.frequency = 0.65
+reference.step_time = 1.0
+reference.consistent_arm = true
+disturbance.kind = none
+disturbance.amplitude = 0.0
+disturbance.frequency = 1.0
+disturbance.seed = 0
+mismatch.a1 = 1.0
+mismatch.a2 = 1.0
+mismatch.a3 = 1.2
+mismatch.a4 = 1.0
+mismatch.b1 = 1.0
+mismatch.b2 = 1.0
+scenario.alpha0 = 0.0
+run.duration = 10.0
+run.dt = 0.001
+run.seed = 0
+"""
+
+
+def test_print_defaults_golden(capsys):
+    assert cli.main(["--print-defaults"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == PRINT_DEFAULTS
+
+
 def test_no_command_prints_usage(capsys):
     assert cli.main([]) == cli.EXIT_CONFIG
     assert "usage" in capsys.readouterr().err.lower()

@@ -1,9 +1,11 @@
 """Tests for scenario configuration, references, metrics, and CSV I/O."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from afmpc import harness
 from afmpc.mpc import TrajectoryLog
@@ -246,6 +248,194 @@ def test_dump_config_round_trips_defaults(tmp_path):
         ref.plant_dt,
         ref.seed,
     )
+
+
+# one line of each parse error kind, and the full report they give
+PARSE_ERROR_LINES = """\
+just words without an equals sign
+mpc.bogus = 1
+mpc.kp = five
+mpc.r = fast
+controller = pid
+reference.kind = ramp
+disturbance.kind = gust
+fuzzy.counts = 3 3 3
+reference.consistent_arm = yes
+"""
+PARSE_ERRORS = """\
+<cfg>:1: expected 'key = value', got 'just words without an equals sign'
+<cfg>:2: unknown key 'mpc.bogus'
+<cfg>:3: mpc.kp: invalid literal for int() with base 10: 'five'
+<cfg>:4: mpc.r: could not convert string to float: 'fast'
+<cfg>:5: controller: expected one of classical, afmpc
+<cfg>:6: reference.kind: expected one of zero, step, sinusoid
+<cfg>:7: disturbance.kind: expected one of none, constant, sinusoid, band_limited_noise
+<cfg>:8: fuzzy.counts: expected 4 values, got 3
+<cfg>:9: reference.consistent_arm: expected true or false"""
+
+# one line of each build error kind, and the full report they give
+BUILD_ERROR_LINES = """\
+plant.m1 = -1.0
+mpc.kc = 6
+fuzzy.range_x2 = 2.0 -2.0
+fuzzy.g_floor = 0.0
+adapt.gain = -1.0
+mismatch.b2 = 0.0
+disturbance.amplitude = -0.1
+reference.frequency = 0.0
+run.duration = 0.0
+"""
+BUILD_ERRORS = """\
+plant: m1 must be positive, got -1.0
+mpc: K_c <= K_p violated: control_horizon 6 exceeds prediction_horizon 5
+fuzzy.range_x2: range (2.0, -2.0) is not increasing
+fuzzy.g_floor: must be positive
+adapt.gain: must be non-negative
+reference.frequency: must be positive for a sinusoid reference
+disturbance: disturbance amplitude must be non-negative
+mismatch.b2: factor must be positive
+run.duration: must be positive"""
+
+
+@pytest.mark.parametrize(
+    "lines, report",
+    [(PARSE_ERROR_LINES, PARSE_ERRORS), (BUILD_ERROR_LINES, BUILD_ERRORS)],
+    ids=["parse", "build"],
+)
+def test_config_error_report_golden(tmp_path, lines, report):
+    path = write_config(tmp_path, lines)
+    with pytest.raises(harness.ConfigError) as excinfo:
+        harness.load_config(path)
+    assert str(excinfo.value).replace(path, "<cfg>") == report
+
+
+def config_values(cfg) -> dict:
+    """The value of every config key as a ScenarioConfig holds it, in file order."""
+    m = cfg.mpc
+    values = {f"plant.{f.name.lower()}": getattr(cfg.plant, f.name) for f in dataclasses.fields(cfg.plant)}
+    values.update(
+        {
+            "controller": cfg.controller,
+            "mpc.kp": m.prediction_horizon,
+            "mpc.kc": m.control_horizon,
+            "mpc.q_diag": tuple(float(v) for v in np.diag(m.state_weight)),
+            "mpc.r": m.input_weight,
+            "mpc.u_max": m.input_bound,
+            "mpc.dt": m.dt,
+            "fuzzy.counts": cfg.fuzzy_counts,
+            **{f"fuzzy.range_x{i}": r for i, r in enumerate(cfg.fuzzy_ranges, start=1)},
+            "fuzzy.g_floor": cfg.fuzzy_g_floor,
+            "fuzzy.theta_bound": cfg.fuzzy_theta_bound,
+            "fuzzy.init": cfg.fuzzy_init,
+            "fuzzy.init_samples": cfg.fuzzy_init_samples,
+            "adapt.gain": cfg.adapt_gain,
+            "adapt.lyapunov_a": tuple(float(v) for v in cfg.lyapunov_a.ravel()),
+            "adapt.lyapunov_q_diag": cfg.lyapunov_q_diag,
+        }
+    )
+    for section in ("reference", "disturbance", "mismatch"):
+        spec = getattr(cfg, section)
+        values.update({f"{section}.{f.name}": getattr(spec, f.name) for f in dataclasses.fields(spec)})
+    values.update(
+        {
+            "scenario.alpha0": cfg.alpha0,
+            "run.duration": cfg.duration,
+            "run.dt": cfg.plant_dt,
+            "run.seed": cfg.seed,
+        }
+    )
+    return values
+
+
+@st.composite
+def valid_flats(draw):
+    """Random values, valid together, for every config key in file order.
+
+    Each key's type is written here independently of the harness, so a
+    default of the wrong type (a float written as 1) fails the round trip.
+    """
+
+    def num(lo=-1e3, hi=1e3):
+        return draw(st.floats(lo, hi))
+
+    def pos():
+        return num(1e-3, 1e3)
+
+    def count(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    def pick(*options):
+        return draw(st.sampled_from(options))
+
+    kp = count(1, 12)
+    run_dt = num(1e-4, 1e-2)
+    mpc_dt = run_dt * count(1, 100)
+    flat = {f"plant.{name}": pos() for name in ("m1", "k1", "a_p", "j1", "g", "l1", "c1", "k_p")}
+    flat["controller"] = pick("classical", "afmpc")
+    flat["mpc.kp"] = kp
+    flat["mpc.kc"] = count(1, kp)
+    flat["mpc.q_diag"] = tuple(pos() for _ in range(4))
+    flat["mpc.r"] = pos()
+    flat["mpc.u_max"] = num(0.0)
+    flat["mpc.dt"] = mpc_dt
+    flat["fuzzy.counts"] = tuple(count(1, 9) for _ in range(4))
+    for i in (1, 2, 3, 4):
+        lo = num()
+        flat[f"fuzzy.range_x{i}"] = (lo, lo + pos())
+    flat["fuzzy.g_floor"] = pos()
+    flat["fuzzy.theta_bound"] = pos()
+    flat["fuzzy.init"] = pick("zero", "nominal_fit")
+    flat["fuzzy.init_samples"] = count(1, 10_000)
+    flat["adapt.gain"] = num(0.0)
+    flat["adapt.lyapunov_a"] = tuple(num() for _ in range(16))
+    flat["adapt.lyapunov_q_diag"] = pos()
+    flat["reference.kind"] = pick("zero", "step", "sinusoid")
+    flat["reference.amplitude"] = num()
+    flat["reference.frequency"] = pos()
+    flat["reference.step_time"] = num(0.0)
+    flat["reference.consistent_arm"] = draw(st.booleans())
+    flat["disturbance.kind"] = pick("none", "constant", "sinusoid", "band_limited_noise")
+    flat["disturbance.amplitude"] = num(0.0)
+    flat["disturbance.frequency"] = num()
+    flat["disturbance.seed"] = count(0, 2**31)
+    flat.update({f"mismatch.{name}": pos() for name in ("a1", "a2", "a3", "a4", "b1", "b2")})
+    flat["scenario.alpha0"] = num()
+    flat["run.duration"] = mpc_dt * num(1.0)
+    flat["run.dt"] = run_dt
+    flat["run.seed"] = count(0, 2**31)
+    return flat
+
+
+@hyp_settings(max_examples=80, deadline=None)
+@given(flat=valid_flats())
+def test_dump_load_round_trips_every_key(tmp_path_factory, flat):
+    text = harness.dump_config(flat)
+    assert [line.split(" = ")[0] for line in text.splitlines()] == list(flat)
+    path = tmp_path_factory.mktemp("round_trip") / "scenario.cfg"
+    path.write_text(text, encoding="utf-8")
+    loaded = config_values(harness.load_config(str(path)))
+    assert list(loaded) == list(flat)
+    for key, value in flat.items():
+        # repr tells 1 from 1.0 and keeps every float digit
+        assert repr(loaded[key]) == repr(value), key
+
+
+def test_sinusoid_disturbance_bound_solve_converges(tmp_path):
+    # after the pendulum falls the inputs sit on the +-5 V bound; a solve
+    # that ended a rounding step outside the box cost more than the warm
+    # start once clipped, and period 58 (t = 2.9 s) fell back to it
+    path = write_config(
+        tmp_path,
+        "controller = afmpc\n"
+        "disturbance.kind = sinusoid\n"
+        "disturbance.amplitude = 0.3\n"
+        "run.duration = 2.95\n",
+    )
+    log, _ = harness.run_scenario(harness.load_config(path))
+    assert len(log) == 59
+    assert log.t[58] == pytest.approx(2.9)
+    assert log.solver_status[58] == "converged"
+    assert "fallback" not in log.solver_status
 
 
 def test_reference_trajectory_sinusoid_derivatives():
