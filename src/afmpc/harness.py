@@ -50,7 +50,7 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-CSV_HEADER = "t,x1,x2,x3,x4,u,y_ref,e,V,w_diag,cost,status,solve_ms"
+CSV_HEADER = "t,x1,x2,x3,x4,u,y_ref,e,V,w_diag,cost,status,evals"
 
 CONTROLLERS = ("classical", "afmpc")
 
@@ -114,8 +114,8 @@ class RunMetrics:
     rmse: float
     iae: float
     steady_state_error: float
-    mean_solve_time: float
-    max_solve_time: float
+    mean_evaluations: float  # horizon rollouts per solve
+    max_evaluations: int
 
 
 # config sections that a dataclass holds: section -> (dataclass, {field: key
@@ -502,8 +502,8 @@ def compute_metrics(log: TrajectoryLog, dt: float) -> RunMetrics:
         rmse=float(np.sqrt(np.mean(log.e ** 2))),
         iae=float(np.sum(abs_e) * dt),
         steady_state_error=float(np.mean(tail)),
-        mean_solve_time=float(np.mean(log.solve_time)),
-        max_solve_time=float(np.max(log.solve_time)),
+        mean_evaluations=float(np.mean(log.evaluations)),
+        max_evaluations=int(np.max(log.evaluations)),
     )
 
 
@@ -511,11 +511,10 @@ def export_csv(log: TrajectoryLog, path: str) -> None:
     """Write the log as CSV; floats use shortest round-trip formatting."""
     # the float columns before status, in CSV_HEADER order
     floats = [log.t, *log.states.T, log.u, log.y_ref, log.e, log.V, log.w_diag, log.predicted_cost]
-    solve_ms = log.solve_time * 1e3
     lines = [CSV_HEADER]
     for i in range(len(log)):
         row = [repr(float(col[i])) for col in floats]
-        lines.append(",".join([*row, log.solver_status[i], repr(float(solve_ms[i]))]))
+        lines.append(",".join([*row, log.solver_status[i], str(int(log.evaluations[i]))]))
     text = "\n".join(lines) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as handle:
@@ -540,7 +539,7 @@ def load_csv(path: str) -> dict:
         if len(parts) != len(names):
             raise ValueError(f"{path}: malformed row {line!r}")
         for name, part in zip(names, parts):
-            columns[name].append(part if name == "status" else float(part))
+            columns[name].append({"status": str, "evals": int}.get(name, float)(part))
     return {
         name: (vals if name == "status" else np.array(vals)) for name, vals in columns.items()
     }
@@ -550,7 +549,7 @@ def _metrics_line(name: str, m: RunMetrics) -> str:
     return (
         f"{name:<10} rmse={m.rmse:.6f} rad  iae={m.iae:.6f} rad*s  "
         f"steady_state={m.steady_state_error:.6f} rad  "
-        f"solve mean={m.mean_solve_time * 1e3:.3f} ms max={m.max_solve_time * 1e3:.3f} ms"
+        f"evals mean={m.mean_evaluations:.3f} max={m.max_evaluations}"
     )
 
 

@@ -11,12 +11,6 @@ otherwise). The carry cuts the objective evaluations per solve by half
 or more; shifting the Hessian with the inputs did worse, because the slot
 shifted in past the control horizon repeats the last input and carries no
 curvature estimate.
-
-Logged solve times come from a deterministic effort model (objective
-evaluations times a calibrated per-evaluation cost) so that identical runs
-produce identical logs. They are not wall-clock measurements, and the
-acceptance criterion on solve time checks this model; `perfbench/run.py`
-measures the wall time of each solve.
 """
 
 from __future__ import annotations
@@ -46,9 +40,6 @@ __all__ = [
     "run_receding_horizon",
 ]
 
-# effort model: logged solve_time = evaluations * per-eval cost + overhead,
-# constants calibrated once on desktop hardware (see tests for the bound)
-_SOLVE_OVERHEAD_SECONDS = 6.5e-4
 _DIVERGED_COST = 1e30
 
 
@@ -97,9 +88,6 @@ class NominalPredictor:
     coeffs: CoeffSet
     dt: float
 
-    # measured per objective-evaluation cost of a 5-slot rollout (seconds)
-    effort_per_eval = 6.0e-5
-
     def predict(self, x: np.ndarray, u: float, d: float = 0.0) -> np.ndarray:
         return rk4(lambda s, dd: dynamics(s, u, self.coeffs, dd), x, self.dt, (d, d, d))
 
@@ -117,9 +105,6 @@ class AdaptiveFuzzyPredictor:
     fuzzy: fz.FuzzyModel
     coeffs: CoeffSet
     dt: float
-
-    # measured per objective-evaluation cost of a 5-slot fuzzy rollout
-    effort_per_eval = 2.0e-4
 
     def predict(self, x: np.ndarray, u: float, d: float = 0.0) -> np.ndarray:
         c = self.coeffs
@@ -149,7 +134,7 @@ class ControlStep:
     applied_input: float
     predicted_cost: float
     solver_status: str
-    solve_time: float
+    evaluations: int  # horizon rollouts the solve made
     optimized_sequence: np.ndarray
     # final BFGS Hessian of a converged solve, for the next period's solve;
     # None after max_iter or fallback
@@ -219,6 +204,10 @@ def solve_step(
     is always feasible for its QPs: QpInfeasibleError here means numerical
     trouble, such as a nearly singular BFGS Hessian or a non-finite
     gradient, not an empty QP.
+
+    ControlStep.evaluations counts every horizon rollout of the solve: one
+    for the warm start, each one minimize made (also those before it
+    raised), and one for the cost of minimize's point.
     """
     kp = config.prediction_horizon
     kc = config.control_horizon
@@ -232,7 +221,11 @@ def solve_step(
     if warm.shape != (kc,):
         raise ValueError(f"warm start must have length {kc}")
 
+    evals = 0
+
     def objective(U: np.ndarray) -> float:
+        nonlocal evals
+        evals += 1
         try:
             states = predict_trajectory(model, x_k, U, d)
         except PredictionDivergenceError:
@@ -253,18 +246,16 @@ def solve_step(
         status = sol.status
         sequence = sol.minimizer
         cost = objective(sequence)
-        evals = sol.objective_evaluations + 2
         next_hessian = sol.hessian
     except (QpInfeasibleError, np.linalg.LinAlgError):
-        status, sequence, cost, evals, next_hessian = "fallback", warm, warm_cost, 2, None
+        status, sequence, cost, next_hessian = "fallback", warm, warm_cost, None
     if cost > warm_cost or not np.all(np.isfinite(sequence)):
         status, sequence, cost = "fallback", warm, warm_cost
-    solve_time = _SOLVE_OVERHEAD_SECONDS + evals * model.effort_per_eval
     return ControlStep(
         applied_input=float(sequence[0]),
         predicted_cost=float(cost),
         solver_status=status,
-        solve_time=float(solve_time),
+        evaluations=evals,
         optimized_sequence=sequence,
         hessian=next_hessian if status == "converged" else None,
     )
@@ -316,7 +307,7 @@ class TrajectoryLog:
     w_diag: np.ndarray
     predicted_cost: np.ndarray
     solver_status: list
-    solve_time: np.ndarray
+    evaluations: np.ndarray
     diverged: bool = False
     final_fuzzy: Optional[fz.FuzzyModel] = None
 
@@ -337,11 +328,11 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
     Each period: solve with the current (frozen) model, apply the first
     input across the fast plant sub-steps, and, for the adaptive variant,
     update the fuzzy parameters once per sub-step from the latest
-    measurement. Terminates early on plant divergence or parameter blow-up
-    with the log collected so far preserved. The adapting model and the
-    Hessian carried from one solve to the next are local to the run, which
-    starts from loop.model.fuzzy and returns the last model as final_fuzzy;
-    the loop itself is never written.
+    measurement. Terminates early on plant divergence, parameter blow-up or
+    a degenerate rule firing, with the log collected so far preserved. The
+    adapting model and the Hessian carried from one solve to the next are
+    local to the run, which starts from loop.model.fuzzy and returns the
+    last model as final_fuzzy; the loop itself is never written.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -363,7 +354,7 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
     rec_w: list[float] = []
     rec_cost: list[float] = []
     rec_status: list[str] = []
-    rec_time: list[float] = []
+    rec_evals: list[int] = []
     diverged = False
 
     for k in range(steps):
@@ -398,7 +389,7 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
         rec_w.append(float(w_val))
         rec_cost.append(ctrl.predicted_cost)
         rec_status.append(ctrl.solver_status)
-        rec_time.append(ctrl.solve_time)
+        rec_evals.append(ctrl.evaluations)
 
         try:
             for i in range(n_sub):
@@ -420,7 +411,7 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
                         gain=ad.gain,
                         theta_bound=ad.theta_bound,
                     )
-        except (IntegrationDivergenceError, fz.ParameterBlowupError):
+        except (IntegrationDivergenceError, fz.ParameterBlowupError, fz.DegenerateFiringError):
             diverged = True
             break
         warm = shift_warm_start(ctrl.optimized_sequence)
@@ -437,7 +428,7 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
         w_diag=np.array(rec_w),
         predicted_cost=np.array(rec_cost),
         solver_status=rec_status,
-        solve_time=np.array(rec_time),
+        evaluations=np.array(rec_evals, dtype=int),
         diverged=diverged,
         final_fuzzy=fuzzy,
     )

@@ -148,6 +148,22 @@ def test_run_divergence_exit_code(tmp_path, capsys):
     assert harness.load_csv(out)["t"].shape[0] >= 1
 
 
+def test_run_afmpc_plant_divergence_exit_code(tmp_path, capsys):
+    # without adaptation and with a 2 s plant step the state grows past the
+    # range where the fuzzy basis can square it, inside the sub-step update
+    path = write_config(
+        tmp_path, "adapt.gain = 0\nmpc.dt = 2.0\nrun.dt = 2.0\nrun.duration = 120\n"
+    )
+    out = str(tmp_path / "log.csv")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["run", "--config", path, "--controller", "afmpc", "--out", out])
+    assert code == cli.EXIT_DIVERGED
+    assert "run diverged" in capsys.readouterr().err
+    t = harness.load_csv(out)["t"]
+    assert 0 < t.shape[0] < 60
+    assert np.all(np.isfinite(t))
+
+
 def test_compare_writes_report_and_both_csvs(tmp_path, capsys):
     path = write_config(tmp_path, SHORT_RUN)
     out_dir = tmp_path / "cmp"

@@ -27,7 +27,7 @@ def assert_mpc_equal(a, b) -> None:
     assert (a.input_weight, a.input_bound, a.dt) == (b.input_weight, b.input_bound, b.dt)
 
 
-def synthetic_log(e: np.ndarray, dt: float, solve_time: np.ndarray) -> TrajectoryLog:
+def synthetic_log(e: np.ndarray, dt: float, evaluations: np.ndarray) -> TrajectoryLog:
     n = e.shape[0]
     t = dt * np.arange(n)
     return TrajectoryLog(
@@ -41,7 +41,7 @@ def synthetic_log(e: np.ndarray, dt: float, solve_time: np.ndarray) -> Trajector
         w_diag=np.zeros(n),
         predicted_cost=np.ones(n),
         solver_status=["converged"] * n,
-        solve_time=solve_time,
+        evaluations=evaluations,
     )
 
 
@@ -511,27 +511,28 @@ def test_state_reference_consistent_arm_is_realizable():
 
 
 def test_compute_metrics_constant_error():
-    log = synthetic_log(np.full(10, 0.1), dt=0.05, solve_time=np.full(10, 2e-3))
+    log = synthetic_log(np.full(10, 0.1), dt=0.05, evaluations=np.full(10, 14))
     m = harness.compute_metrics(log, 0.05)
     assert m.rmse == pytest.approx(0.1, rel=1e-12)
     assert m.iae == pytest.approx(0.05, rel=1e-12)
     assert m.steady_state_error == pytest.approx(0.1, rel=1e-12)
-    assert m.mean_solve_time == pytest.approx(2e-3, rel=1e-12)
-    assert m.max_solve_time == pytest.approx(2e-3, rel=1e-12)
+    assert m.mean_evaluations == 14.0
+    assert m.max_evaluations == 14
 
 
 def test_compute_metrics_steady_state_window_is_final_fifth():
     e = np.zeros(10)
     e[8:] = 0.2
-    times = np.linspace(1e-3, 3e-3, 10)
-    m = harness.compute_metrics(synthetic_log(e, 0.05, times), 0.05)
+    evals = np.arange(2, 12)
+    m = harness.compute_metrics(synthetic_log(e, 0.05, evals), 0.05)
     assert m.steady_state_error == pytest.approx(0.2, rel=1e-12)
     assert m.rmse == pytest.approx(math.sqrt(2 * 0.04 / 10), rel=1e-12)
-    assert m.max_solve_time == pytest.approx(3e-3, rel=1e-12)
+    assert m.mean_evaluations == 6.5
+    assert m.max_evaluations == 11
 
 
 def test_compute_metrics_rejects_empty_log():
-    log = synthetic_log(np.zeros(1), 0.05, np.ones(1))
+    log = synthetic_log(np.zeros(1), 0.05, np.full(1, 2))
     log.t = np.zeros(0)
     log.e = np.zeros(0)
     with pytest.raises(ValueError, match="empty log"):
@@ -541,7 +542,7 @@ def test_compute_metrics_rejects_empty_log():
 def test_export_load_csv_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     n = 7
-    log = synthetic_log(rng.normal(size=n), dt=0.05, solve_time=rng.uniform(1e-3, 5e-3, n))
+    log = synthetic_log(rng.normal(size=n), dt=0.05, evaluations=rng.integers(2, 60, n))
     log.states = rng.normal(size=(n, 4))
     log.u = rng.normal(size=n)
     log.V = rng.uniform(0.0, 2.0, n)
@@ -557,7 +558,8 @@ def test_export_load_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(cols["u"], log.u)
     np.testing.assert_array_equal(cols["e"], log.e)
     np.testing.assert_array_equal(cols["V"], log.V)
-    np.testing.assert_array_equal(cols["solve_ms"], log.solve_time * 1e3)
+    np.testing.assert_array_equal(cols["evals"], log.evaluations)
+    assert cols["evals"].dtype.kind == "i"
     assert cols["status"] == log.solver_status
 
 
@@ -573,11 +575,12 @@ def test_load_csv_rejects_bad_content(tmp_path):
 
 
 def test_compare_report_ratio_cases():
-    base = dict(iae=1.0, mean_solve_time=1e-3, max_solve_time=2e-3)
+    base = dict(iae=1.0, mean_evaluations=14.5, max_evaluations=30)
     m_c = harness.RunMetrics(rmse=0.2, steady_state_error=0.1, **base)
     m_a = harness.RunMetrics(rmse=0.1, steady_state_error=0.05, **base)
     report = harness.compare_report(m_c, m_a)
     assert "classical" in report and "afmpc" in report
+    assert "evals mean=14.500 max=30" in report
     assert "steady-state error ratio (afmpc / classical): 0.500000" in report
     both_zero = harness.RunMetrics(rmse=0.0, steady_state_error=0.0, **base)
     assert "ratio (afmpc / classical): 1.000000" in harness.compare_report(both_zero, both_zero)
@@ -633,7 +636,7 @@ def test_run_scenario_and_comparison_short(tmp_path):
     assert not log.diverged
     assert metrics.rmse > 0.0
     assert np.isfinite(metrics.iae)
-    assert metrics.max_solve_time >= metrics.mean_solve_time > 0.0
+    assert metrics.max_evaluations >= metrics.mean_evaluations >= 2.0
 
     log_c, met_c, log_a, met_a, report = harness.run_comparison(cfg)
     assert len(log_c) == 10 and len(log_a) == 10

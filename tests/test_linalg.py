@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from afmpc.dense_linalg import (
     NotPositiveDefiniteWarning,
@@ -71,6 +72,25 @@ def test_random_hurwitz_property():
         assert lyap_residual(A, P, Q) <= 1e-9 * np.linalg.norm(Q)
         assert is_positive_definite(P)
     assert time.perf_counter() - start < 1.0
+
+
+def square(n: int = 4):
+    """An n x n matrix with entries in [-1, 1]."""
+    entries = st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n)
+    return entries.map(lambda v: np.array(v).reshape(n, n))
+
+
+@hyp_settings(max_examples=200, deadline=None)
+@given(M=square(), S=square(), delta=st.floats(0.05, 2.0), W=square(), q=st.floats(0.1, 1.0))
+def test_solve_lyapunov_random_hurwitz_property(M, S, delta, W, q):
+    # symmetric part -MM' - delta I is negative definite, so every
+    # eigenvalue of A has real part at most -delta
+    A = -M @ M.T - delta * np.eye(4) + (S - S.T)
+    Q = W @ W.T + q * np.eye(4)
+    P = solve_lyapunov(A, Q)
+    assert lyap_residual(A, P, Q) <= 1e-9 * np.linalg.norm(Q)
+    assert np.array_equal(P, P.T)
+    assert is_positive_definite(P)
 
 
 def test_scaling_linearity():
