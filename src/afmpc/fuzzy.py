@@ -10,6 +10,7 @@ indices (l1, l2, l3, l4), the last index varying fastest (C order).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +57,8 @@ def membership(mf: GaussianMF, x: float) -> float:
 
 @dataclass
 class FuzzyModel:
-    """Rule grid plus the two adaptable consequent vectors."""
+    """Rule grid over the 4 states plus the two adaptable consequent vectors;
+    evaluating a model writes none of its fields, so models interleave freely."""
 
     mfs: list[list[GaussianMF]]
     theta_f: np.ndarray
@@ -70,11 +72,12 @@ class FuzzyModel:
     # coefficients leaves every result bit for bit as without it)
     _s_mat: np.ndarray = field(init=False, repr=False)
     _s_const: np.ndarray = field(init=False, repr=False)
-    _scratch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.g_floor <= 0.0:
             raise ValueError("g_floor must be positive")
+        if len(self.mfs) != 4:
+            raise ValueError(f"expected membership groups for 4 states, got {len(self.mfs)}")
         counts = [len(group) for group in self.mfs]
         n_rules = int(np.prod(counts))
         if self.theta_f.shape != (n_rules,) or self.theta_g.shape != (n_rules,):
@@ -95,7 +98,6 @@ class FuzzyModel:
         inv_sq = 1.0 / (widths * widths)
         self._s_mat = -0.5 * np.hstack([inv_sq, -2.0 * centers * inv_sq])
         self._s_const = -0.5 * np.sum(centers * centers * inv_sq, axis=1)
-        self._scratch = np.empty(2 * len(self.mfs))
 
     @property
     def n_rules(self) -> int:
@@ -110,31 +112,26 @@ class FuzzyModel:
         clone.state_ranges = self.state_ranges
         clone._s_mat = self._s_mat
         clone._s_const = self._s_const
-        clone._scratch = np.empty_like(self._scratch)
         return clone
 
 
-def basis(model: FuzzyModel, X: np.ndarray) -> np.ndarray:
+def basis(model: FuzzyModel, X) -> np.ndarray:
     """Normalized rule-firing vector at state X; components sum to 1.
 
-    The shared exponential shift does not change the normalized value and
-    keeps the normalizer away from underflow for states far outside the
-    membership ranges. The log firing strengths are evaluated through
-    their precomputed quadratic expansion: one matrix-vector product with
-    [x*x, x], which is built in a per-model scratch buffer.
+    X is any 4-sequence. The shared exponential shift does not change the
+    normalized value and keeps the normalizer away from underflow for
+    states far outside the membership ranges. The log firing strengths are
+    evaluated through their precomputed quadratic expansion: one
+    matrix-vector product with [x*x, x], built afresh on every call.
     """
-    x = np.asarray(X, dtype=float)
-    n = x.shape[0]
-    # scratch reuse: evaluations on one model are sequential by contract
-    v = model._scratch
-    np.multiply(x, x, out=v[:n])
-    v[n:] = x
-    s = model._s_mat @ v
+    x1, x2, x3, x4 = X
+    s = model._s_mat @ np.array([x1 * x1, x2 * x2, x3 * x3, x4 * x4, x1, x2, x3, x4])
     s += model._s_const
-    s -= s.max()
+    # the element at argmax is the max, NaN included, and costs less
+    s -= s[s.argmax()]
     w = np.exp(s, out=s)
-    total = w.sum()
-    if not np.isfinite(total) or total <= 0.0:
+    total = float(w.sum())
+    if not math.isfinite(total) or total <= 0.0:
         raise DegenerateFiringError("rule-firing normalizer degenerated to zero")
     w /= total
     return w
@@ -193,7 +190,7 @@ def adapt(
     drive = dt * gain * s * eps
     theta_f = model.theta_f - drive
     theta_g = model.theta_g - drive * u
-    peak = max(float(np.max(np.abs(theta_f))), float(np.max(np.abs(theta_g))))
+    peak = max(float(np.abs(theta_f).max()), float(np.abs(theta_g).max()))
     if peak > theta_bound:
         raise ParameterBlowupError(
             f"adaptation pushed |theta| to {peak:.3e}, beyond bound {theta_bound:.3e}"

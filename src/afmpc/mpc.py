@@ -107,24 +107,16 @@ class AdaptiveFuzzyPredictor:
     dt: float
 
     def predict(self, x: np.ndarray, u: float, d: float = 0.0) -> np.ndarray:
-        c = self.coeffs
-        fuz = self.fuzzy
-        theta_f = fuz.theta_f
-        theta_g = fuz.theta_g
-        g_floor = fuz.g_floor
+        c, fuz = self.coeffs, self.fuzzy
+        theta_f, theta_g, g_floor = fuz.theta_f, fuz.theta_g, fuz.g_floor
 
-        def field_fn(s: np.ndarray, dd: float) -> np.ndarray:
+        def field_fn(s, dd: float) -> tuple[float, float, float, float]:
             eps = fz.basis(fuz, s)
             f_est = float(theta_f @ eps)
             g_est = float(theta_g @ eps)
             if g_est < g_floor:
                 g_est = g_floor
-            out = np.empty(4)
-            out[0] = s[1]
-            out[1] = c.a1 * s[1] + c.b1 * u
-            out[2] = s[3]
-            out[3] = f_est + g_est * (u + dd)
-            return out
+            return (s[1], c.a1 * s[1] + c.b1 * u, s[3], f_est + g_est * (u + dd))
 
         return rk4(field_fn, x, self.dt, (d, d, d))
 
@@ -158,7 +150,7 @@ def predict_trajectory(model, x0: np.ndarray, U: np.ndarray, d: np.ndarray) -> n
             x = model.predict(x, float(u), float(d[p]))
         except (ValueError, OverflowError, fz.DegenerateFiringError) as exc:
             raise PredictionDivergenceError(f"prediction divergence at slot {p + 1}") from exc
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise PredictionDivergenceError(f"prediction divergence at slot {p + 1}")
         states[p] = x
     return states
@@ -198,9 +190,11 @@ def solve_step(
     The solver's point is applied as returned: minimize keeps every
     iterate inside the input box. Never returns a worse sequence than the
     warm start: if the solver's point does not improve the horizon cost,
-    the warm start is applied and the status flags the fallback. Solver
-    trouble means a QpInfeasibleError or LinAlgError out of minimize; any
-    other exception propagates. The program has box bounds only, so p = 0
+    the warm start is applied and the status flags the fallback. So does a
+    point whose rollout diverged: the flat _DIVERGED_COST has a zero
+    gradient, which the solver reports as converged. Solver trouble means
+    a QpInfeasibleError or LinAlgError out of minimize; any other
+    exception propagates. The program has box bounds only, so p = 0
     is always feasible for its QPs: QpInfeasibleError here means numerical
     trouble, such as a nearly singular BFGS Hessian or a non-finite
     gradient, not an empty QP.
@@ -249,7 +243,7 @@ def solve_step(
         next_hessian = sol.hessian
     except (QpInfeasibleError, np.linalg.LinAlgError):
         status, sequence, cost, next_hessian = "fallback", warm, warm_cost, None
-    if cost > warm_cost or not np.all(np.isfinite(sequence)):
+    if cost > warm_cost or cost >= _DIVERGED_COST or not np.all(np.isfinite(sequence)):
         status, sequence, cost = "fallback", warm, warm_cost
     return ControlStep(
         applied_input=float(sequence[0]),

@@ -131,32 +131,43 @@ def disturbance_value(spec: DisturbanceSpec, t: float) -> float:
     return spec.amplitude * s / math.sqrt(_NOISE_TONES / 2.0)
 
 
-def dynamics(state: np.ndarray, u: float, coeffs: CoeffSet, d: float = 0.0) -> np.ndarray:
-    """State derivative of the pendulum model."""
-    x2 = state[1]
-    x4 = state[3]
-    return np.array(
-        [
-            x2,
-            coeffs.a1 * x2 + coeffs.b1 * u,
-            x4,
-            coeffs.a2 * x2 + coeffs.a3 * math.sin(state[2]) + coeffs.a4 * x4 + coeffs.b2 * (u + d),
-        ]
+def dynamics(state, u: float, coeffs: CoeffSet, d: float = 0.0) -> tuple[float, float, float, float]:
+    """State derivative of the pendulum model, as 4 floats."""
+    _, x2, x3, x4 = state
+    return (
+        x2,
+        coeffs.a1 * x2 + coeffs.b1 * u,
+        x4,
+        coeffs.a2 * x2 + coeffs.a3 * math.sin(x3) + coeffs.a4 * x4 + coeffs.b2 * (u + d),
     )
 
 
-def rk4(field_fn, x: np.ndarray, dt: float, d=(0.0, 0.0, 0.0)) -> np.ndarray:
-    """One classical RK4 step of x' = field_fn(x, d).
+def rk4(field_fn, x, dt: float, d=(0.0, 0.0, 0.0)) -> np.ndarray:
+    """One classical RK4 step of x' = field_fn(x, d) from any 4-sequence x.
 
-    d holds the disturbance at the start, the middle and the end of the
-    step; the two middle stages share the middle value.
+    field_fn maps 4 floats and a disturbance to 4 floats. The stages (k1 to
+    k4, components a, b, c, e) run on Python floats, several times cheaper
+    than numpy at this size, in the operation order of the ndarray form
+    x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), which they match bit
+    for bit. d holds the disturbance at the start, the middle and the end
+    of the step; the two middle stages share the middle value.
     """
     d0, dm, d1 = d
-    k1 = field_fn(x, d0)
-    k2 = field_fn(x + 0.5 * dt * k1, dm)
-    k3 = field_fn(x + 0.5 * dt * k2, dm)
-    k4 = field_fn(x + dt * k3, d1)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    x1, x2, x3, x4 = np.asarray(x, dtype=float).tolist()
+    h = 0.5 * dt
+    a1, a2, a3, a4 = field_fn((x1, x2, x3, x4), d0)
+    b1, b2, b3, b4 = field_fn((x1 + h * a1, x2 + h * a2, x3 + h * a3, x4 + h * a4), dm)
+    c1, c2, c3, c4 = field_fn((x1 + h * b1, x2 + h * b2, x3 + h * b3, x4 + h * b4), dm)
+    e1, e2, e3, e4 = field_fn((x1 + dt * c1, x2 + dt * c2, x3 + dt * c3, x4 + dt * c4), d1)
+    w = dt / 6.0
+    return np.array(
+        [
+            x1 + w * (((a1 + 2.0 * b1) + 2.0 * c1) + e1),
+            x2 + w * (((a2 + 2.0 * b2) + 2.0 * c2) + e2),
+            x3 + w * (((a3 + 2.0 * b3) + 2.0 * c3) + e3),
+            x4 + w * (((a4 + 2.0 * b4) + 2.0 * c4) + e4),
+        ]
+    )
 
 
 def step(
@@ -170,19 +181,14 @@ def step(
     """Advance the state one RK4 step with the input held constant."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if disturbance is None:
-        d = (0.0, 0.0, 0.0)
-    else:
-        d = (
-            disturbance_value(disturbance, t),
-            disturbance_value(disturbance, t + 0.5 * dt),
-            disturbance_value(disturbance, t + dt),
-        )
+    d = (0.0, 0.0, 0.0)
+    if disturbance is not None:
+        d = tuple(disturbance_value(disturbance, ti) for ti in (t, t + 0.5 * dt, t + dt))
     try:
         # sin() of an overflowed angle raises; fold that into divergence
         out = rk4(lambda s, dd: dynamics(s, u, coeffs, dd), state, dt, d)
     except (ValueError, OverflowError) as exc:
         raise IntegrationDivergenceError(f"integration diverged at t={t}") from exc
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise IntegrationDivergenceError(f"integration diverged at t={t}")
     return out

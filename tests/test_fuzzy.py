@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from afmpc.fuzzy import (
+    DegenerateFiringError,
     FuzzyModel,
     GaussianMF,
     ParameterBlowupError,
@@ -122,6 +123,49 @@ def test_basis_matrix_rows_equal_basis(model, units):
     # inside the ranges the expansion agrees with the direct form
     for x, row in zip(X / 10.0, basis_matrix(model, X / 10.0)):
         np.testing.assert_allclose(row, direct_basis(model, x), rtol=0.0, atol=1e-12)
+
+
+WIDE = ((-math.pi, math.pi), (-8.0, 8.0), (-1.5, 1.5), (-8.0, 8.0))
+
+
+def test_basis_same_bits_for_list_tuple_and_array_input():
+    model = build_rule_grid((3, 3, 3, 3), WIDE)
+    rng = np.random.default_rng(41)
+    for x in rng.uniform(-10.0, 10.0, size=(50, 4)):
+        ref = basis(model, x)
+        assert np.array_equal(basis(model, x.tolist()), ref)
+        assert np.array_equal(basis(model, tuple(x.tolist())), ref)
+
+
+def test_basis_interleaved_models_match_separate_evaluation():
+    # an evaluation writes nothing to its model, and each result is a
+    # fresh array that a later evaluation leaves alone
+    a = build_rule_grid((3, 3, 3, 3), WIDE)
+    b = build_rule_grid((2, 3, 4, 5), UNIT_RANGES)
+    # a clone shares the rule grid with the model it came from
+    a2 = a._replace_thetas(a.theta_f + 1.0, a.theta_g)
+    xs = np.random.default_rng(43).uniform(-2.0, 2.0, size=(20, 4))
+    apart = [[basis(m, x).copy() for x in xs] for m in (a, b, a2)]
+    together = [[], [], []]
+    for x in xs:
+        for i, m in enumerate((a, b, a2)):
+            together[i].append(basis(m, x))
+    for sep, mixed in zip(apart, together):
+        for v, w in zip(sep, mixed):
+            assert np.array_equal(v, w)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", range(4))
+def test_basis_non_finite_state_raises_degenerate_firing(bad, slot):
+    model = build_rule_grid((3, 3, 3, 3), WIDE)
+    x = [0.1, -0.2, 0.3, -0.4]
+    x[slot] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(DegenerateFiringError):
+            basis(model, x)
+        with pytest.raises(DegenerateFiringError):
+            basis(model, np.array(x))
 
 
 def test_rule_order_is_lexicographic_with_last_state_fastest():
@@ -273,6 +317,9 @@ def test_theta_length_validation():
             theta_f=np.zeros(2),
             theta_g=np.zeros(2),
         )
+    # basis unpacks exactly 4 state components
+    with pytest.raises(ValueError, match="4 states, got 3"):
+        FuzzyModel(mfs=[[GaussianMF(0.0, 1.0)]] * 3, theta_f=np.zeros(1), theta_g=np.zeros(1))
 
 
 def test_fit_consequents_recovers_representable_target():

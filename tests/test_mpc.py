@@ -320,6 +320,21 @@ def test_solve_step_falls_back_on_qp_infeasibility(monkeypatch):
     assert ctrl.predicted_cost == warm_cost
 
 
+def test_solve_step_falls_back_when_every_rollout_diverges():
+    # every rollout scores the flat divergence cost, whose zero gradient
+    # minimize reports as converged; with no finite prediction the period
+    # applies the warm start and says so
+    cfg = mpc.MpcConfig()
+    x_ref = np.zeros((cfg.prediction_horizon, 4))
+    warm = np.array([0.7, -0.2, 0.1])
+    ctrl = mpc.solve_step(InfinitePredictor(), np.zeros(4), x_ref, cfg, warm, hessian=np.eye(3))
+    assert ctrl.solver_status == "fallback"
+    assert ctrl.applied_input == 0.7
+    np.testing.assert_array_equal(ctrl.optimized_sequence, warm)
+    assert ctrl.predicted_cost == mpc._DIVERGED_COST
+    assert ctrl.hessian is None
+
+
 def test_solve_step_counts_minimize_evaluations_plus_warm_and_final(monkeypatch):
     solutions = []
     inner = mpc.minimize

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from afmpc.plant import (
     CoeffSet,
@@ -13,6 +14,7 @@ from afmpc.plant import (
     derive_coefficients,
     disturbance_value,
     dynamics,
+    rk4,
     step,
 )
 
@@ -66,11 +68,52 @@ def test_dynamics_direct_substitution():
 
 def test_dynamics_disturbance_enters_pendulum_channel_only():
     c = default_coeffs()
-    base = dynamics(np.zeros(4), 0.0, c, d=0.0)
-    with_d = dynamics(np.zeros(4), 0.0, c, d=0.5)
+    base = np.asarray(dynamics(np.zeros(4), 0.0, c, d=0.0))
+    with_d = np.asarray(dynamics(np.zeros(4), 0.0, c, d=0.5))
     diff = with_d - base
     np.testing.assert_allclose(diff[:3], 0.0)
     assert diff[3] == pytest.approx(0.5 * c.b2, rel=1e-12)
+
+
+def reference_rk4(x, u, dt, d, c):
+    """The classic RK4 formula on ndarrays, stage by stage."""
+
+    def field(s, dd):
+        return np.array(
+            [
+                s[1],
+                c.a1 * s[1] + c.b1 * u,
+                s[3],
+                c.a2 * s[1] + c.a3 * math.sin(s[2]) + c.a4 * s[3] + c.b2 * (u + dd),
+            ]
+        )
+
+    k1 = field(x, d[0])
+    k2 = field(x + 0.5 * dt * k1, d[1])
+    k3 = field(x + 0.5 * dt * k2, d[1])
+    k4 = field(x + dt * k3, d[2])
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def finite(bound):
+    return st.floats(-bound, bound, allow_nan=False, allow_infinity=False)
+
+
+@hyp_settings(max_examples=300, deadline=None)
+@given(
+    x=st.lists(finite(50.0), min_size=4, max_size=4).map(np.array),
+    u=finite(10.0),
+    dt=st.floats(1e-5, 0.5),
+    d=st.tuples(finite(2.0), finite(2.0), finite(2.0)),
+)
+def test_rk4_equals_ndarray_formula_bit_for_bit(x, u, dt, d):
+    # the float stages keep the ndarray form's operations and their order
+    c = default_coeffs()
+    got = rk4(lambda s, dd: dynamics(s, u, c, dd), x, dt, d)
+    assert isinstance(got, np.ndarray) and got.shape == (4,)
+    assert np.array_equal(got, reference_rk4(x, u, dt, d, c))
+    # any 4-sequence gives the same step
+    assert np.array_equal(got, rk4(lambda s, dd: dynamics(s, u, c, dd), tuple(x.tolist()), dt, d))
 
 
 def test_step_keeps_equilibrium():
