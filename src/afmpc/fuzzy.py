@@ -168,8 +168,7 @@ def g_hat(model: FuzzyModel, X: np.ndarray) -> float:
 def adapt(
     model: FuzzyModel,
     e: np.ndarray,
-    P: np.ndarray,
-    b: np.ndarray,
+    pb: np.ndarray,
     X: np.ndarray,
     u: float,
     dt: float,
@@ -181,12 +180,15 @@ def adapt(
     theta_f' = -gain * (e.P b) * eps(X)
     theta_g' = -gain * (e.P b) * eps(X) * u
 
-    Returns a new model; the rule grid is shared with the input model.
+    pb is the product P @ b of the Lyapunov matrix and the input vector,
+    fixed over a run, so its caller forms it once. Returns a new model; the
+    rule grid is shared with the input model.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    s = float(np.asarray(e, dtype=float) @ (np.asarray(P, dtype=float) @ np.asarray(b, dtype=float)))
-    eps = basis(model, X)
+    s = float(np.asarray(e, dtype=float) @ np.asarray(pb, dtype=float))
+    # Python floats build basis's [x*x, x] faster than np.float64 scalars
+    eps = basis(model, np.asarray(X, dtype=float).tolist())
     drive = dt * gain * s * eps
     theta_f = model.theta_f - drive
     theta_g = model.theta_g - drive * u

@@ -1,18 +1,24 @@
 """Dense SQP solver for small constrained nonlinear programs.
 
-Solves minimize J(z) subject to c(z) <= 0 and lb <= z <= ub with
-finite-difference gradients, a damped BFGS approximation of the Lagrangian
-Hessian, a dual active-set QP (Goldfarb-Idnani) for the search direction,
-and an l1-merit backtracking line search. Bounds enter the QP as linear
-rows, built once per call, so every accepted iterate stays inside the box.
+Solves minimize J(z) subject to c(z) <= 0 and lb <= z <= ub with the
+objective's exact gradient or finite-difference ones, a damped BFGS
+approximation of the Lagrangian Hessian, a dual active-set QP
+(Goldfarb-Idnani) for the search direction, and an l1-merit backtracking
+line search. Bounds enter the QP as linear rows, built once per call, so
+every accepted iterate stays inside the box.
 
-Gradients and constraint Jacobians come from one finite-difference helper.
-It takes forward differences, one evaluation per coordinate, for tolerances
-of 1e-5 and above, and central differences below that, where the O(h)
-forward bias would mask the residual. On stiff problems that bias can exceed
-even a loose tolerance: a forward-difference run that stalls within 1e-3 of
-stationarity but above its tolerance switches to central differences and
-restarts from its best point under the same iteration budget.
+A problem whose objective returns (J, grad J) sets exact_gradient: each
+call is one evaluation, the gradient of each accepted point is reused, and
+no difference is taken of J. A receding-horizon controller supplies it from
+forward sensitivities of its rollout. Otherwise gradients come from one
+finite-difference helper, which also differences the constraints in either
+case. It takes forward differences, one evaluation per coordinate, for
+tolerances of 1e-5 and above, and central differences below that, where the
+O(h) forward bias would mask the residual. On stiff problems that bias can
+exceed even a loose tolerance: a forward-difference run that stalls within
+1e-3 of stationarity but above its tolerance switches to central
+differences and restarts from its best point under the same iteration
+budget. An exact gradient has no such bias and never switches.
 
 The BFGS approximation starts from the identity, or from a caller's
 symmetric positive definite matrix: a receding-horizon controller passes
@@ -64,10 +70,12 @@ class QpInfeasibleError(RuntimeError):
 @dataclass
 class NlpProblem:
     dimension: int
-    objective: Callable[[np.ndarray], float]
+    # returns f, or (f, gradient of f) when exact_gradient is set
+    objective: Callable
     inequality_constraints: Optional[Callable[[np.ndarray], np.ndarray]] = None
     lower_bounds: Optional[np.ndarray] = None
     upper_bounds: Optional[np.ndarray] = None
+    exact_gradient: bool = False
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
@@ -117,29 +125,33 @@ class Solution:
     merit_decreases: tuple = field(default_factory=tuple)
 
 
-def _fd_derivatives(fun, confun, z, f0, c0, central):
-    """Gradient of fun and Jacobian of confun at z by finite differences.
+def _differences(fun, z, v0, central):
+    """Finite-difference derivative of fun at z along each coordinate.
 
-    Forward differences reuse f0 and c0 and cost one evaluation per
+    Forward differences reuse v0 = fun(z) and cost one evaluation per
     coordinate; central ones cost two but carry no O(h) bias.
     """
-    n = z.shape[0]
-    g = np.empty(n)
-    J = np.empty((c0.shape[0], n))
-    for i in range(n):
+    out = []
+    for i in range(z.shape[0]):
         zp = z.copy()
         zp[i] += _FD_STEP
         if central:
             zm = z.copy()
             zm[i] -= _FD_STEP
-            g[i] = (fun(zp) - fun(zm)) / (2.0 * _FD_STEP)
-            if c0.size:
-                J[:, i] = (confun(zp) - confun(zm)) / (2.0 * _FD_STEP)
+            out.append((fun(zp) - fun(zm)) / (2.0 * _FD_STEP))
         else:
-            g[i] = (fun(zp) - f0) / _FD_STEP
-            if c0.size:
-                J[:, i] = (confun(zp) - c0) / _FD_STEP
-    return g, J
+            out.append((fun(zp) - v0) / _FD_STEP)
+    return out
+
+
+def _fd_derivatives(fun, confun, z, f0, c0, central, g=None):
+    """Gradient of fun and Jacobian of confun at z by finite differences;
+    a given g (an exact gradient) is kept, and only confun is differenced."""
+    if g is None:
+        g = np.array(_differences(fun, z, f0, central))
+    if not c0.size:
+        return g, np.empty((0, z.shape[0]))
+    return g, np.array(_differences(confun, z, c0, central)).T
 
 
 def _active_set_qp(H, g, A, b):
@@ -266,17 +278,22 @@ def minimize(
     ValueError otherwise) or, by default, from the identity; the final
     approximation is returned as Solution.hessian.
 
-    Differences are forward for kkt_tolerance >= 1e-5 and central below it.
-    Two consecutive failed line searches end the run, unless it is still on
-    forward differences with a best residual of at most 1e-3: then it
-    switches to central differences, restarts from the best point with an
-    identity Hessian, and continues within max_iterations. Central-difference
-    line searches accept a merit rise of 1e-12 relative, the objective's
-    rounding noise, so they can close the last digits of the residual. The
-    returned point is the best one seen by KKT residual. Every iterate lies
-    inside the box bounds: the QP accepts a bound row within its feasibility
-    tolerance, so each line-search trial point is clipped to the box.
-    QpInfeasibleError from the QP subproblem propagates to the caller.
+    With problem.exact_gradient the objective returns (f, gradient) and
+    each call counts as one evaluation in Solution.objective_evaluations;
+    otherwise differences are forward for kkt_tolerance >= 1e-5 and central
+    below it. Two consecutive failed line searches end the run, unless it
+    is still on forward differences with a best residual of at most 1e-3:
+    then it switches to central differences, restarts from the best point
+    with an identity Hessian, and continues within max_iterations. Line
+    searches on an exact or a central-difference gradient accept a merit
+    rise of 1e-12 relative, the objective's rounding noise, so they can
+    close the last digits of the residual. A zero step that leaves the
+    multipliers as they were ends the run, since every later iteration
+    would repeat it. The returned point is the best one seen by KKT
+    residual. Every iterate lies inside the box bounds: the QP accepts a
+    bound row within its feasibility tolerance, so each line-search trial
+    point is clipped to the box. QpInfeasibleError from the QP subproblem
+    propagates to the caller.
     """
     if settings is None:
         settings = SolverSettings()
@@ -288,19 +305,31 @@ def minimize(
 
     evals = [0]
     raw_objective = problem.objective
+    exact = problem.exact_gradient
 
     def fun(x):
         evals[0] += 1
         return float(raw_objective(x))
 
+    def evaluate(x):
+        """f at x and its exact gradient, None without one; one evaluation."""
+        if not exact:
+            return fun(x), None
+        evals[0] += 1
+        f, grad = raw_objective(x)
+        grad = np.array(grad, dtype=float)
+        if grad.shape != (n,):
+            raise ValueError(f"objective gradient must have shape ({n},), got {grad.shape}")
+        return float(f), grad
+
     confun = problem.constraint_values
     tol = settings.kkt_tolerance
     central = tol < _CENTRAL_BELOW
 
-    f0 = fun(z)
+    f0, g0 = evaluate(z)
     c0 = confun(z)
     m = c0.shape[0]
-    g, Jc = _fd_derivatives(fun, confun, z, f0, c0, central)
+    g, Jc = _fd_derivatives(fun, confun, z, f0, c0, central, g0)
     lam_gen = np.zeros(m)
     bnd_A, bnd_c = _bound_rows(problem)
     bnd_gaps = bnd_c - bnd_A @ z
@@ -325,20 +354,24 @@ def minimize(
         lam_bnd_new = lam_all[m:]
         iters += 1
         if float(np.abs(p).max()) <= 1e-14:
+            if np.array_equal(lam_gen, lam_gen_new) and np.array_equal(lam_bnd, lam_bnd_new):
+                # nothing moves, so every later iteration would repeat this one
+                break
             lam_gen, lam_bnd = lam_gen_new, lam_bnd_new
             continue
         mu = max(mu, 2.0 * float(np.abs(lam_gen_new).max() if m else 0.0) + 1.0)
         phi0 = _merit(f0, c0, mu)
         # directional derivative of the l1 merit along p
         d = float(g @ p) - mu * float(np.maximum(c0, 0.0).sum() if m else 0.0)
-        # near a solution the merit decrease ~res**2/curvature that central
-        # differences still resolve can sink below the rounding noise of J
-        slack = 1e-12 * (1.0 + abs(phi0)) if central else 0.0
+        # near a solution the merit decrease ~res**2/curvature that a
+        # bias-free gradient still resolves can sink below the rounding
+        # noise of J
+        slack = 1e-12 * (1.0 + abs(phi0)) if central or exact else 0.0
         alpha = 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             z_try = np.clip(z + alpha * p, problem.lower_bounds, problem.upper_bounds)
-            f_try = fun(z_try)
+            f_try, g_try = evaluate(z_try)
             c_try = confun(z_try)
             phi_try = _merit(f_try, c_try, mu)
             if phi_try <= phi0 + slack + _ARMIJO * alpha * min(d, 0.0):
@@ -353,7 +386,7 @@ def minimize(
             H = np.eye(n)
             if stall < 2:
                 continue
-            if central or best[0] > _RESCUE_GATE:
+            if central or exact or best[0] > _RESCUE_GATE:
                 break
             # stall switch: the O(h) forward-difference bias can exceed the
             # tolerance on stiff problems; restart bias-free from the best point
@@ -366,7 +399,7 @@ def minimize(
             continue
         stall = 0
         merit_pairs.append((phi0, phi_try))
-        g_new, Jc_new = _fd_derivatives(fun, confun, z_try, f_try, c_try, central)
+        g_new, Jc_new = _fd_derivatives(fun, confun, z_try, f_try, c_try, central, g_try)
         # damped BFGS on the Lagrangian gradient difference
         s = z_try - z
         y = g_new - g

@@ -142,7 +142,7 @@ def dynamics(state, u: float, coeffs: CoeffSet, d: float = 0.0) -> tuple[float, 
     )
 
 
-def rk4(field_fn, x, dt: float, d=(0.0, 0.0, 0.0)) -> np.ndarray:
+def rk4(field_fn, x, dt: float, d=(0.0, 0.0, 0.0), tangents=None):
     """One classical RK4 step of x' = field_fn(x, d) from any 4-sequence x.
 
     field_fn maps 4 floats and a disturbance to 4 floats. The stages (k1 to
@@ -151,16 +151,36 @@ def rk4(field_fn, x, dt: float, d=(0.0, 0.0, 0.0)) -> np.ndarray:
     x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), which they match bit
     for bit. d holds the disturbance at the start, the middle and the end
     of the step; the two middle stages share the middle value.
+
+    With tangents, a sequence of 5-sequences (a state tangent dx and an
+    input tangent du each), the step also carries each tangent through the
+    same four stages, as the exact derivative of the step. field_fn is then
+    called as field_fn(x, d, True) and returns its 4 floats together with
+    jvp, the Jacobian-vector product of the field at that stage: jvp(dx1,
+    dx2, dx3, dx4, du) gives 4 floats. The state is computed as without
+    tangents, bit for bit, and the step returns (state, list of the new
+    state tangents as 4-tuples); the input is held over the step, so du is
+    the caller's to set for the next one.
     """
     d0, dm, d1 = d
+    if tangents is None:
+        stage = field_fn
+    else:
+        jvps = []
+
+        def stage(s, dd):
+            k, jvp = field_fn(s, dd, True)
+            jvps.append(jvp)
+            return k
+
     x1, x2, x3, x4 = np.asarray(x, dtype=float).tolist()
     h = 0.5 * dt
-    a1, a2, a3, a4 = field_fn((x1, x2, x3, x4), d0)
-    b1, b2, b3, b4 = field_fn((x1 + h * a1, x2 + h * a2, x3 + h * a3, x4 + h * a4), dm)
-    c1, c2, c3, c4 = field_fn((x1 + h * b1, x2 + h * b2, x3 + h * b3, x4 + h * b4), dm)
-    e1, e2, e3, e4 = field_fn((x1 + dt * c1, x2 + dt * c2, x3 + dt * c3, x4 + dt * c4), d1)
+    a1, a2, a3, a4 = stage((x1, x2, x3, x4), d0)
+    b1, b2, b3, b4 = stage((x1 + h * a1, x2 + h * a2, x3 + h * a3, x4 + h * a4), dm)
+    c1, c2, c3, c4 = stage((x1 + h * b1, x2 + h * b2, x3 + h * b3, x4 + h * b4), dm)
+    e1, e2, e3, e4 = stage((x1 + dt * c1, x2 + dt * c2, x3 + dt * c3, x4 + dt * c4), d1)
     w = dt / 6.0
-    return np.array(
+    out = np.array(
         [
             x1 + w * (((a1 + 2.0 * b1) + 2.0 * c1) + e1),
             x2 + w * (((a2 + 2.0 * b2) + 2.0 * c2) + e2),
@@ -168,6 +188,24 @@ def rk4(field_fn, x, dt: float, d=(0.0, 0.0, 0.0)) -> np.ndarray:
             x4 + w * (((a4 + 2.0 * b4) + 2.0 * c4) + e4),
         ]
     )
+    if tangents is None:
+        return out
+    ja, jb, jc, je = jvps
+    moved = []
+    for t1, t2, t3, t4, tu in tangents:
+        a1, a2, a3, a4 = ja(t1, t2, t3, t4, tu)
+        b1, b2, b3, b4 = jb(t1 + h * a1, t2 + h * a2, t3 + h * a3, t4 + h * a4, tu)
+        c1, c2, c3, c4 = jc(t1 + h * b1, t2 + h * b2, t3 + h * b3, t4 + h * b4, tu)
+        e1, e2, e3, e4 = je(t1 + dt * c1, t2 + dt * c2, t3 + dt * c3, t4 + dt * c4, tu)
+        moved.append(
+            (
+                t1 + w * (((a1 + 2.0 * b1) + 2.0 * c1) + e1),
+                t2 + w * (((a2 + 2.0 * b2) + 2.0 * c2) + e2),
+                t3 + w * (((a3 + 2.0 * b3) + 2.0 * c3) + e3),
+                t4 + w * (((a4 + 2.0 * b4) + 2.0 * c4) + e4),
+            )
+        )
+    return out, moved
 
 
 def step(

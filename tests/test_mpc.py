@@ -1,6 +1,7 @@
 """Tests for the receding-horizon controller and its prediction models."""
 
 import dataclasses
+import functools
 import inspect
 import math
 
@@ -70,8 +71,10 @@ def rk4_transition(coeffs, h: float) -> tuple[np.ndarray, np.ndarray]:
 class InfinitePredictor:
     """Stub model whose rollout immediately leaves the finite range."""
 
-    def predict(self, x, u, d=0.0):
-        return np.full(4, np.inf)
+    def predict(self, x, u, d=0.0, tangents=None):
+        if tangents is None:
+            return np.full(4, np.inf)
+        return np.full(4, np.inf), [tuple(t[:4]) for t in tangents]
 
 
 class BrokenAfterWarmStartPredictor:
@@ -81,11 +84,11 @@ class BrokenAfterWarmStartPredictor:
         self.inner = mpc.NominalPredictor(COEFFS, cfg.dt)
         self.calls_left = cfg.prediction_horizon
 
-    def predict(self, x, u, d=0.0):
+    def predict(self, x, u, d=0.0, tangents=None):
         if self.calls_left == 0:
             raise KeyError("predictor bug")
         self.calls_left -= 1
-        return self.inner.predict(x, u, d)
+        return self.inner.predict(x, u, d, tangents)
 
 
 def test_config_defaults():
@@ -174,6 +177,83 @@ def test_predict_trajectory_holds_last_input():
 def test_predict_trajectory_raises_on_nonfinite_prediction():
     with pytest.raises(mpc.PredictionDivergenceError, match="slot 1"):
         mpc.predict_trajectory(InfinitePredictor(), np.zeros(4), np.zeros(3), np.zeros(5))
+
+
+@functools.cache
+def default_fuzzy_model() -> fz.FuzzyModel:
+    """The default afmpc scenario's 81-rule model, fitted to its nominal prior."""
+    config = dataclasses.replace(harness.default_config(), controller="afmpc")
+    loop, _, _ = harness.build_closed_loop(config)
+    return loop.model.fuzzy
+
+
+@st.composite
+def sensitivity_cases(draw):
+    """A predictor, a start state, an input sequence and disturbances.
+
+    The state lies within 3x the fuzzy ranges' half-widths of their
+    centers, so inside and outside them. For the fuzzy predictor theta_g
+    sits on one side of the g floor everywhere (theta_g . eps is a convex
+    combination): above it, or below it so that the clamp is active at
+    every stage; a rollout then never crosses the clamp's kink, where
+    differences would not match the one-sided derivative.
+    """
+    fuzzy_model = default_fuzzy_model()
+    unit = st.floats(-1.0, 1.0)
+    if draw(st.booleans()):
+        model = mpc.NominalPredictor(COEFFS, 0.05)
+    else:
+        floor = fuzzy_model.g_floor
+        level = draw(st.one_of(st.floats(floor + 0.5, 2.0 * COEFFS.b2), st.floats(-5.0, floor - 0.5)))
+        noise = np.array(draw(st.lists(unit, min_size=fuzzy_model.n_rules, max_size=fuzzy_model.n_rules)))
+        theta_f = fuzzy_model.theta_f + 10.0 * noise
+        theta_g = level + 0.4 * noise[::-1]
+        model = mpc.AdaptiveFuzzyPredictor(fuzzy_model._replace_thetas(theta_f, theta_g), COEFFS, 0.05)
+    centers = np.array([0.5 * (lo + hi) for lo, hi in fuzzy_model.state_ranges])
+    half = np.array([0.5 * (hi - lo) for lo, hi in fuzzy_model.state_ranges])
+    x0 = centers + 3.0 * half * np.array(draw(st.lists(unit, min_size=4, max_size=4)))
+    kc = draw(st.integers(1, 3))
+    U = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=kc, max_size=kc)))
+    nonzero = st.one_of(st.floats(-2.0, -0.01), st.floats(0.01, 2.0))
+    d = np.array(draw(st.lists(nonzero, min_size=5, max_size=5)))
+    return model, x0, U, d
+
+
+@hyp_settings(max_examples=80, deadline=None)
+@given(case=sensitivity_cases())
+def test_rollout_sensitivities_match_central_differences(case):
+    model, x0, U, d = case
+    plain = mpc.predict_trajectory(model, x0, U, d)
+    states, sens = mpc.predict_trajectory(model, x0, U, d, sensitivities=True)
+    # the tangents ride along: the states are those of the plain rollout
+    assert np.array_equal(states, plain)
+    assert sens.shape == (5, 4, U.shape[0])
+    h = 1e-5
+    fd = np.empty_like(sens)
+    for j in range(U.shape[0]):
+        step = np.zeros_like(U)
+        step[j] = h
+        up = mpc.predict_trajectory(model, x0, U + step, d)
+        down = mpc.predict_trajectory(model, x0, U - step, d)
+        fd[:, :, j] = (up - down) / (2.0 * h)
+    assert np.abs(sens - fd).max() <= 1e-6 * np.abs(sens).max()
+
+
+def test_fuzzy_sensitivities_ignore_theta_g_while_clamped():
+    # below the floor everywhere, g_hat is the constant floor, so theta_g
+    # changes neither the states nor the sensitivities
+    base = default_fuzzy_model()
+    x0 = np.array([0.1, -0.5, 0.05, 0.3])
+    U, d = np.array([1.0, -0.5, 0.2]), np.full(5, 0.1)
+    out = [
+        mpc.predict_trajectory(
+            mpc.AdaptiveFuzzyPredictor(base._replace_thetas(base.theta_f, theta_g), COEFFS, 0.05),
+            x0, U, d, sensitivities=True,
+        )
+        for theta_g in (np.zeros(base.n_rules), np.linspace(-3.0, 0.5, base.n_rules))
+    ]
+    assert np.array_equal(out[0][0], out[1][0])
+    assert np.array_equal(out[0][1], out[1][1])
 
 
 def test_horizon_cost_hand_example():
@@ -436,9 +516,11 @@ def test_run_carries_each_converged_hessian_to_the_next_solve(monkeypatch):
 
 @pytest.mark.parametrize("controller", ["classical", "afmpc"])
 def test_default_loop_evaluations_per_solve(monkeypatch, controller):
-    # from the carried Hessian a default solve takes about 13 (classical)
-    # and 18-19 (afmpc) objective evaluations after period 0; restarting
-    # BFGS from the identity every period takes 37-39
+    # with exact gradients from the rollout sensitivities and the carried
+    # Hessian, a default solve takes about 3.2 (classical) and 4.6 (afmpc)
+    # objective evaluations after period 0; forward-difference gradients
+    # took about 13 and 18-19, and restarting BFGS from the identity every
+    # period on top of them 37-39
     evals = []
     inner = mpc.minimize
 
@@ -452,7 +534,7 @@ def test_default_loop_evaluations_per_solve(monkeypatch, controller):
     loop, x0, _ = harness.build_closed_loop(config)
     mpc.run_receding_horizon(x0, loop, 40)
     assert len(evals) == 40
-    assert np.mean(evals[1:]) <= 25.0
+    assert np.mean(evals[1:]) <= 10.0
 
 
 def test_solve_step_matches_linear_quadratic_closed_form():

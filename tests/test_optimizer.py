@@ -324,6 +324,74 @@ def test_box_qp_converges_to_enumerated_minimizer(tol, qp):
     np.testing.assert_allclose(sol.minimizer, enumerated_minimizer(Q, q, lb, ub), rtol=0.0, atol=atol)
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-4])
+@hyp_settings(max_examples=300, deadline=None)
+@given(qp=box_qps())
+@example(qp=STIFF_QP)
+@example(qp=ROUNDING_QP)
+def test_box_qp_with_exact_gradient_converges_to_enumerated_minimizer(tol, qp):
+    # the MPC path since its rollouts carry sensitivities: each evaluation
+    # returns (f, grad f), counts once, and no difference is ever taken
+    Q, q, lb, ub, z0, H0 = qp
+    calls = []
+
+    def objective(z):
+        calls.append(z.copy())
+        return 0.5 * float(z @ Q @ z) + float(q @ z), Q @ z + q
+
+    problem = NlpProblem(len(q), objective, lower_bounds=lb, upper_bounds=ub, exact_gradient=True)
+    sol = minimize(problem, z0, SolverSettings(kkt_tolerance=tol), hessian=H0)
+    assert sol.status == "converged"
+    assert sol.kkt_residual <= tol
+    assert sol.objective_evaluations == len(calls)
+    assert_spd(sol.hessian)
+    # no difference bias: strong convexity turns the residual alone into a
+    # distance to the minimizer
+    lam_min = np.linalg.eigvalsh(Q)[0]
+    atol = 10.0 * tol / lam_min
+    np.testing.assert_allclose(sol.minimizer, enumerated_minimizer(Q, q, lb, ub), rtol=0.0, atol=atol)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("tol", [1e-6, 1e-4])
+def test_objective_evaluations_count_callback_calls(exact, tol):
+    calls = []
+
+    def objective(z):
+        calls.append(z.copy())
+        f = (1.0 - z[0]) ** 2 + 100.0 * (z[1] - z[0] ** 2) ** 2
+        if not exact:
+            return f
+        return f, np.array([-2.0 * (1.0 - z[0]) - 400.0 * z[0] * (z[1] - z[0] ** 2), 200.0 * (z[1] - z[0] ** 2)])
+
+    p = NlpProblem(2, objective, exact_gradient=exact)
+    sol = minimize(p, np.array([-1.2, 1.0]), SolverSettings(kkt_tolerance=tol))
+    assert sol.status == "converged"
+    np.testing.assert_allclose(sol.minimizer, [1.0, 1.0], atol=1e-3)
+    assert sol.objective_evaluations == len(calls)
+
+
+def test_exact_gradient_shape_checked():
+    p = NlpProblem(2, lambda z: (float(z @ z), np.zeros(3)), exact_gradient=True)
+    with pytest.raises(ValueError, match="gradient"):
+        minimize(p, np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "objective, exact",
+    [(lambda z: 1e30 * float(z[0]), False), (lambda z: (1e30 * float(z[0]), np.array([1e30])), True)],
+)
+def test_zero_step_that_repeats_ends_the_run(objective, exact):
+    # a slope this steep loses the QP's bound step to cancellation, so the
+    # step is zero with the multipliers unchanged and the residual stays
+    # at the slope: each further iteration would repeat the same QP
+    box = np.array([-5.0]), np.array([5.0])
+    p = NlpProblem(1, objective, lower_bounds=box[0], upper_bounds=box[1], exact_gradient=exact)
+    sol = minimize(p, np.array([0.0]), settings(kkt_tolerance=1e-4))
+    assert sol.status == "max_iter"
+    assert sol.iterations <= 2
+
+
 def test_box_qp_cycling():
     # p = 0 is always feasible for box rows, so no QP here may raise; a
     # working-set iteration that can revisit its working sets cycles on
