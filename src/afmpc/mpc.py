@@ -4,17 +4,13 @@ Two predictors are provided: a nominal rigid-body predictor and an adaptive
 fuzzy predictor whose pendulum-acceleration channel is replaced by the
 fuzzy estimates. The per-period solve builds a box-bounded program over the
 control sequence and hands it to the dense SQP solver; only the first input
-is applied. The solver gets the exact gradient of the horizon cost: each of
-its evaluations is one rollout that carries, through every RK4 stage, the
-tangents of the states with respect to the inputs (forward sensitivities,
-Diehl, Bock, Schloeder, SIAM J. Control Optim. 43(5), 2005), in place of
-one extra rollout per input for a finite difference. Each period
-warm-starts from the previous optimum shifted by one slot, and its BFGS
-Hessian starts from the final one of the previous period's solve,
-unshifted, when that solve converged (from the identity otherwise). The
-carry cuts the objective evaluations per solve by half or more; shifting
-the Hessian with the inputs did worse, because the slot shifted in past the
-control horizon repeats the last input and carries no curvature estimate.
+is applied. The solver gets the exact gradient of the horizon cost and its
+Gauss-Newton Hessian: each of its evaluations is one rollout that carries,
+through every RK4 stage, the tangents of the states with respect to the
+inputs (forward sensitivities, Diehl, Bock, Schloeder, SIAM J. Control
+Optim. 43(5), 2005), in place of one extra rollout per input for a finite
+difference. Each period warm-starts from the previous optimum shifted by
+one slot; no other solver state passes from one period to the next.
 """
 
 from __future__ import annotations
@@ -186,9 +182,6 @@ class ControlStep:
     solver_status: str
     evaluations: int  # horizon rollouts the solve made
     optimized_sequence: np.ndarray
-    # final BFGS Hessian of a converged solve, for the next period's solve;
-    # None after max_iter or fallback
-    hessian: Optional[np.ndarray]
 
 
 def predict_trajectory(model, x0: np.ndarray, U: np.ndarray, d: np.ndarray, sensitivities: bool = False):
@@ -260,34 +253,31 @@ def solve_step(
     config: MpcConfig,
     warm_start: np.ndarray,
     d: Optional[np.ndarray] = None,
-    hessian: Optional[np.ndarray] = None,
 ) -> ControlStep:
     """One receding-horizon solve; fail-operational on solver trouble.
-
-    `hessian` seeds the solver's BFGS approximation (the identity when
-    None); the returned ControlStep.hessian is the solver's final one when
-    the status is converged, and None otherwise, so a period after solver
-    trouble starts afresh.
 
     The solver's point is applied as returned: minimize keeps every
     iterate inside the input box. Never returns a worse sequence than the
     warm start: if the solver's point does not improve the horizon cost,
     the warm start is applied and the status flags the fallback. So does a
-    point whose rollout diverged: the objective returns _DIVERGED_COST with
-    a zero gradient there, which the solver reports as converged. Solver trouble means
-    a QpInfeasibleError or LinAlgError out of minimize; any other
-    exception propagates. The program has box bounds only, so p = 0
-    is always feasible for its QPs: QpInfeasibleError here means numerical
-    trouble, such as a nearly singular BFGS Hessian or a non-finite
+    point whose rollout diverged or whose Hessian overflowed: the objective
+    returns _DIVERGED_COST with a zero gradient there, which the solver
+    reports as converged. Solver trouble means a QpInfeasibleError or
+    LinAlgError out of minimize; any other exception propagates. The
+    program has box bounds only, so p = 0 is always feasible for its QPs:
+    QpInfeasibleError here means numerical trouble, such as a non-finite
     gradient, not an empty QP.
 
-    minimize's objective returns the horizon cost and its exact gradient,
-    2 sum_p S_p' Q (x_p - x_ref,p) + 2 R U, from one rollout with
-    sensitivities S_p = dx_p/dU. The warm start's and the final point's
-    costs come from plain rollouts. ControlStep.evaluations counts every horizon
-    rollout of the solve, a sensitivity rollout as one: one for the warm
-    start, each one minimize made (also those before it raised), and one
-    for the cost of minimize's point.
+    minimize's objective returns the horizon cost, its exact gradient
+    2 sum_p S_p' Q (x_p - x_ref,p) + 2 R U and its Gauss-Newton Hessian
+    2 sum_p S_p' Q S_p + 2 R I, from one rollout with sensitivities
+    S_p = dx_p/dU. The Hessian drops only the second derivatives of the
+    states, so it is exact for a linear model and positive definite
+    always. The warm start's and the final point's costs come from plain
+    rollouts. ControlStep.evaluations counts every horizon rollout of the
+    solve, a sensitivity rollout as one: one for the warm start, each one
+    minimize made (also those before it raised), and one for the cost of
+    minimize's point.
     """
     kp = config.prediction_horizon
     kc = config.control_horizon
@@ -304,6 +294,7 @@ def solve_step(
     evals = 0
     q2 = 2.0 * config.state_weight
     r2 = 2.0 * config.input_weight
+    r2_eye = r2 * np.eye(kc)
 
     def cost(U: np.ndarray) -> float:
         nonlocal evals
@@ -320,9 +311,17 @@ def solve_step(
         try:
             states, sens = predict_trajectory(model, x_k, U, d, sensitivities=True)
         except PredictionDivergenceError:
-            return _DIVERGED_COST, np.zeros(kc)
-        err = states - x_ref
-        return horizon_cost(states, U, x_ref, config), np.einsum("pi,pij->j", err @ q2, sens) + r2 * U
+            return _DIVERGED_COST, np.zeros(kc), r2_eye
+        # S and 2 Q S, each flattened to (kp * 4, kc)
+        s = sens.reshape(-1, kc)
+        qs = (q2 @ sens).reshape(-1, kc)
+        hess = s.T @ qs + r2_eye
+        if not np.isfinite(hess).all():
+            # finite sensitivities whose squares overflow: as useless as a
+            # diverged rollout
+            return _DIVERGED_COST, np.zeros(kc), r2_eye
+        grad = (states - x_ref).ravel() @ qs + r2 * U
+        return horizon_cost(states, U, x_ref, config), grad, hess
 
     problem = NlpProblem(
         dimension=kc,
@@ -335,13 +334,12 @@ def solve_step(
     try:
         # control-grade accuracy: inputs are O(1), so 1e-4 KKT residual is
         # far below actuator resolution and keeps per-step solves cheap
-        sol = minimize(problem, warm, SolverSettings(kkt_tolerance=1e-4), hessian=hessian)
+        sol = minimize(problem, warm, SolverSettings(kkt_tolerance=1e-4))
         status = sol.status
         sequence = sol.minimizer
         final_cost = cost(sequence)
-        next_hessian = sol.hessian
     except (QpInfeasibleError, np.linalg.LinAlgError):
-        status, sequence, final_cost, next_hessian = "fallback", warm, warm_cost, None
+        status, sequence, final_cost = "fallback", warm, warm_cost
     if final_cost > warm_cost or final_cost >= _DIVERGED_COST or not np.all(np.isfinite(sequence)):
         status, sequence, final_cost = "fallback", warm, warm_cost
     return ControlStep(
@@ -350,7 +348,6 @@ def solve_step(
         solver_status=status,
         evaluations=evals,
         optimized_sequence=sequence,
-        hessian=next_hessian if status == "converged" else None,
     )
 
 
@@ -423,9 +420,9 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
     update the fuzzy parameters once per sub-step from the latest
     measurement. Terminates early on plant divergence, parameter blow-up or
     a degenerate rule firing, with the log collected so far preserved. The
-    adapting model and the Hessian carried from one solve to the next are
-    local to the run, which starts from loop.model.fuzzy and returns the
-    last model as final_fuzzy; the loop itself is never written.
+    adapting model is local to the run, which starts from loop.model.fuzzy
+    and returns the last model as final_fuzzy; the loop itself is never
+    written.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -433,7 +430,6 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
     n_sub = round(cfg.dt / loop.plant_dt)
     x = np.asarray(x0, dtype=float).copy()
     warm = np.zeros(cfg.control_horizon)
-    hessian = None
     true_b2 = loop.true_coeffs.b2
     ad = loop.adaptation
     fuzzy = None if ad is None else loop.model.fuzzy
@@ -458,7 +454,7 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
             [loop.x_ref_fn(t + (p + 1) * cfg.dt) for p in range(cfg.prediction_horizon)]
         )
         d_seq = _predicted_disturbances(loop.disturbance, t, cfg.prediction_horizon, cfg.dt)
-        ctrl = solve_step(model, x, x_ref_seq, cfg, warm, d_seq, hessian)
+        ctrl = solve_step(model, x, x_ref_seq, cfg, warm, d_seq)
         u = ctrl.applied_input
 
         xr_now = loop.x_ref_fn(t)
@@ -508,7 +504,6 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
             diverged = True
             break
         warm = shift_warm_start(ctrl.optimized_sequence)
-        hessian = ctrl.hessian
 
     return TrajectoryLog(
         dt=cfg.dt,

@@ -1,34 +1,30 @@
 """Dense SQP solver for small constrained nonlinear programs.
 
-Solves minimize J(z) subject to c(z) <= 0 and lb <= z <= ub with the
-objective's exact gradient or finite-difference ones, a damped BFGS
-approximation of the Lagrangian Hessian, a dual active-set QP
-(Goldfarb-Idnani) for the search direction, and an l1-merit backtracking
-line search. Bounds enter the QP as linear rows, built once per call, so
-every accepted iterate stays inside the box.
+Solves minimize J(z) subject to c(z) <= 0 and lb <= z <= ub with a
+dual active-set QP (Goldfarb-Idnani) for the search direction and an
+l1-merit backtracking line search. Bounds enter the QP as linear rows,
+built once per call, so every accepted iterate stays inside the box.
 
-A problem whose objective returns (J, grad J) sets exact_gradient: each
-call is one evaluation, the gradient of each accepted point is reused, and
-no difference is taken of J. A receding-horizon controller supplies it from
-forward sensitivities of its rollout. Otherwise gradients come from one
-finite-difference helper, which also differences the constraints in either
-case. It takes forward differences, one evaluation per coordinate, for
-tolerances of 1e-5 and above, and central differences below that, where the
-O(h) forward bias would mask the residual. On stiff problems that bias can
-exceed even a loose tolerance: a forward-difference run that stalls within
-1e-3 of stationarity but above its tolerance switches to central
-differences and restarts from its best point under the same iteration
-budget. An exact gradient has no such bias and never switches.
+A problem whose objective returns (J, grad J, H), H a symmetric positive
+definite model Hessian, sets exact_gradient: each call is one evaluation,
+the gradient and Hessian of each accepted point are reused, and no
+difference is taken of J. A receding-horizon controller supplies them from
+forward sensitivities of its rollout, H being the Gauss-Newton Hessian of
+its least-squares cost. Otherwise gradients come from one finite-difference
+helper, which also differences the constraints in either case, and a
+damped BFGS approximation of the Lagrangian Hessian, started from the
+identity, stands in for H. The helper takes forward differences, one
+evaluation per coordinate, for tolerances of 1e-5 and above, and central
+differences below that, where the O(h) forward bias would mask the
+residual. On stiff problems that bias can exceed even a loose tolerance: a
+forward-difference run that stalls within 1e-3 of stationarity but above
+its tolerance switches to central differences and restarts from its best
+point under the same iteration budget. An exact gradient has no such bias
+and never switches.
 
-The BFGS approximation starts from the identity, or from a caller's
-symmetric positive definite matrix: a receding-horizon controller passes
-the final Hessian of the previous period's solve, which cuts the
-iterations spent relearning curvature that barely changes between periods
-(Diehl, Bock, Schloeder, SIAM J. Control Optim. 43(5), 2005). The
-approximation is reset to the identity whenever an update leaves it
-non-finite, with an entry above 1e8 or with a 1-norm condition number
-above 1e10, so a carried matrix never hands the QP a nearly singular
-system.
+Whichever Hessian reaches the QP is replaced by the identity when it is
+non-finite, has an entry above 1e8 or has a 1-norm condition number above
+1e10, so the QP never gets a nearly singular system.
 
 A linearized QP that admits no point raises QpInfeasibleError out of
 minimize; there is no fallback solve. Everything is deterministic: no
@@ -70,7 +66,7 @@ class QpInfeasibleError(RuntimeError):
 @dataclass
 class NlpProblem:
     dimension: int
-    # returns f, or (f, gradient of f) when exact_gradient is set
+    # returns f, or (f, gradient of f, SPD model Hessian) when exact_gradient is set
     objective: Callable
     inequality_constraints: Optional[Callable[[np.ndarray], np.ndarray]] = None
     lower_bounds: Optional[np.ndarray] = None
@@ -117,9 +113,6 @@ class Solution:
     kkt_residual: float
     iterations: int
     status: str  # converged | max_iter | infeasible
-    # final BFGS approximation, symmetric positive definite; a warm start
-    # for the next solve of a nearby problem
-    hessian: np.ndarray
     objective_evaluations: int = 0
     # (merit_before, merit_after) per accepted line-search step
     merit_decreases: tuple = field(default_factory=tuple)
@@ -228,21 +221,18 @@ def _bound_rows(problem: NlpProblem):
     return rows[bounded], offsets[bounded]
 
 
-def _initial_hessian(hessian, n):
-    """The identity, or a validated copy of a caller's n x n SPD matrix."""
-    if hessian is None:
-        return np.eye(n)
-    H = np.array(hessian, dtype=float)
-    if H.shape != (n, n):
-        raise ValueError(f"hessian must be a {n}x{n} matrix, got shape {H.shape}")
-    if not np.all(np.isfinite(H)):
-        raise ValueError("hessian must be finite")
-    if float(np.abs(H - H.T).max()) > 1e-12 * float(np.abs(H).max()):
-        raise ValueError("hessian must be symmetric")
-    try:
-        np.linalg.cholesky(H)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("hessian must be positive definite") from exc
+def _qp_hessian(H):
+    """H, or the identity when H is non-finite, has an entry above 1e8 or
+    is nearly singular."""
+    if (
+        not np.all(np.isfinite(H))
+        or float(np.abs(H).max()) > _HESSIAN_RESET
+        # the 1-norm condition number takes an LU factorization, as the
+        # QP's solves do; the default 2-norm one takes an SVD, whose
+        # first call alone raised a classical run's peak RSS by 0.7 MB
+        or np.linalg.cond(H, 1) > _HESSIAN_COND_RESET
+    ):
+        return np.eye(H.shape[0])
     return H
 
 
@@ -270,30 +260,29 @@ def minimize(
     problem: NlpProblem,
     z0: np.ndarray,
     settings: Optional[SolverSettings] = None,
-    hessian: Optional[np.ndarray] = None,
 ) -> Solution:
     """SQP iteration with l1-merit backtracking; deterministic.
 
-    BFGS starts from `hessian` (symmetric positive definite, n x n; a
-    ValueError otherwise) or, by default, from the identity; the final
-    approximation is returned as Solution.hessian.
-
-    With problem.exact_gradient the objective returns (f, gradient) and
-    each call counts as one evaluation in Solution.objective_evaluations;
-    otherwise differences are forward for kkt_tolerance >= 1e-5 and central
-    below it. Two consecutive failed line searches end the run, unless it
-    is still on forward differences with a best residual of at most 1e-3:
-    then it switches to central differences, restarts from the best point
-    with an identity Hessian, and continues within max_iterations. Line
-    searches on an exact or a central-difference gradient accept a merit
-    rise of 1e-12 relative, the objective's rounding noise, so they can
-    close the last digits of the residual. A zero step that leaves the
-    multipliers as they were ends the run, since every later iteration
-    would repeat it. The returned point is the best one seen by KKT
-    residual. Every iterate lies inside the box bounds: the QP accepts a
-    bound row within its feasibility tolerance, so each line-search trial
-    point is clipped to the box. QpInfeasibleError from the QP subproblem
-    propagates to the caller.
+    With problem.exact_gradient the objective returns (f, gradient,
+    Hessian), a ValueError naming the gradient or the Hessian when either
+    has the wrong shape or the Hessian is not finite, and each call counts
+    as one evaluation in Solution.objective_evaluations; each QP takes the
+    Hessian of the current point. Otherwise BFGS starts from the identity,
+    and differences are forward for kkt_tolerance >= 1e-5 and central
+    below it. A failed line search sets the Hessian to the identity. Two
+    consecutive failed line searches end the run, unless it is still on
+    forward differences with a best residual of at most 1e-3: then it
+    switches to central differences, restarts from the best point with an
+    identity Hessian, and continues within max_iterations. Line searches
+    on a central-difference gradient accept a merit rise of 1e-12 relative,
+    the objective's rounding noise, so they can close the last digits of
+    the residual. A zero step that leaves the multipliers as they were
+    ends the run, since every later iteration would repeat it. The
+    returned point is the best one seen by KKT residual. Every iterate lies
+    inside the box bounds: the QP accepts a bound row within its
+    feasibility tolerance, so each line-search trial point is clipped to
+    the box. QpInfeasibleError from the QP subproblem propagates to the
+    caller.
     """
     if settings is None:
         settings = SolverSettings()
@@ -301,7 +290,6 @@ def minimize(
     z = np.clip(np.asarray(z0, dtype=float).copy(), problem.lower_bounds, problem.upper_bounds)
     if z.shape != (n,):
         raise ValueError(f"z0 must be a vector of length {n}")
-    H = _initial_hessian(hessian, n)
 
     evals = [0]
     raw_objective = problem.objective
@@ -312,21 +300,29 @@ def minimize(
         return float(raw_objective(x))
 
     def evaluate(x):
-        """f at x and its exact gradient, None without one; one evaluation."""
+        """f at x with its exact gradient and Hessian, None without them;
+        one evaluation."""
         if not exact:
-            return fun(x), None
+            return fun(x), None, None
         evals[0] += 1
-        f, grad = raw_objective(x)
+        f, grad, hess = raw_objective(x)
         grad = np.array(grad, dtype=float)
         if grad.shape != (n,):
             raise ValueError(f"objective gradient must have shape ({n},), got {grad.shape}")
-        return float(f), grad
+        hess = np.asarray(hess, dtype=float)
+        if hess.shape != (n, n):
+            raise ValueError(f"objective Hessian must have shape ({n}, {n}), got {hess.shape}")
+        if not np.all(np.isfinite(hess)):
+            raise ValueError("objective Hessian must be finite")
+        return float(f), grad, hess
 
     confun = problem.constraint_values
     tol = settings.kkt_tolerance
     central = tol < _CENTRAL_BELOW
 
-    f0, g0 = evaluate(z)
+    f0, g0, H = evaluate(z)
+    if H is None:
+        H = np.eye(n)
     c0 = confun(z)
     m = c0.shape[0]
     g, Jc = _fd_derivatives(fun, confun, z, f0, c0, central, g0)
@@ -349,6 +345,7 @@ def minimize(
             break
         A_all = np.vstack([Jc, bnd_A])
         b_all = np.concatenate([-c0, bnd_gaps])
+        H = _qp_hessian(H)
         p, lam_all = _active_set_qp(H, g, A_all, b_all)
         lam_gen_new = lam_all[:m]
         lam_bnd_new = lam_all[m:]
@@ -364,14 +361,15 @@ def minimize(
         # directional derivative of the l1 merit along p
         d = float(g @ p) - mu * float(np.maximum(c0, 0.0).sum() if m else 0.0)
         # near a solution the merit decrease ~res**2/curvature that a
-        # bias-free gradient still resolves can sink below the rounding
-        # noise of J
-        slack = 1e-12 * (1.0 + abs(phi0)) if central or exact else 0.0
+        # central-difference gradient still resolves can sink below the
+        # rounding noise of J; an exact model Hessian's steps do not need
+        # this, and with it a solve could accept a cost rise
+        slack = 1e-12 * (1.0 + abs(phi0)) if central else 0.0
         alpha = 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             z_try = np.clip(z + alpha * p, problem.lower_bounds, problem.upper_bounds)
-            f_try, g_try = evaluate(z_try)
+            f_try, g_try, H_try = evaluate(z_try)
             c_try = confun(z_try)
             phi_try = _merit(f_try, c_try, mu)
             if phi_try <= phi0 + slack + _ARMIJO * alpha * min(d, 0.0):
@@ -400,30 +398,24 @@ def minimize(
         stall = 0
         merit_pairs.append((phi0, phi_try))
         g_new, Jc_new = _fd_derivatives(fun, confun, z_try, f_try, c_try, central, g_try)
-        # damped BFGS on the Lagrangian gradient difference
-        s = z_try - z
-        y = g_new - g
-        if m:
-            y = y + (Jc_new - Jc).T @ lam_gen_new
-        sHs = float(s @ (H @ s))
-        sy = float(s @ y)
-        if sHs > 0.0:
-            if sy < 0.2 * sHs:
-                theta = 0.8 * sHs / (sHs - sy)
-                y = theta * y + (1.0 - theta) * (H @ s)
-                sy = float(s @ y)
-            if sy > 1e-12:
-                Hs = H @ s
-                H = H + np.outer(y, y) / sy - np.outer(Hs, Hs) / sHs
-        if (
-            not np.all(np.isfinite(H))
-            or float(np.abs(H).max()) > _HESSIAN_RESET
-            # the 1-norm condition number takes an LU factorization, as the
-            # QP's solves do; the default 2-norm one takes an SVD, whose
-            # first call alone raised a classical run's peak RSS by 0.7 MB
-            or np.linalg.cond(H, 1) > _HESSIAN_COND_RESET
-        ):
-            H = np.eye(n)
+        if exact:
+            H = H_try
+        else:
+            # damped BFGS on the Lagrangian gradient difference
+            s = z_try - z
+            y = g_new - g
+            if m:
+                y = y + (Jc_new - Jc).T @ lam_gen_new
+            sHs = float(s @ (H @ s))
+            sy = float(s @ y)
+            if sHs > 0.0:
+                if sy < 0.2 * sHs:
+                    theta = 0.8 * sHs / (sHs - sy)
+                    y = theta * y + (1.0 - theta) * (H @ s)
+                    sy = float(s @ y)
+                if sy > 1e-12:
+                    Hs = H @ s
+                    H = H + np.outer(y, y) / sy - np.outer(Hs, Hs) / sHs
         z, f0, c0, g, Jc = z_try, f_try, c_try, g_new, Jc_new
         lam_gen, lam_bnd = lam_gen_new, lam_bnd_new
         bnd_gaps = bnd_c - bnd_A @ z
@@ -447,7 +439,6 @@ def minimize(
         kkt_residual=float(res_final),
         iterations=iters,
         status=status,
-        hessian=H,
         objective_evaluations=evals[0],
         merit_decreases=tuple(merit_pairs),
     )

@@ -2,7 +2,6 @@
 
 import dataclasses
 import functools
-import inspect
 import math
 
 import numpy as np
@@ -11,7 +10,7 @@ from hypothesis import example, given, settings as hyp_settings, strategies as s
 
 from afmpc import fuzzy as fz
 from afmpc import harness, mpc
-from afmpc.nlp_optimizer import QpInfeasibleError, Solution
+from afmpc.nlp_optimizer import QpInfeasibleError
 from afmpc.plant import (
     DisturbanceSpec,
     PlantParams,
@@ -407,12 +406,11 @@ def test_solve_step_falls_back_when_every_rollout_diverges():
     cfg = mpc.MpcConfig()
     x_ref = np.zeros((cfg.prediction_horizon, 4))
     warm = np.array([0.7, -0.2, 0.1])
-    ctrl = mpc.solve_step(InfinitePredictor(), np.zeros(4), x_ref, cfg, warm, hessian=np.eye(3))
+    ctrl = mpc.solve_step(InfinitePredictor(), np.zeros(4), x_ref, cfg, warm)
     assert ctrl.solver_status == "fallback"
     assert ctrl.applied_input == 0.7
     np.testing.assert_array_equal(ctrl.optimized_sequence, warm)
     assert ctrl.predicted_cost == mpc._DIVERGED_COST
-    assert ctrl.hessian is None
 
 
 def test_solve_step_counts_minimize_evaluations_plus_warm_and_final(monkeypatch):
@@ -434,7 +432,7 @@ def test_solve_step_counts_minimize_evaluations_plus_warm_and_final(monkeypatch)
 
 @pytest.mark.parametrize("k", [0, 1, 7])
 def test_solve_step_counts_evaluations_made_before_minimize_raised(monkeypatch, k):
-    def failing_minimize(problem, z0, settings=None, hessian=None):
+    def failing_minimize(problem, z0, settings=None):
         for _ in range(k):
             problem.objective(z0)
         raise QpInfeasibleError("QP infeasible")
@@ -448,79 +446,14 @@ def test_solve_step_counts_evaluations_made_before_minimize_raised(monkeypatch, 
     assert ctrl.evaluations == 1 + k
 
 
-@pytest.mark.parametrize(
-    "outcome, status",
-    [("converged", "converged"), ("max_iter", "max_iter"), ("raise", "fallback"), ("worse", "fallback")],
-)
-def test_solve_step_hands_on_hessian_only_when_converged(monkeypatch, outcome, status):
-    cfg = mpc.MpcConfig()
-    carried = 2.0 * np.eye(3)
-    final = np.diag([1.0, 2.0, 3.0])
-    seen = []
-
-    def fake_minimize(problem, z0, settings=None, hessian=None):
-        seen.append(hessian)
-        if outcome == "raise":
-            raise QpInfeasibleError("QP infeasible")
-        # full input on every slot costs far more than the zero warm start
-        z = np.full(3, cfg.input_bound) if outcome == "worse" else z0
-        return Solution(
-            minimizer=z,
-            multipliers=np.zeros(0),
-            objective_value=problem.objective(z),
-            kkt_residual=0.0,
-            iterations=1,
-            status="max_iter" if outcome == "max_iter" else "converged",
-            hessian=final,
-        )
-
-    monkeypatch.setattr(mpc, "minimize", fake_minimize)
-    model = mpc.NominalPredictor(COEFFS, cfg.dt)
-    x = np.array([0.2, -0.5, 0.3, 1.0])
-    x_ref = np.zeros((cfg.prediction_horizon, 4))
-    ctrl = mpc.solve_step(model, x, x_ref, cfg, np.zeros(3), hessian=carried)
-    assert len(seen) == 1 and seen[0] is carried
-    assert ctrl.solver_status == status
-    if status == "converged":
-        assert ctrl.hessian is final
-    else:
-        assert ctrl.hessian is None
-
-
-def test_run_carries_each_converged_hessian_to_the_next_solve(monkeypatch):
-    calls = []
-    inner = mpc.solve_step
-
-    def recording(*args, **kwargs):
-        ctrl = inner(*args, **kwargs)
-        handed = inspect.signature(inner).bind(*args, **kwargs).arguments.get("hessian")
-        calls.append((handed, ctrl))
-        return ctrl
-
-    monkeypatch.setattr(mpc, "solve_step", recording)
-    cfg = mpc.MpcConfig()
-    loop = mpc.ClosedLoop(
-        model=mpc.NominalPredictor(COEFFS, cfg.dt),
-        config=cfg,
-        true_coeffs=COEFFS,
-        x_ref_fn=zero_ref,
-        lyapunov_p=np.eye(4),
-    )
-    mpc.run_receding_horizon(np.array([0.0, 0.0, 0.3, 0.0]), loop, 10)
-    assert calls[0][0] is None
-    for (_, before), (handed, _) in zip(calls, calls[1:]):
-        assert before.solver_status == "converged"
-        assert handed is before.hessian
-        np.linalg.cholesky(handed)
-
-
 @pytest.mark.parametrize("controller", ["classical", "afmpc"])
 def test_default_loop_evaluations_per_solve(monkeypatch, controller):
-    # with exact gradients from the rollout sensitivities and the carried
-    # Hessian, a default solve takes about 3.2 (classical) and 4.6 (afmpc)
-    # objective evaluations after period 0; forward-difference gradients
-    # took about 13 and 18-19, and restarting BFGS from the identity every
-    # period on top of them 37-39
+    # with the exact gradient and the Gauss-Newton Hessian from the rollout
+    # sensitivities, a default solve takes about 3.0 (classical) and 4.2
+    # (afmpc) objective evaluations after period 0; a BFGS Hessian carried
+    # from the previous period's solve took 3.2 and 4.6, forward-difference
+    # gradients about 13 and 18-19, and restarting BFGS from the identity
+    # every period on top of them 37-39
     evals = []
     inner = mpc.minimize
 
@@ -555,6 +488,44 @@ def test_solve_step_matches_linear_quadratic_closed_form():
     # the solver stops at a 1e-4 stationarity residual; for a quadratic the
     # input error is bounded by residual / (2 * curvature)
     assert abs(ctrl.applied_input - u_star) <= (1e-4 + 1e-6) / (2.0 * curvature)
+
+
+@st.composite
+def linear_solve_cases(draw):
+    """A state and a reference per slot with entries in +-20, and a warm
+    start in +-6 V (clipped by solve_step), for the default horizons."""
+    kp, kc = mpc.MpcConfig().prediction_horizon, mpc.MpcConfig().control_horizon
+    entries = lambda size: np.array(draw(st.lists(st.floats(-20.0, 20.0), min_size=size, max_size=size)))
+    warm = np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=kc, max_size=kc)))
+    return entries(4), entries(4 * kp).reshape(kp, 4), warm
+
+
+@hyp_settings(max_examples=200, deadline=None)
+@given(case=linear_solve_cases())
+def test_linear_model_solve_takes_one_newton_step(case):
+    # without the sine the rollout is linear in the inputs, so the
+    # Gauss-Newton Hessian is the exact one of the quadratic program and
+    # the first QP step, box included, lands on its minimizer: one
+    # iteration and four rollouts (warm start, minimize's first point and
+    # its one trial, final cost); a warm start that already meets the
+    # tolerance takes none and one rollout fewer
+    x, x_ref, warm = case
+    cfg = mpc.MpcConfig()
+    model = mpc.NominalPredictor(dataclasses.replace(COEFFS, a3=0.0), cfg.dt)
+    solutions = []
+    inner = mpc.minimize
+
+    def recording(*args, **kwargs):
+        solutions.append(inner(*args, **kwargs))
+        return solutions[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mpc, "minimize", recording)
+        ctrl = mpc.solve_step(model, x, x_ref, cfg, warm)
+    (sol,) = solutions
+    assert ctrl.solver_status == "converged"
+    assert sol.iterations <= 1
+    assert ctrl.evaluations == 3 + sol.iterations
 
 
 def test_fuzzy_predictor_consistent_with_nominal_when_fitted():
