@@ -311,7 +311,7 @@ def minimize(
             raise ValueError(f"objective gradient must have shape ({n},), got {grad.shape}")
         hess = np.asarray(hess, dtype=float)
         if hess.shape != (n, n):
-            raise ValueError(f"objective Hessian must have shape ({n}, {n}), got {hess.shape}")
+            raise ValueError(f"objective Hessian must be a {n}x{n} matrix, got shape {hess.shape}")
         if not np.all(np.isfinite(hess)):
             raise ValueError("objective Hessian must be finite")
         return float(f), grad, hess
@@ -364,7 +364,7 @@ def minimize(
         # central-difference gradient still resolves can sink below the
         # rounding noise of J; an exact model Hessian's steps do not need
         # this, and with it a solve could accept a cost rise
-        slack = 1e-12 * (1.0 + abs(phi0)) if central else 0.0
+        slack = 1e-12 * (1.0 + abs(phi0)) if central and not exact else 0.0
         alpha = 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):

@@ -294,11 +294,18 @@ def test_box_qp_converges_to_enumerated_minimizer(tol, qp):
     np.testing.assert_allclose(sol.minimizer, enumerated_minimizer(Q, q, lb, ub), rtol=0.0, atol=atol)
 
 
+# started on the bound that holds the minimizer, the first QP step is zero
+# up to rounding and raises the cost by 1e-13; a line search with the
+# central-difference slack accepts it
+ON_BOUND_QP = (np.array([[0.109375]]), np.array([9.5]), np.array([-1.0]), np.array([1.0]), np.array([-1.0]))
+
+
 @pytest.mark.parametrize("tol", [1e-6, 1e-4])
 @hyp_settings(max_examples=300, deadline=None)
 @given(qp=box_qps())
 @example(qp=STIFF_QP)
 @example(qp=ROUNDING_QP)
+@example(qp=ON_BOUND_QP)
 def test_box_qp_with_exact_gradient_converges_to_enumerated_minimizer(tol, qp):
     # the MPC path since its rollouts carry sensitivities: each evaluation
     # returns (f, grad f, Hessian), counts once, and no difference is ever
@@ -350,16 +357,25 @@ def test_objective_evaluations_count_callback_calls(exact, tol):
 
 
 def test_exact_gradient_shape_checked():
-    cases = [
-        (np.zeros(3), np.eye(2), "gradient must have shape"),
-        (np.zeros(2), np.eye(3), r"Hessian must have shape \(2, 2\)"),
-        (np.zeros(2), np.ones(2), r"Hessian must have shape \(2, 2\)"),
-        (np.zeros(2), np.array([[1.0, 0.0], [0.0, np.nan]]), "Hessian must be finite"),
-    ]
-    for gradient, hessian, message in cases:
-        p = NlpProblem(2, lambda z: (float(z @ z), gradient, hessian), exact_gradient=True)
-        with pytest.raises(ValueError, match=message):
-            minimize(p, np.zeros(2))
+    p = NlpProblem(2, lambda z: (float(z @ z), np.zeros(3), np.eye(2)), exact_gradient=True)
+    with pytest.raises(ValueError, match="gradient must have shape"):
+        minimize(p, np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "hessian, message",
+    [
+        pytest.param(np.eye(3), "2x2", id="hessian3-2x2"),
+        pytest.param(np.ones(2), "2x2", id="hessian4-2x2"),
+        pytest.param(np.array([[1.0, 0.0], [0.0, np.nan]]), "finite", id="hessian5-finite"),
+    ],
+)
+def test_initial_hessian_validation(hessian, message):
+    # the objective's Hessian at the start point is the first one the QP
+    # would take; a wrong shape or a non-finite entry stops the solve there
+    p = NlpProblem(2, lambda z: (float(z @ z), 2.0 * z, hessian), exact_gradient=True)
+    with pytest.raises(ValueError, match=f"Hessian must be .*{message}"):
+        minimize(p, np.zeros(2), settings())
 
 
 @pytest.mark.parametrize(
