@@ -119,12 +119,16 @@ class AdaptiveFuzzyPredictor:
     control period around the current fuzzy model, so a single solve sees
     frozen parameters.
 
+    Every stage, plain or linearized, makes one product of the basis eps
+    with _jacobian_sums (n_rules x 26), which gives f_hat, the raw g_hat and
+    the 24 sums the gradient needs. Both paths take the same product, so the
+    states of a sensitivity rollout are those of a plain one, bit for bit.
+
     Linearized, the field differentiates theta . eps(X) in closed form.
     eps is a softmax of the log firing strengths s(X), whose gradient is
     D_ij = 2 M_ij x_j + M_i,4+j with M = _s_mat, so
         d(theta . eps)/dx = (theta o eps)' D - (theta . eps)(eps' D).
-    The sums for theta_f, theta_g and the normalizer come from one product
-    eps @ _jacobian_sums. g_hat has zero gradient while its floor is active.
+    g_hat has zero gradient while its floor is active.
     """
 
     fuzzy: fz.FuzzyModel
@@ -133,38 +137,48 @@ class AdaptiveFuzzyPredictor:
 
     @functools.cached_property
     def _jacobian_sums(self) -> np.ndarray:
-        # (rules x 24): [theta_f * M, theta_g * M, M], each M block being
-        # the 4 quadratic then the 4 linear coefficients of s(X)
+        # (rules x 26): [theta_f, theta_g, theta_f * M, theta_g * M, M], each
+        # M block being the 4 quadratic then the 4 linear coefficients of s(X)
         fuz = self.fuzzy
         m = fuz._s_mat
-        return np.hstack([fuz.theta_f[:, None] * m, fuz.theta_g[:, None] * m, m])
+        tf, tg = fuz.theta_f[:, None], fuz.theta_g[:, None]
+        return np.hstack([tf, tg, tf * m, tg * m, m])
 
     def predict(self, x: np.ndarray, u: float, d: float = 0.0, tangents=None):
         """The state one control period ahead; with tangents, also the
         tangents carried through the step (see plant.rk4)."""
         fuz = self.fuzzy
         a1, b1 = self.coeffs.a1, self.coeffs.b1
-        theta_f, theta_g, g_floor = fuz.theta_f, fuz.theta_g, fuz.g_floor
-        sums = None if tangents is None else self._jacobian_sums
+        g_floor = fuz.g_floor
+        sums = self._jacobian_sums
 
         def field_fn(s, dd: float, linearize: bool = False):
-            eps = fz.basis(fuz, s)
-            f_est = float(theta_f @ eps)
-            g_raw = float(theta_g @ eps)
+            # v holds f_hat, the raw g_hat, then (theta_f o eps)' M,
+            # (theta_g o eps)' M and eps' M
+            v = (fz.basis(fuz, s) @ sums).tolist()
+            f_est, g_raw = v[0], v[1]
             clamped = g_raw < g_floor
             g_est = g_floor if clamped else g_raw
             k = (s[1], a1 * s[1] + b1 * u, s[3], f_est + g_est * (u + dd))
             if not linearize:
                 return k
-            # gradient of the x4 derivative, d f_hat/dx_j + (u + d) d g_hat/dx_j;
-            # v holds (theta_f o eps)' M, (theta_g o eps)' M and eps' M
-            v = (eps @ sums).tolist()
+            # gradient of the x4 derivative, d f_hat/dx_j + (u + d) d g_hat/dx_j
             ud = 0.0 if clamped else u + dd
-            r1, r2, r3, r4 = (
-                (tx * v[j] + v[4 + j])
-                - f_est * (tx * v[16 + j] + v[20 + j])
-                + ud * ((tx * v[8 + j] + v[12 + j]) - g_raw * (tx * v[16 + j] + v[20 + j]))
-                for j, tx in enumerate((2.0 * s[0], 2.0 * s[1], 2.0 * s[2], 2.0 * s[3]))
+            tx = 2.0 * s[0]
+            r1 = (tx * v[2] + v[6]) - f_est * (tx * v[18] + v[22]) + ud * (
+                (tx * v[10] + v[14]) - g_raw * (tx * v[18] + v[22])
+            )
+            tx = 2.0 * s[1]
+            r2 = (tx * v[3] + v[7]) - f_est * (tx * v[19] + v[23]) + ud * (
+                (tx * v[11] + v[15]) - g_raw * (tx * v[19] + v[23])
+            )
+            tx = 2.0 * s[2]
+            r3 = (tx * v[4] + v[8]) - f_est * (tx * v[20] + v[24]) + ud * (
+                (tx * v[12] + v[16]) - g_raw * (tx * v[20] + v[24])
+            )
+            tx = 2.0 * s[3]
+            r4 = (tx * v[5] + v[9]) - f_est * (tx * v[21] + v[25]) + ud * (
+                (tx * v[13] + v[17]) - g_raw * (tx * v[21] + v[25])
             )
 
             def jvp(t1, t2, t3, t4, tu):
@@ -220,7 +234,7 @@ def predict_trajectory(model, x0: np.ndarray, U: np.ndarray, d: np.ndarray, sens
                 x = model.predict(x, float(u), float(d[p]))
         except (ValueError, OverflowError, fz.DegenerateFiringError) as exc:
             raise PredictionDivergenceError(f"prediction divergence at slot {p + 1}") from exc
-        if not np.isfinite(x).all():
+        if not all(map(math.isfinite, x.tolist())):
             raise PredictionDivergenceError(f"prediction divergence at slot {p + 1}")
         states[p] = x
     if not sensitivities:

@@ -224,14 +224,21 @@ def _bound_rows(problem: NlpProblem):
 def _qp_hessian(H):
     """H, or the identity when H is non-finite, has an entry above 1e8 or
     is nearly singular."""
-    if (
-        not np.all(np.isfinite(H))
-        or float(np.abs(H).max()) > _HESSIAN_RESET
-        # the 1-norm condition number takes an LU factorization, as the
-        # QP's solves do; the default 2-norm one takes an SVD, whose
-        # first call alone raised a classical run's peak RSS by 0.7 MB
-        or np.linalg.cond(H, 1) > _HESSIAN_COND_RESET
-    ):
+    a = np.abs(H)
+    # the max of |H| is NaN or inf when H is non-finite
+    if not float(a.max()) <= _HESSIAN_RESET:
+        return np.eye(H.shape[0])
+    # the 1-norm condition number, ||H||_1 ||H^-1||_1 from one LU-based
+    # inverse, is the value np.linalg.cond(H, 1) returns at a fraction of
+    # its overhead; the default 2-norm one takes an SVD, whose first call
+    # alone raised a classical run's peak RSS by 0.7 MB
+    try:
+        inv = np.linalg.inv(H)
+    except np.linalg.LinAlgError:
+        return np.eye(H.shape[0])
+    cond = float(a.sum(axis=0).max()) * float(np.abs(inv).sum(axis=0).max())
+    # a NaN condition number (an inverse that overflowed) resets too
+    if not cond <= _HESSIAN_COND_RESET:
         return np.eye(H.shape[0])
     return H
 
@@ -287,7 +294,8 @@ def minimize(
     if settings is None:
         settings = SolverSettings()
     n = problem.dimension
-    z = np.clip(np.asarray(z0, dtype=float).copy(), problem.lower_bounds, problem.upper_bounds)
+    lo, hi = problem.lower_bounds, problem.upper_bounds
+    z = np.clip(np.asarray(z0, dtype=float).copy(), lo, hi)
     if z.shape != (n,):
         raise ValueError(f"z0 must be a vector of length {n}")
 
@@ -343,8 +351,11 @@ def minimize(
             best = (res, z, lam_gen, lam_bnd, f0)
         if res <= tol:
             break
-        A_all = np.vstack([Jc, bnd_A])
-        b_all = np.concatenate([-c0, bnd_gaps])
+        if m:
+            A_all = np.vstack([Jc, bnd_A])
+            b_all = np.concatenate([-c0, bnd_gaps])
+        else:
+            A_all, b_all = bnd_A, bnd_gaps
         H = _qp_hessian(H)
         p, lam_all = _active_set_qp(H, g, A_all, b_all)
         lam_gen_new = lam_all[:m]
@@ -368,7 +379,7 @@ def minimize(
         alpha = 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
-            z_try = np.clip(z + alpha * p, problem.lower_bounds, problem.upper_bounds)
+            z_try = np.minimum(np.maximum(z + alpha * p, lo), hi)
             f_try, g_try, H_try = evaluate(z_try)
             c_try = confun(z_try)
             phi_try = _merit(f_try, c_try, mu)

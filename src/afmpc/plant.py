@@ -227,6 +227,6 @@ def step(
         out = rk4(lambda s, dd: dynamics(s, u, coeffs, dd), state, dt, d)
     except (ValueError, OverflowError) as exc:
         raise IntegrationDivergenceError(f"integration diverged at t={t}") from exc
-    if not np.isfinite(out).all():
+    if not all(map(math.isfinite, out.tolist())):
         raise IntegrationDivergenceError(f"integration diverged at t={t}")
     return out

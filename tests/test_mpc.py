@@ -16,6 +16,7 @@ from afmpc.plant import (
     PlantParams,
     derive_coefficients,
     disturbance_value,
+    rk4,
     step as plant_step,
 )
 
@@ -178,6 +179,31 @@ def test_predict_trajectory_raises_on_nonfinite_prediction():
         mpc.predict_trajectory(InfinitePredictor(), np.zeros(4), np.zeros(3), np.zeros(5))
 
 
+class NonFiniteAtSlotPredictor:
+    """Nominal predictor whose state turns non-finite at one slot."""
+
+    def __init__(self, slot: int, value: float):
+        self.inner = mpc.NominalPredictor(COEFFS, 0.05)
+        self.slot, self.value, self.calls = slot, value, 0
+
+    def predict(self, x, u, d=0.0, tangents=None):
+        self.calls += 1
+        out = self.inner.predict(x, u, d, tangents)
+        state = (out if tangents is None else out[0]).copy()
+        if self.calls == self.slot:
+            state[1] = self.value
+        return state if tangents is None else (state, out[1])
+
+
+@pytest.mark.parametrize("sensitivities", [False, True])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_predict_trajectory_names_the_slot_of_a_non_finite_state(value, sensitivities):
+    model = NonFiniteAtSlotPredictor(3, value)
+    with pytest.raises(mpc.PredictionDivergenceError, match=r"at slot 3$"):
+        mpc.predict_trajectory(model, np.zeros(4), np.ones(3), np.zeros(5), sensitivities)
+    assert model.calls == 3
+
+
 @functools.cache
 def default_fuzzy_model() -> fz.FuzzyModel:
     """The default afmpc scenario's 81-rule model, fitted to its nominal prior."""
@@ -187,30 +213,44 @@ def default_fuzzy_model() -> fz.FuzzyModel:
 
 
 @st.composite
+def fuzzy_predictors(draw):
+    """The default fuzzy predictor with drawn consequents.
+
+    theta_g sits on one side of the g floor everywhere (theta_g . eps is a
+    convex combination): above it, or below it so that the clamp is active
+    at every stage.
+    """
+    fuzzy_model = default_fuzzy_model()
+    floor = fuzzy_model.g_floor
+    level = draw(st.one_of(st.floats(floor + 0.5, 2.0 * COEFFS.b2), st.floats(-5.0, floor - 0.5)))
+    noise = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=fuzzy_model.n_rules, max_size=fuzzy_model.n_rules)))
+    theta_f = fuzzy_model.theta_f + 10.0 * noise
+    theta_g = level + 0.4 * noise[::-1]
+    return mpc.AdaptiveFuzzyPredictor(fuzzy_model._replace_thetas(theta_f, theta_g), COEFFS, 0.05)
+
+
+@st.composite
+def start_states(draw):
+    """A state within 3x the fuzzy ranges' half-widths of their centers,
+    so inside and outside them."""
+    ranges = default_fuzzy_model().state_ranges
+    centers = np.array([0.5 * (lo + hi) for lo, hi in ranges])
+    half = np.array([0.5 * (hi - lo) for lo, hi in ranges])
+    return centers + 3.0 * half * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)))
+
+
+@st.composite
 def sensitivity_cases(draw):
     """A predictor, a start state, an input sequence and disturbances.
 
-    The state lies within 3x the fuzzy ranges' half-widths of their
-    centers, so inside and outside them. For the fuzzy predictor theta_g
-    sits on one side of the g floor everywhere (theta_g . eps is a convex
-    combination): above it, or below it so that the clamp is active at
-    every stage; a rollout then never crosses the clamp's kink, where
-    differences would not match the one-sided derivative.
+    A fuzzy predictor's rollout never crosses the g-floor clamp's kink,
+    where differences would not match the one-sided derivative.
     """
-    fuzzy_model = default_fuzzy_model()
-    unit = st.floats(-1.0, 1.0)
     if draw(st.booleans()):
         model = mpc.NominalPredictor(COEFFS, 0.05)
     else:
-        floor = fuzzy_model.g_floor
-        level = draw(st.one_of(st.floats(floor + 0.5, 2.0 * COEFFS.b2), st.floats(-5.0, floor - 0.5)))
-        noise = np.array(draw(st.lists(unit, min_size=fuzzy_model.n_rules, max_size=fuzzy_model.n_rules)))
-        theta_f = fuzzy_model.theta_f + 10.0 * noise
-        theta_g = level + 0.4 * noise[::-1]
-        model = mpc.AdaptiveFuzzyPredictor(fuzzy_model._replace_thetas(theta_f, theta_g), COEFFS, 0.05)
-    centers = np.array([0.5 * (lo + hi) for lo, hi in fuzzy_model.state_ranges])
-    half = np.array([0.5 * (hi - lo) for lo, hi in fuzzy_model.state_ranges])
-    x0 = centers + 3.0 * half * np.array(draw(st.lists(unit, min_size=4, max_size=4)))
+        model = draw(fuzzy_predictors())
+    x0 = draw(start_states())
     kc = draw(st.integers(1, 3))
     U = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=kc, max_size=kc)))
     nonzero = st.one_of(st.floats(-2.0, -0.01), st.floats(0.01, 2.0))
@@ -236,6 +276,24 @@ def test_rollout_sensitivities_match_central_differences(case):
         down = mpc.predict_trajectory(model, x0, U - step, d)
         fd[:, :, j] = (up - down) / (2.0 * h)
     assert np.abs(sens - fd).max() <= 1e-6 * np.abs(sens).max()
+
+
+@hyp_settings(max_examples=60, deadline=None)
+@given(model=fuzzy_predictors(), x0=start_states(), u=st.floats(-5.0, 5.0), d=st.floats(-2.0, 2.0))
+def test_fused_fuzzy_field_matches_f_hat_and_g_hat(model, x0, u, d):
+    # the predictor's one product per stage against the field spelled out
+    # with the fuzzy module's own estimates
+    fuzzy_model, c = model.fuzzy, model.coeffs
+
+    def field(s, dd):
+        g = fz.g_hat(fuzzy_model, s)
+        return (s[1], c.a1 * s[1] + c.b1 * u, s[3], fz.f_hat(fuzzy_model, s) + g * (u + dd))
+
+    want = rk4(field, x0, model.dt, (d, d, d))
+    scale = 1e-12 * np.abs(want).max()
+    assert np.abs(model.predict(x0, u, d) - want).max() <= scale
+    state, _ = model.predict(x0, u, d, [(1.0, 0.0, 0.0, 0.0, 0.0)])
+    assert np.abs(state - want).max() <= scale
 
 
 def test_fuzzy_sensitivities_ignore_theta_g_while_clamped():

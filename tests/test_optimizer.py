@@ -1,12 +1,13 @@
 """Tests for the dense SQP optimizer: KKT quality on analytic problems."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 
-from afmpc.nlp_optimizer import NlpProblem, QpInfeasibleError, SolverSettings, _active_set_qp, minimize
+from afmpc.nlp_optimizer import NlpProblem, QpInfeasibleError, SolverSettings, _active_set_qp, _qp_hessian, minimize
 
 TOL = 1e-6
 
@@ -468,3 +469,61 @@ def test_active_set_qp_matches_enumeration(qp):
     # complementary: a row off its boundary carries no multiplier
     assert np.all(np.abs(lam * (b - A @ p)) <= scale * (1.0 + lam.max()))
     np.testing.assert_allclose(H @ p + g + A.T @ lam, 0.0, atol=scale * (1.0 + lam.max()))
+
+
+@st.composite
+def qp_hessians(draw):
+    """Symmetric matrices around the QP Hessian reset: positive definite
+    ones with a condition number from 1 to 1e14, singular ones, ones with a
+    NaN or inf entry and ones with an entry of 1e8 or above."""
+    n = draw(st.integers(1, 4))
+    # orthonormal eigenvectors from the QR factors of a drawn matrix
+    W = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n))).reshape(n, n)
+    Q, _ = np.linalg.qr(W + 1e-3 * np.eye(n))
+    spread = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    spread[0] = 0.0
+    if n > 1:
+        spread[-1] = 1.0
+    eigs = 10.0 ** (draw(st.floats(-3.0, 7.0)) - draw(st.floats(0.0, 14.0)) * spread)
+    H = (Q * eigs) @ Q.T
+    H = 0.5 * (H + H.T)
+    kind = draw(st.sampled_from(["spd", "singular", "non_finite", "large"]))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if kind == "singular":
+        variant = draw(st.sampled_from(["zero", "repeated", "null_eigenvalue"]))
+        if variant == "zero":
+            H = np.zeros((n, n))
+        elif variant == "repeated" and n > 1:
+            # two equal rows and columns: exactly singular
+            H[1], H[:, 1] = H[0], H[:, 0]
+        else:
+            eigs[-1] = 0.0
+            H = (Q * eigs) @ Q.T
+            H = 0.5 * (H + H.T)
+    elif kind == "non_finite":
+        H[i, j] = H[j, i] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "large":
+        H[i, j] = H[j, i] = draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(1e8, 1e12))
+    return H
+
+
+@hyp_settings(max_examples=400, deadline=None)
+@given(H=qp_hessians())
+# condition number exactly 1e10, then one rounding step above it
+@example(H=np.diag([1e-2, 1e8]))
+@example(H=np.diag([np.nextafter(1e-2, 0.0), 1e8]))
+@example(H=np.diag([1.0, 1e8]))
+@example(H=np.diag([1.0, np.nextafter(1e8, np.inf)]))
+def test_qp_hessian_reset_matches_the_rule(H):
+    # the rule: H reaches the QP only if it is finite, no entry exceeds 1e8
+    # and its 1-norm condition number is at most 1e10
+    with np.errstate(all="ignore"):
+        reset = (
+            not np.all(np.isfinite(H))
+            or np.abs(H).max() > 1e8
+            or np.linalg.cond(H, 1) > 1e10
+        )
+    out = _qp_hessian(H)
+    assert (out is not H) == reset
+    if reset:
+        assert np.array_equal(out, np.eye(H.shape[0]))

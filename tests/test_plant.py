@@ -192,6 +192,15 @@ def test_step_divergence_detection():
         step(x, 0.0, 1.0, c)
 
 
+@pytest.mark.parametrize("slot, value", [(0, math.nan), (3, math.nan), (0, math.inf)])
+def test_step_non_finite_state_raises_divergence(slot, value):
+    # a NaN or inf that reaches the output without sin() raising on it
+    x = np.zeros(4)
+    x[slot] = value
+    with pytest.raises(IntegrationDivergenceError, match="t=0.5"):
+        step(x, 1.0, 1e-3, default_coeffs(), t=0.5)
+
+
 def test_disturbance_kinds():
     assert disturbance_value(DisturbanceSpec(), 3.0) == 0.0
     const = DisturbanceSpec(kind="constant", amplitude=0.4)
