@@ -212,7 +212,12 @@ def _parse_value(default, raw: str, choices: tuple = ()):
         if raw not in choices:
             raise ValueError(f"expected one of {', '.join(choices)}")
         return raw
-    return float(raw) if isinstance(default, float) else int(raw)
+    if not isinstance(default, float):
+        return int(raw)
+    val = float(raw)
+    if not math.isfinite(val):
+        raise ValueError("expected a finite number")
+    return val
 
 
 def _build_config(flat: dict) -> ScenarioConfig:
@@ -267,6 +272,8 @@ def _build_config(flat: dict) -> ScenarioConfig:
             errors.append("mpc.dt: must be a positive integer multiple of run.dt")
         if flat["run.duration"] < mpc_cfg.dt:
             errors.append("run.duration: shorter than one control period")
+    if flat["run.seed"] < 0:
+        errors.append("run.seed: must be non-negative")
     if errors:
         raise ConfigError("\n".join(errors))
     return ScenarioConfig(
@@ -459,8 +466,6 @@ def build_closed_loop(config: ScenarioConfig):
             )
         predictor = AdaptiveFuzzyPredictor(model_fz, nominal, config.mpc.dt)
         adaptation = AdaptationLoop(
-            P=p_mat,
-            b=np.array([0.0, 0.0, 0.0, 1.0]),
             gain=config.adapt_gain,
             theta_bound=config.fuzzy_theta_bound,
         )

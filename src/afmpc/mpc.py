@@ -368,10 +368,10 @@ def solve_step(
 @dataclass(frozen=True)
 class AdaptationLoop:
     """Settings of the online parameter update; the adapting fuzzy model
-    starts from the closed loop's AdaptiveFuzzyPredictor."""
+    starts from the closed loop's AdaptiveFuzzyPredictor, and the update is
+    driven by P b with P the closed loop's lyapunov_p and b = e4, the
+    channel the input enters."""
 
-    P: np.ndarray
-    b: np.ndarray
     gain: float = 1.0
     theta_bound: float = 1e6
 
@@ -447,7 +447,9 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
     true_b2 = loop.true_coeffs.b2
     ad = loop.adaptation
     fuzzy = None if ad is None else loop.model.fuzzy
-    pb = None if ad is None else ad.P @ ad.b
+    # P e4, copied: a strided column would change fz.adapt's dot product in
+    # the last bits
+    pb = None if ad is None else loop.lyapunov_p[:, 3].copy()
 
     rec_t: list[float] = []
     rec_x: list[np.ndarray] = []

@@ -10,17 +10,11 @@ definite model Hessian, sets exact_gradient: each call is one evaluation,
 the gradient and Hessian of each accepted point are reused, and no
 difference is taken of J. A receding-horizon controller supplies them from
 forward sensitivities of its rollout, H being the Gauss-Newton Hessian of
-its least-squares cost. Otherwise gradients come from one finite-difference
-helper, which also differences the constraints in either case, and a
-damped BFGS approximation of the Lagrangian Hessian, started from the
-identity, stands in for H. The helper takes forward differences, one
-evaluation per coordinate, for tolerances of 1e-5 and above, and central
-differences below that, where the O(h) forward bias would mask the
-residual. On stiff problems that bias can exceed even a loose tolerance: a
-forward-difference run that stalls within 1e-3 of stationarity but above
-its tolerance switches to central differences and restarts from its best
-point under the same iteration budget. An exact gradient has no such bias
-and never switches.
+its least-squares cost. Otherwise gradients come from central
+differences, two evaluations per coordinate, and a damped BFGS
+approximation of the Lagrangian Hessian, started from the identity, stands
+in for H. Constraints are differenced the same way in either case. The
+KKT tolerance is only a stopping rule: it selects no scheme.
 
 Whichever Hessian reaches the QP is replaced by the identity when it is
 non-finite, has an entry above 1e8 or has a 1-norm condition number above
@@ -53,10 +47,6 @@ _MAX_BACKTRACKS = 30
 _FD_STEP = 1e-6
 _HESSIAN_RESET = 1e8
 _HESSIAN_COND_RESET = 1e10
-# tolerances below this use central differences from the first iterate
-_CENTRAL_BELOW = 1e-5
-# a stalled forward-difference run within this residual switches to central
-_RESCUE_GATE = 1e-3
 
 
 class QpInfeasibleError(RuntimeError):
@@ -118,33 +108,27 @@ class Solution:
     merit_decreases: tuple = field(default_factory=tuple)
 
 
-def _differences(fun, z, v0, central):
-    """Finite-difference derivative of fun at z along each coordinate.
-
-    Forward differences reuse v0 = fun(z) and cost one evaluation per
-    coordinate; central ones cost two but carry no O(h) bias.
-    """
+def _differences(fun, z):
+    """Central-difference derivative of fun at z along each coordinate,
+    two evaluations per coordinate."""
     out = []
     for i in range(z.shape[0]):
         zp = z.copy()
         zp[i] += _FD_STEP
-        if central:
-            zm = z.copy()
-            zm[i] -= _FD_STEP
-            out.append((fun(zp) - fun(zm)) / (2.0 * _FD_STEP))
-        else:
-            out.append((fun(zp) - v0) / _FD_STEP)
+        zm = z.copy()
+        zm[i] -= _FD_STEP
+        out.append((fun(zp) - fun(zm)) / (2.0 * _FD_STEP))
     return out
 
 
-def _fd_derivatives(fun, confun, z, f0, c0, central, g=None):
-    """Gradient of fun and Jacobian of confun at z by finite differences;
+def _fd_derivatives(fun, confun, z, c0, g=None):
+    """Gradient of fun and Jacobian of confun at z by central differences;
     a given g (an exact gradient) is kept, and only confun is differenced."""
     if g is None:
-        g = np.array(_differences(fun, z, f0, central))
+        g = np.array(_differences(fun, z))
     if not c0.size:
         return g, np.empty((0, z.shape[0]))
-    return g, np.array(_differences(confun, z, c0, central)).T
+    return g, np.array(_differences(confun, z)).T
 
 
 def _active_set_qp(H, g, A, b):
@@ -274,16 +258,13 @@ def minimize(
     Hessian), a ValueError naming the gradient or the Hessian when either
     has the wrong shape or the Hessian is not finite, and each call counts
     as one evaluation in Solution.objective_evaluations; each QP takes the
-    Hessian of the current point. Otherwise BFGS starts from the identity,
-    and differences are forward for kkt_tolerance >= 1e-5 and central
-    below it. A failed line search sets the Hessian to the identity. Two
-    consecutive failed line searches end the run, unless it is still on
-    forward differences with a best residual of at most 1e-3: then it
-    switches to central differences, restarts from the best point with an
-    identity Hessian, and continues within max_iterations. Line searches
-    on a central-difference gradient accept a merit rise of 1e-12 relative,
-    the objective's rounding noise, so they can close the last digits of
-    the residual. A zero step that leaves the multipliers as they were
+    Hessian of the current point. Otherwise BFGS starts from the identity
+    and gradients are central differences; kkt_tolerance only decides when
+    to stop. A failed line search sets the Hessian to the identity, and two
+    consecutive failed line searches end the run. Line searches on a
+    difference gradient accept a merit rise of 1e-12 relative, the
+    objective's rounding noise, so they can close the last digits of the
+    residual. A zero step that leaves the multipliers as they were
     ends the run, since every later iteration would repeat it. The
     returned point is the best one seen by KKT residual. Every iterate lies
     inside the box bounds: the QP accepts a bound row within its
@@ -326,14 +307,13 @@ def minimize(
 
     confun = problem.constraint_values
     tol = settings.kkt_tolerance
-    central = tol < _CENTRAL_BELOW
 
     f0, g0, H = evaluate(z)
     if H is None:
         H = np.eye(n)
     c0 = confun(z)
     m = c0.shape[0]
-    g, Jc = _fd_derivatives(fun, confun, z, f0, c0, central, g0)
+    g, Jc = _fd_derivatives(fun, confun, z, c0, g0)
     lam_gen = np.zeros(m)
     bnd_A, bnd_c = _bound_rows(problem)
     bnd_gaps = bnd_c - bnd_A @ z
@@ -341,14 +321,14 @@ def minimize(
     mu = 10.0
     iters = 0
     merit_pairs: list[tuple[float, float]] = []
-    # (residual, z, lam_gen, lam_bnd, f) of the lowest residual seen
-    best = (float("inf"), z, lam_gen, lam_bnd, f0)
+    # (residual, z, lam_gen, f) of the lowest residual seen
+    best = (float("inf"), z, lam_gen, f0)
     stall = 0
 
     for _ in range(settings.max_iterations):
         res = _kkt_residual(g, c0, Jc, lam_gen, lam_bnd, bnd_A, bnd_gaps)
         if res < best[0]:
-            best = (res, z, lam_gen, lam_bnd, f0)
+            best = (res, z, lam_gen, f0)
         if res <= tol:
             break
         if m:
@@ -375,7 +355,7 @@ def minimize(
         # central-difference gradient still resolves can sink below the
         # rounding noise of J; an exact model Hessian's steps do not need
         # this, and with it a solve could accept a cost rise
-        slack = 1e-12 * (1.0 + abs(phi0)) if central and not exact else 0.0
+        slack = 0.0 if exact else 1e-12 * (1.0 + abs(phi0))
         alpha = 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
@@ -393,22 +373,12 @@ def minimize(
             lam_gen, lam_bnd = lam_gen_new, lam_bnd_new
             stall += 1
             H = np.eye(n)
-            if stall < 2:
-                continue
-            if central or exact or best[0] > _RESCUE_GATE:
+            if stall == 2:
                 break
-            # stall switch: the O(h) forward-difference bias can exceed the
-            # tolerance on stiff problems; restart bias-free from the best point
-            central = True
-            stall = 0
-            _, z, lam_gen, lam_bnd, f0 = best
-            c0 = confun(z)
-            g, Jc = _fd_derivatives(fun, confun, z, f0, c0, central)
-            bnd_gaps = bnd_c - bnd_A @ z
             continue
         stall = 0
         merit_pairs.append((phi0, phi_try))
-        g_new, Jc_new = _fd_derivatives(fun, confun, z_try, f_try, c_try, central, g_try)
+        g_new, Jc_new = _fd_derivatives(fun, confun, z_try, c_try, g_try)
         if exact:
             H = H_try
         else:
@@ -433,9 +403,9 @@ def minimize(
     else:
         res = _kkt_residual(g, c0, Jc, lam_gen, lam_bnd, bnd_A, bnd_gaps)
         if res < best[0]:
-            best = (res, z, lam_gen, lam_bnd, f0)
+            best = (res, z, lam_gen, f0)
 
-    res_final, z_best, lam_best, _, f_best = best
+    res_final, z_best, lam_best, f_best = best
     feas_final = float(np.maximum(confun(z_best), 0.0).max()) if m else 0.0
     if res_final <= tol:
         status = "converged"

@@ -107,6 +107,8 @@ class DisturbanceSpec:
             raise ValueError(f"unknown disturbance kind {self.kind!r}, expected one of {_DISTURBANCE_KINDS}")
         if self.amplitude < 0.0:
             raise ValueError("disturbance amplitude must be non-negative")
+        if self.seed < 0:
+            raise ValueError("disturbance seed must be non-negative")
 
 
 @functools.cache

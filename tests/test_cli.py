@@ -127,6 +127,14 @@ def test_run_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_run_negative_seed_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, SHORT_RUN)
+    out = str(tmp_path / "log.csv")
+    code = cli.main(["run", "--config", path, "--controller", "afmpc", "--out", out, "--seed", "-1"])
+    assert code == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_run_io_error_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, SHORT_RUN)
     out = str(tmp_path / "missing_dir" / "log.csv")

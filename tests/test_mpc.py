@@ -508,10 +508,9 @@ def test_solve_step_counts_evaluations_made_before_minimize_raised(monkeypatch, 
 def test_default_loop_evaluations_per_solve(monkeypatch, controller):
     # with the exact gradient and the Gauss-Newton Hessian from the rollout
     # sensitivities, a default solve takes about 3.0 (classical) and 4.2
-    # (afmpc) objective evaluations after period 0; a BFGS Hessian carried
-    # from the previous period's solve took 3.2 and 4.6, forward-difference
-    # gradients about 13 and 18-19, and restarting BFGS from the identity
-    # every period on top of them 37-39
+    # (afmpc) objective evaluations after period 0; a differenced gradient
+    # alone would cost two rollouts per input, six per gradient at the
+    # default control horizon of 3, so the bound holds only on the exact path
     evals = []
     inner = mpc.minimize
 
@@ -684,12 +683,7 @@ def test_closed_loop_flags_plant_divergence():
 def test_closed_loop_flags_parameter_blowup():
     cfg = mpc.MpcConfig()
     grid = fz.build_rule_grid((3, 3, 3, 3), WIDE_RANGES)
-    adaptation = mpc.AdaptationLoop(
-        P=np.eye(4),
-        b=np.array([0.0, 0.0, 0.0, 1.0]),
-        gain=1.0,
-        theta_bound=1e-12,
-    )
+    adaptation = mpc.AdaptationLoop(gain=1.0, theta_bound=1e-12)
     loop = mpc.ClosedLoop(
         model=mpc.AdaptiveFuzzyPredictor(grid, COEFFS, cfg.dt),
         config=cfg,
@@ -714,7 +708,7 @@ def adaptive_loop(cfg: mpc.MpcConfig, gain: float, plant_dt: float = 1e-3) -> mp
         x_ref_fn=zero_ref,
         lyapunov_p=np.eye(4),
         plant_dt=plant_dt,
-        adaptation=mpc.AdaptationLoop(P=np.eye(4), b=np.array([0.0, 0.0, 0.0, 1.0]), gain=gain),
+        adaptation=mpc.AdaptationLoop(gain=gain),
     )
 
 
@@ -773,7 +767,7 @@ def test_closed_loop_adaptation_needs_fuzzy_predictor():
             true_coeffs=COEFFS,
             x_ref_fn=zero_ref,
             lyapunov_p=np.eye(4),
-            adaptation=mpc.AdaptationLoop(P=np.eye(4), b=np.array([0.0, 0.0, 0.0, 1.0])),
+            adaptation=mpc.AdaptationLoop(),
         )
 
 

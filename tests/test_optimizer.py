@@ -254,8 +254,8 @@ def box_qps(draw):
     return Q, q, lb, ub, z0
 
 
-# forward differences stall at a residual of ~1.3e-4 here, above the MPC
-# tolerance; only the switch to central differences converges
+# stiff enough that a one-sided difference's O(h) bias, h*max|Q|/2 = 2e-4,
+# would exceed the 1e-4 tolerance: the gradient must be bias-free to converge
 STIFF_QP = (
     np.array([[395.92, 104.12], [104.12, 71.06]]),
     np.array([-8.83, 4.67]),
@@ -265,8 +265,8 @@ STIFF_QP = (
 )
 
 # at 1e-6 the merit decrease of the last steps sinks below the objective's
-# rounding noise; without the central line search's slack the run ends at
-# max_iter with a residual of 1.3e-6
+# rounding noise; without the line-search slack of a differenced gradient
+# the run ends at max_iter with a residual of 1.3e-6
 ROUNDING_QP = (
     np.array([[315.23, -155.19, 85.73], [-155.19, 289.79, -376.66], [85.73, -376.66, 559.66]]),
     np.array([-4.47, -7.23, -6.8]),
@@ -282,14 +282,14 @@ ROUNDING_QP = (
 @example(qp=STIFF_QP)
 @example(qp=ROUNDING_QP)
 def test_box_qp_converges_to_enumerated_minimizer(tol, qp):
-    # the MPC path: box bounds only, forward differences at 1e-4 and
-    # central ones at 1e-6
+    # box bounds only, as in an MPC solve, with a differenced gradient: the
+    # same central differences at either tolerance
     Q, q, lb, ub, z0 = qp
     sol = minimize(box_qp(Q, q, lb, ub), z0, SolverSettings(kkt_tolerance=tol))
     assert sol.status == "converged"
     assert sol.kkt_residual <= tol
-    # strong convexity turns the stationarity residual plus the
-    # forward-difference bias h*max|Q|/2 into a distance to the minimizer
+    # strong convexity turns the stationarity residual plus an allowance of
+    # h*max|Q| for the difference gradient into a distance to the minimizer
     lam_min = np.linalg.eigvalsh(Q)[0]
     atol = 10.0 * (tol + 1e-6 * np.abs(Q).max()) / lam_min
     np.testing.assert_allclose(sol.minimizer, enumerated_minimizer(Q, q, lb, ub), rtol=0.0, atol=atol)
@@ -297,7 +297,7 @@ def test_box_qp_converges_to_enumerated_minimizer(tol, qp):
 
 # started on the bound that holds the minimizer, the first QP step is zero
 # up to rounding and raises the cost by 1e-13; a line search with the
-# central-difference slack accepts it
+# slack of a differenced gradient would accept it
 ON_BOUND_QP = (np.array([[0.109375]]), np.array([9.5]), np.array([-1.0]), np.array([1.0]), np.array([-1.0]))
 
 
@@ -333,6 +333,52 @@ def test_box_qp_with_exact_gradient_converges_to_enumerated_minimizer(tol, qp):
     lam_min = np.linalg.eigvalsh(Q)[0]
     atol = 10.0 * tol / lam_min
     np.testing.assert_allclose(sol.minimizer, enumerated_minimizer(Q, q, lb, ub), rtol=0.0, atol=atol)
+
+
+def stopping_rule_case(case, exact):
+    """(problem, z0) for a named problem or a drawn box QP, its objective
+    returning (f, gradient, Hessian) when exact is set."""
+    if case == "rosenbrock":
+        # the sum of squares of r = (1 - z0, 10 (z1 - z0^2)), with the
+        # Gauss-Newton Hessian 2 J'J
+        def objective(z):
+            r = np.array([1.0 - z[0], 10.0 * (z[1] - z[0] ** 2)])
+            J = np.array([[-1.0, 0.0], [-20.0 * z[0], 10.0]])
+            return (float(r @ r), 2.0 * J.T @ r, 2.0 * J.T @ J) if exact else float(r @ r)
+
+        return NlpProblem(2, objective, exact_gradient=exact), np.array([-1.2, 1.0])
+    if case == "criterion_4":
+        # criterion 4's active-constraint problem: min (z-3)^2 s.t. z <= 2
+        def objective(z):
+            f = (z[0] - 3.0) ** 2
+            return (f, np.array([2.0 * (z[0] - 3.0)]), np.array([[2.0]])) if exact else f
+
+        problem = NlpProblem(1, objective, lambda z: np.array([z[0] - 2.0]), exact_gradient=exact)
+        return problem, np.array([0.0])
+    Q, q, lb, ub, z0 = case
+
+    def objective(z):
+        f = 0.5 * float(z @ Q @ z) + float(q @ z)
+        return (f, Q @ z + q, Q) if exact else f
+
+    return NlpProblem(len(q), objective, lower_bounds=lb, upper_bounds=ub, exact_gradient=exact), z0
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@hyp_settings(max_examples=100, deadline=None)
+@given(case=st.one_of(st.sampled_from(["rosenbrock", "criterion_4"]), box_qps()))
+@example(case="rosenbrock")
+@example(case="criterion_4")
+@example(case=STIFF_QP)
+def test_kkt_tolerance_is_only_a_stopping_rule(exact, case):
+    # the tolerance picks no derivative scheme, so a looser one stops the
+    # same iteration sooner: its accepted steps are the first ones of the
+    # tighter run, bit for bit
+    problem, z0 = stopping_rule_case(case, exact)
+    loose = minimize(problem, z0, SolverSettings(kkt_tolerance=1e-4))
+    tight = minimize(problem, z0, SolverSettings(kkt_tolerance=1e-6))
+    assert loose.merit_decreases == tight.merit_decreases[: len(loose.merit_decreases)]
+    assert loose.iterations <= tight.iterations
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -413,9 +459,9 @@ def test_box_qp_cycling():
 def test_box_qp_start_on_bound():
     # the first step from the lower bound overshoots to the upper bound and
     # is halved onto the minimizer 0, with the upper bound's multiplier 1
-    # from the full step; the next forward-difference steps fail their line
-    # searches, and only adopting their QP's multipliers (no active bound)
-    # lets the residual at 0 drop below the tolerance
+    # from the full step; at 0 the gradient vanishes, so the next QP step is
+    # zero, and only adopting that QP's multipliers (no active bound) lets
+    # the residual at 0 drop below the tolerance
     Q = np.array([[3.0]])
     sol = minimize(
         box_qp(Q, np.zeros(1), np.array([-1.0]), np.array([1.0])),
