@@ -253,6 +253,11 @@ def _build_config(flat: dict) -> ScenarioConfig:
         errors.append("adapt.gain: must be non-negative")
     if flat["adapt.lyapunov_q_diag"] <= 0.0:
         errors.append("adapt.lyapunov_q_diag: must be positive")
+    # a Hurwitz A makes the Lyapunov operator nonsingular and P positive
+    # definite, so V = e'Pe is a Lyapunov function of the error system
+    lyapunov_a = np.array(flat["adapt.lyapunov_a"]).reshape(4, 4)
+    if np.any(np.linalg.eigvals(lyapunov_a).real >= 0.0):
+        errors.append("adapt.lyapunov_a: must be Hurwitz")
     ref = section("reference")
     if flat["reference.kind"] == "sinusoid" and flat["reference.frequency"] <= 0.0:
         errors.append("reference.frequency: must be positive for a sinusoid reference")
@@ -287,7 +292,7 @@ def _build_config(flat: dict) -> ScenarioConfig:
         fuzzy_init=flat["fuzzy.init"],
         fuzzy_init_samples=flat["fuzzy.init_samples"],
         adapt_gain=flat["adapt.gain"],
-        lyapunov_a=np.array(flat["adapt.lyapunov_a"]).reshape(4, 4),
+        lyapunov_a=lyapunov_a,
         lyapunov_q_diag=flat["adapt.lyapunov_q_diag"],
         reference=ref,
         disturbance=dist,

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes and output files."""
 
+import os
 import subprocess
 import sys
 
@@ -135,6 +136,15 @@ def test_run_negative_seed_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_run_singular_lyapunov_a_is_a_config_error(tmp_path, capsys):
+    # a singular A made the Lyapunov solve raise in build_closed_loop
+    path = write_config(tmp_path, SHORT_RUN + "adapt.lyapunov_a =" + " 0" * 16 + "\n")
+    out = str(tmp_path / "log.csv")
+    code = cli.main(["run", "--config", path, "--controller", "afmpc", "--out", out])
+    assert code == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_run_io_error_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, SHORT_RUN)
     out = str(tmp_path / "missing_dir" / "log.csv")
@@ -200,3 +210,25 @@ def test_installed_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert "controller = classical" in proc.stdout
+
+
+def test_run_csv_independent_of_blas_threads(tmp_path):
+    # criterion 9 at the 81-rule default: the nominal_fit Gram product and
+    # every other BLAS call on the run's path give the same bytes under one
+    # and two OpenBLAS threads
+    path = write_config(tmp_path, "run.duration = 1.0\n")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"afmpc_{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "afmpc", "run", "--config", path,
+             "--controller", "afmpc", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]

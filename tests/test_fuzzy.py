@@ -338,3 +338,40 @@ def test_fit_consequents_recovers_representable_target():
     # uniform theta_g makes g_hat exactly the requested constant
     for i in range(0, 500, 100):
         assert g_hat(fitted, X[i]) == pytest.approx(142.0, rel=1e-12)
+
+
+@st.composite
+def fit_problems(draw):
+    """A 1-4 membership grid, a sample count from 1 to 3x its rule count
+    (rank-deficient below the rule count) and a smooth target's weights."""
+    counts = tuple(draw(st.integers(1, 4)) for _ in range(4))
+    halves = [draw(st.floats(0.5, 10.0)) for _ in range(4)]
+    model = build_rule_grid(counts, tuple((-h, h) for h in halves))
+    n_samples = draw(st.integers(1, 3 * model.n_rules))
+    seed = draw(st.integers(0, 2**32 - 1))
+    weights = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4)))
+    return model, n_samples, seed, weights
+
+
+@hyp_settings(max_examples=150, deadline=None)
+@given(problem=fit_problems())
+def test_fit_consequents_matches_svd_least_squares(problem):
+    model, n_samples, seed, weights = problem
+    batches = []
+
+    def target(batch):
+        batches.append(batch)
+        return np.sin(batch @ weights) + batch[:, 0] * batch[:, 3]
+
+    theta = fit_consequents_lsq(model, target, n_samples=n_samples, seed=seed).theta_f
+    (X,) = batches
+    E = basis_matrix(model, X)
+    t = target(X)
+    # reference: the SVD least-squares solution of E itself
+    theta_ref, *_ = np.linalg.lstsq(E, t, rcond=None)
+    assert np.all(np.isfinite(theta))
+    residual = np.linalg.norm(E @ theta - t)
+    residual_ref = np.linalg.norm(E @ theta_ref - t)
+    assert residual <= residual_ref * (1.0 + 1e-9) + 1e-12 * np.linalg.norm(t)
+    if n_samples >= 3 * model.n_rules:
+        assert np.linalg.norm(theta - theta_ref) <= 1e-8 * np.linalg.norm(theta_ref)

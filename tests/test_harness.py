@@ -350,6 +350,25 @@ def test_config_rejects_negative_seeds(tmp_path, lines, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0",
+        "1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1",
+        # the default with the x4 damping removed: eigenvalues +-3i on the axis
+        "-1 0 0 0 0 -1 0 0 0 0 0 1 0 0 -9 0",
+    ],
+    ids=["singular", "identity", "imaginary-axis"],
+)
+def test_config_rejects_non_hurwitz_lyapunov_a(tmp_path, values):
+    # a singular A made the Lyapunov solve raise, and an unstable one gave a
+    # P that is not positive definite, so V was no Lyapunov function
+    path = write_config(tmp_path, f"adapt.lyapunov_a = {values}\n")
+    with pytest.raises(harness.ConfigError) as excinfo:
+        harness.load_config(path)
+    assert str(excinfo.value) == "adapt.lyapunov_a: must be Hurwitz"
+
+
 def config_values(cfg) -> dict:
     """The value of every config key as a ScenarioConfig holds it, in file order."""
     m = cfg.mpc
@@ -428,7 +447,12 @@ def valid_flats(draw):
     flat["fuzzy.init"] = pick("zero", "nominal_fit")
     flat["fuzzy.init_samples"] = count(1, 10_000)
     flat["adapt.gain"] = num(0.0)
-    flat["adapt.lyapunov_a"] = tuple(num() for _ in range(16))
+    # strictly diagonally dominant with a negative diagonal, so Hurwitz by
+    # Gershgorin with a margin far above the eigensolver's rounding
+    a = [[0.0 if i == j else num() for j in range(4)] for i in range(4)]
+    for i in range(4):
+        a[i][i] = -sum(map(abs, a[i])) - pos()
+    flat["adapt.lyapunov_a"] = tuple(v for row in a for v in row)
     flat["adapt.lyapunov_q_diag"] = pos()
     flat["reference.kind"] = pick("zero", "step", "sinusoid")
     flat["reference.amplitude"] = num()
