@@ -36,9 +36,11 @@ def solve_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
     Vectorizes to an n^2 x n^2 linear system via Kronecker products and
     symmetrizes the result. Raises SingularLyapunovError when A has a pair
-    of eigenvalues summing to zero. Warns (NotPositiveDefiniteWarning) when
-    P is not positive definite, which happens whenever A is not Hurwitz;
-    the solution is still returned so diagnostic runs can proceed.
+    of eigenvalues summing to zero, and whenever P is not finite or does
+    not meet the residual tolerance. Warns (NotPositiveDefiniteWarning)
+    when P is not positive definite, which for a positive definite Q
+    happens exactly when A is not Hurwitz (Lyapunov's theorem); the
+    solution is still returned so diagnostic runs can proceed.
     """
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
@@ -56,10 +58,14 @@ def solve_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     P = vec_p.reshape(n, n)
     P = 0.5 * (P + P.T)
 
-    residual = np.linalg.norm(A.T @ P + P @ A + Q)
-    if residual > _RESIDUAL_RTOL * np.linalg.norm(Q):
+    # |A'P + PA + Q| <= rtol |Q|, both sides over the largest |Q| entry so
+    # that neither norm overflows; a NaN on either side fails the test
+    scale = float(np.max(np.abs(Q))) or 1.0
+    residual = np.linalg.norm((A.T @ P + P @ A + Q) / scale)
+    if not (np.isfinite(P).all() and residual <= _RESIDUAL_RTOL * np.linalg.norm(Q / scale)):
         raise SingularLyapunovError(
-            f"Lyapunov residual {residual:.3e} exceeds tolerance; operator near-singular"
+            f"relative Lyapunov residual {residual:.3e} exceeds tolerance or P is not"
+            " finite; operator near-singular"
         )
     if not is_positive_definite(P):
         warnings.warn(
@@ -71,8 +77,11 @@ def solve_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def is_positive_definite(M: np.ndarray) -> bool:
-    """True iff the symmetric matrix M is positive definite."""
+    """True iff the symmetric matrix M is positive definite; False for any
+    non-finite M, on which numpy's Cholesky does not raise."""
     M = np.asarray(M, dtype=float)
+    if not np.isfinite(M).all():
+        return False
     _check_symmetric(M, "M")
     try:
         np.linalg.cholesky(M)

@@ -172,8 +172,9 @@ def adapt(
     X: np.ndarray,
     u: float,
     dt: float,
-    gain: float = 1.0,
-    theta_bound: float = 1e6,
+    *,
+    gain: float,
+    theta_bound: float,
 ) -> FuzzyModel:
     """One forward-Euler step of the Lyapunov-gradient adaptation laws.
 
@@ -238,8 +239,9 @@ def fit_consequents_lsq(
     model: FuzzyModel,
     f_target,
     g_value: float | None = None,
-    n_samples: int = 4000,
-    seed: int = 0,
+    *,
+    n_samples: int,
+    seed: int,
 ) -> FuzzyModel:
     """Least-squares fit of theta_f to a target drift over the state ranges.
 

@@ -10,12 +10,13 @@ tracking with the adaptive controller's knobs at their tuned defaults and a
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .dense_linalg import solve_lyapunov
+from .dense_linalg import NotPositiveDefiniteWarning, SingularLyapunovError, solve_lyapunov
 from .plant import _DISTURBANCE_KINDS, CoeffSet, DisturbanceSpec, PlantParams, derive_coefficients
 from . import fuzzy as fz
 from .mpc import (
@@ -119,7 +120,8 @@ class RunMetrics:
 
 
 # config sections that a dataclass holds: section -> (dataclass, {field: key
-# name} where the two differ); a key's default is its field's default
+# name} where the two differ); a key's default is its field's default, and
+# the field takes the key's value unchanged
 _SECTIONS = {
     "plant": (PlantParams, {"J1": "j1"}),
     "mpc": (
@@ -127,7 +129,7 @@ _SECTIONS = {
         {
             "prediction_horizon": "kp",
             "control_horizon": "kc",
-            "state_weight": "q_diag",  # the diagonal only
+            "state_weight": "q_diag",
             "input_weight": "r",
             "input_bound": "u_max",
         },
@@ -147,10 +149,7 @@ _FIELD_KEYS = {
 
 def _section_defaults(section: str) -> dict:
     default = _SECTIONS[section][0]()
-    flat = {key: getattr(default, name) for name, key in _FIELD_KEYS[section].items()}
-    if section == "mpc":
-        flat["mpc.q_diag"] = tuple(np.diag(default.state_weight).tolist())
-    return flat
+    return {key: getattr(default, name) for name, key in _FIELD_KEYS[section].items()}
 
 
 # every legal key with its default, in file order; a key's type is its
@@ -225,8 +224,6 @@ def _build_config(flat: dict) -> ScenarioConfig:
 
     def section(name: str):
         kwargs = {field: flat[key] for field, key in _FIELD_KEYS[name].items()}
-        if name == "mpc":
-            kwargs["state_weight"] = np.diag(kwargs["state_weight"])
         try:
             return _SECTIONS[name][0](**kwargs)
         except ValueError as exc:
@@ -251,13 +248,21 @@ def _build_config(flat: dict) -> ScenarioConfig:
         errors.append("fuzzy.init_samples: must be >= 1")
     if flat["adapt.gain"] < 0.0:
         errors.append("adapt.gain: must be non-negative")
-    if flat["adapt.lyapunov_q_diag"] <= 0.0:
-        errors.append("adapt.lyapunov_q_diag: must be positive")
-    # a Hurwitz A makes the Lyapunov operator nonsingular and P positive
-    # definite, so V = e'Pe is a Lyapunov function of the error system
     lyapunov_a = np.array(flat["adapt.lyapunov_a"]).reshape(4, 4)
-    if np.any(np.linalg.eigvals(lyapunov_a).real >= 0.0):
-        errors.append("adapt.lyapunov_a: must be Hurwitz")
+    q = flat["adapt.lyapunov_q_diag"]
+    if q <= 0.0:
+        errors.append("adapt.lyapunov_q_diag: must be positive")
+    else:
+        # build_closed_loop's own solve, so that what passes here builds: P
+        # is positive definite exactly when A is Hurwitz (Lyapunov's
+        # theorem), and V = e'Pe is then a Lyapunov function of the error
+        # system; an A whose P the solve cannot represent fails too
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error", NotPositiveDefiniteWarning)
+            try:
+                solve_lyapunov(lyapunov_a, q * np.eye(4))
+            except (SingularLyapunovError, NotPositiveDefiniteWarning):
+                errors.append("adapt.lyapunov_a: must be Hurwitz")
     ref = section("reference")
     if flat["reference.kind"] == "sinusoid" and flat["reference.frequency"] <= 0.0:
         errors.append("reference.frequency: must be positive for a sinusoid reference")
@@ -378,31 +383,23 @@ def dump_config(flat: Optional[dict] = None) -> str:
 
 
 def reference_trajectory(spec: ReferenceSpec, t: float):
-    """Reference output and its first three time derivatives at time t."""
+    """Reference output y and its time derivative at time t, as (y, y')."""
     if spec.kind == "zero":
-        return (0.0, 0.0, 0.0, 0.0)
+        return (0.0, 0.0)
     if spec.kind == "sinusoid":
         w = 2.0 * math.pi * spec.frequency
         a = spec.amplitude
-        return (
-            a * math.sin(w * t),
-            a * w * math.cos(w * t),
-            -a * w * w * math.sin(w * t),
-            -a * w * w * w * math.cos(w * t),
-        )
+        return (a * math.sin(w * t), a * w * math.cos(w * t))
     # step: quintic ramp over a fixed smoothing window, then flat
     if t < spec.step_time:
-        return (0.0, 0.0, 0.0, 0.0)
+        return (0.0, 0.0)
     tau = (t - spec.step_time) / _STEP_SMOOTH_WINDOW
     if tau >= 1.0:
-        return (spec.amplitude, 0.0, 0.0, 0.0)
+        return (spec.amplitude, 0.0)
     a = spec.amplitude
-    win = _STEP_SMOOTH_WINDOW
     s = tau * tau * tau * (10.0 - 15.0 * tau + 6.0 * tau * tau)
     s1 = 30.0 * tau * tau - 60.0 * tau ** 3 + 30.0 * tau ** 4
-    s2 = 60.0 * tau - 180.0 * tau * tau + 120.0 * tau ** 3
-    s3 = 60.0 - 360.0 * tau + 360.0 * tau * tau
-    return (a * s, a * s1 / win, a * s2 / (win * win), a * s3 / (win ** 3))
+    return (a * s, a * s1 / _STEP_SMOOTH_WINDOW)
 
 
 def state_reference(spec: ReferenceSpec, coeffs: CoeffSet, t: float) -> np.ndarray:
@@ -414,7 +411,7 @@ def state_reference(spec: ReferenceSpec, coeffs: CoeffSet, t: float) -> np.ndarr
     dynamically realizable (linearized about upright); otherwise the arm
     reference is zero and only the output channels are meaningful.
     """
-    y, yd, _, _ = reference_trajectory(spec, t)
+    y, yd = reference_trajectory(spec, t)
     if (
         spec.consistent_arm
         and spec.kind == "sinusoid"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,9 +51,15 @@ class PredictionDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class MpcConfig:
+    """Horizons, weights, input bound and control period of one solve.
+
+    state_weight holds the 4 diagonal entries of the state weight Q, which
+    is diagonal; input_weight is R.
+    """
+
     prediction_horizon: int = 5
     control_horizon: int = 3
-    state_weight: np.ndarray = field(default_factory=lambda: 0.1 * np.eye(4))
+    state_weight: tuple = (0.1, 0.1, 0.1, 0.1)
     input_weight: float = 0.3
     input_bound: float = 5.0
     dt: float = 0.05
@@ -66,14 +72,9 @@ class MpcConfig:
                 f"K_c <= K_p violated: control_horizon {self.control_horizon}"
                 f" exceeds prediction_horizon {self.prediction_horizon}"
             )
-        q = np.asarray(self.state_weight, dtype=float)
-        if q.shape != (4, 4) or not np.allclose(q, q.T, atol=1e-12):
-            raise ValueError("state_weight must be a symmetric 4x4 matrix")
-        try:
-            np.linalg.cholesky(q)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("state_weight must be positive definite") from exc
-        object.__setattr__(self, "state_weight", q)
+        # all(), not min(): NaN compares false, so min() would let it through
+        if len(self.state_weight) != 4 or not all(w > 0.0 for w in self.state_weight):
+            raise ValueError("state_weight must be 4 positive diagonal weights")
         if self.input_weight <= 0.0:
             raise ValueError("input_weight must be positive")
         # zero is allowed as a degenerate (input pinned to 0) bound
@@ -246,10 +247,10 @@ def predict_trajectory(model, x0: np.ndarray, U: np.ndarray, d: np.ndarray, sens
 
 
 def horizon_cost(states: np.ndarray, inputs: np.ndarray, x_ref: np.ndarray, config: MpcConfig) -> float:
-    """Sum of Q-weighted squared state errors plus R-weighted squared inputs."""
+    """Sum of Q-weighted squared state errors plus R-weighted squared inputs,
+    Q the diagonal config.state_weight."""
     err = np.asarray(states, dtype=float) - np.asarray(x_ref, dtype=float)
-    q = config.state_weight
-    state_term = float(np.einsum("pi,ij,pj->", err, q, err))
+    state_term = float(np.einsum("pi,i,pi->", err, config.state_weight, err))
     u = np.atleast_1d(np.asarray(inputs, dtype=float))
     return state_term + config.input_weight * float(u @ u)
 
@@ -285,13 +286,13 @@ def solve_step(
     minimize's objective returns the horizon cost, its exact gradient
     2 sum_p S_p' Q (x_p - x_ref,p) + 2 R U and its Gauss-Newton Hessian
     2 sum_p S_p' Q S_p + 2 R I, from one rollout with sensitivities
-    S_p = dx_p/dU. The Hessian drops only the second derivatives of the
-    states, so it is exact for a linear model and positive definite
-    always. The warm start's and the final point's costs come from plain
-    rollouts. ControlStep.evaluations counts every horizon rollout of the
-    solve, a sensitivity rollout as one: one for the warm start, each one
-    minimize made (also those before it raised), and one for the cost of
-    minimize's point.
+    S_p = dx_p/dU and Q = diag(config.state_weight). The Hessian drops
+    only the second derivatives of the states, so it is exact for a linear
+    model and positive definite always. The warm start's and the final
+    point's costs come from plain rollouts. ControlStep.evaluations counts
+    every horizon rollout of the solve, a sensitivity rollout as one: one
+    for the warm start, each one minimize made (also those before it
+    raised), and one for the cost of minimize's point.
     """
     kp = config.prediction_horizon
     kc = config.control_horizon
@@ -306,7 +307,7 @@ def solve_step(
         raise ValueError(f"warm start must have length {kc}")
 
     evals = 0
-    q2 = 2.0 * config.state_weight
+    w2 = 2.0 * np.asarray(config.state_weight, dtype=float)
     r2 = 2.0 * config.input_weight
     r2_eye = r2 * np.eye(kc)
 
@@ -328,7 +329,7 @@ def solve_step(
             return _DIVERGED_COST, np.zeros(kc), r2_eye
         # S and 2 Q S, each flattened to (kp * 4, kc)
         s = sens.reshape(-1, kc)
-        qs = (q2 @ sens).reshape(-1, kc)
+        qs = (w2[:, None] * sens).reshape(-1, kc)
         hess = s.T @ qs + r2_eye
         if not np.isfinite(hess).all():
             # finite sensitivities whose squares overflow: as useless as a
@@ -372,8 +373,8 @@ class AdaptationLoop:
     driven by P b with P the closed loop's lyapunov_p and b = e4, the
     channel the input enters."""
 
-    gain: float = 1.0
-    theta_bound: float = 1e6
+    gain: float
+    theta_bound: float
 
 
 @dataclass(frozen=True)
@@ -390,6 +391,12 @@ class ClosedLoop:
     adaptation: Optional[AdaptationLoop] = None
 
     def __post_init__(self) -> None:
+        # not > 0, so that NaN fails too; round() below would raise on it
+        if not self.plant_dt > 0.0:
+            raise ValueError(f"plant_dt must be positive, got {self.plant_dt}")
+        # a predictor of another step would span the wrong horizon
+        if self.model.dt != self.config.dt:
+            raise ValueError(f"model.dt {self.model.dt} differs from config.dt {self.config.dt}")
         ratio = self.config.dt / self.plant_dt
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ValueError("config.dt must be a positive multiple of plant_dt")

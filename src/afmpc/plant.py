@@ -74,8 +74,6 @@ class CoeffSet:
 
 def derive_coefficients(params: PlantParams) -> CoeffSet:
     """Compute the six dynamic coefficients from the physical constants."""
-    if params.J1 <= 0.0:
-        raise ValueError("J1 must be positive")
     return CoeffSet(
         a1=-params.a_p,
         a2=-params.k1 * params.a_p / params.J1,

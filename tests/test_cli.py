@@ -145,6 +145,26 @@ def test_run_singular_lyapunov_a_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "lines",
+    [
+        # the Kronecker operator overflows: SingularLyapunovError escaped main
+        "adapt.lyapunov_a = -1e308 0 0 0 0 -1 0 0 0 0 -1 0 0 0 0 -1\n",
+        # Hurwitz by its eigenvalues, but the solve overflows to a NaN P: the
+        # run exited 0 with V = nan on every row
+        "adapt.lyapunov_a = -0.1 0 1e168 1e126 0 -0.01 -1e172 1e48 0 0 -1000 1e182 0 0 0 -100\n"
+        "adapt.lyapunov_q_diag = 1e84\n",
+    ],
+    ids=["overflowing-diagonal", "nan-p"],
+)
+def test_run_unusable_lyapunov_p_is_a_config_error(tmp_path, capsys, lines):
+    path = write_config(tmp_path, SHORT_RUN + lines)
+    out = str(tmp_path / "log.csv")
+    code = cli.main(["run", "--config", path, "--controller", "afmpc", "--out", out])
+    assert code == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_run_io_error_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, SHORT_RUN)
     out = str(tmp_path / "missing_dir" / "log.csv")

@@ -222,7 +222,7 @@ def test_adapt_direct_formula():
     e = np.array([0.0, 0.0, 0.0, 2.0])
     P = np.eye(4)
     b = np.array([0.0, 0.0, 0.0, 1.0])
-    out = adapt(model, e, P @ b, X, u=1.0, dt=1.0)
+    out = adapt(model, e, P @ b, X, u=1.0, dt=1.0, gain=1.0, theta_bound=1e6)
     np.testing.assert_allclose(out.theta_f, [-1.0, -1.0], rtol=1e-12)
     np.testing.assert_allclose(out.theta_g, [-1.0, -1.0], rtol=1e-12)
     # input model untouched (value semantics)
@@ -232,11 +232,11 @@ def test_adapt_direct_formula():
 def test_adapt_zero_error_and_zero_input():
     model = two_rule_model()
     X = np.array([0.3, 0.0, 0.0, 0.0])
-    same = adapt(model, np.zeros(4), np.array([0, 0, 0, 1.0]), X, u=1.0, dt=0.01)
+    same = adapt(model, np.zeros(4), np.array([0, 0, 0, 1.0]), X, u=1.0, dt=0.01, gain=1.0, theta_bound=1e6)
     np.testing.assert_allclose(same.theta_f, model.theta_f)
     np.testing.assert_allclose(same.theta_g, model.theta_g)
     e = np.array([0.0, 0.0, 1.0, 1.0])
-    out = adapt(model, e, np.array([0, 0, 0, 1.0]), X, u=0.0, dt=0.01)
+    out = adapt(model, e, np.array([0, 0, 0, 1.0]), X, u=0.0, dt=0.01, gain=1.0, theta_bound=1e6)
     assert np.any(out.theta_f != model.theta_f)
     np.testing.assert_allclose(out.theta_g, model.theta_g)
 
@@ -256,7 +256,7 @@ def test_adapt_gradient_cancellation_property():
         X = rng.uniform(-1.5, 1.5, size=4)
         u = rng.normal()
         dt = 10 ** rng.uniform(-4, -1)
-        out = adapt(m, e, P @ b, X, u, dt)
+        out = adapt(m, e, P @ b, X, u, dt, gain=1.0, theta_bound=1e6)
         s = float(e @ P @ b)
         eps = basis(m, X)
         theta_star = rng.normal(size=model.n_rules)
@@ -280,7 +280,7 @@ def test_adapt_parameter_blowup_guard():
 def test_adapt_validation():
     model = two_rule_model()
     with pytest.raises(ValueError):
-        adapt(model, np.zeros(4), np.zeros(4), np.zeros(4), 0.0, dt=0.0)
+        adapt(model, np.zeros(4), np.zeros(4), np.zeros(4), 0.0, dt=0.0, gain=1.0, theta_bound=1e6)
 
 
 def test_build_rule_grid_sizes():

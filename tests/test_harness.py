@@ -6,9 +6,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import assume, given, settings as hyp_settings, strategies as st
 
 from afmpc import harness, mpc
+from afmpc.dense_linalg import is_positive_definite
 from afmpc.mpc import TrajectoryLog
 from afmpc.plant import DisturbanceSpec, PlantParams, derive_coefficients
 
@@ -54,7 +55,7 @@ def test_default_config_values():
     assert cfg.mpc.dt == 0.05
     assert cfg.mpc.input_bound == 5.0
     assert cfg.mpc.input_weight == 0.3
-    np.testing.assert_allclose(cfg.mpc.state_weight, 0.1 * np.eye(4))
+    assert cfg.mpc.state_weight == (0.1, 0.1, 0.1, 0.1)
     assert cfg.fuzzy_counts == (3, 3, 3, 3)
     assert cfg.fuzzy_ranges[0] == (-math.pi, math.pi)
     assert cfg.fuzzy_ranges[1] == (-8.0, 8.0)
@@ -369,6 +370,69 @@ def test_config_rejects_non_hurwitz_lyapunov_a(tmp_path, values):
     assert str(excinfo.value) == "adapt.lyapunov_a: must be Hurwitz"
 
 
+def load_lyapunov_config(tmp_path_factory, a: np.ndarray, q: float = 500.0):
+    """load_config of the default scenario with adapt.lyapunov_a = a and
+    adapt.lyapunov_q_diag = q, every float written in full."""
+    path = tmp_path_factory.getbasetemp() / "lyapunov.cfg"
+    values = " ".join(repr(float(v)) for v in a.ravel())
+    path.write_text(f"adapt.lyapunov_a = {values}\nadapt.lyapunov_q_diag = {q!r}\n", encoding="utf-8")
+    return harness.load_config(str(path))
+
+
+@st.composite
+def triangular_lyapunov_draws(draw):
+    """An upper-triangular A with diagonal -10^d, d in [-5, 5], so Hurwitz,
+    and off-diagonal entries 0 or +-10^k, k in [-10, 200]; q = 10^e, e in
+    [-100, 100]. The large entries overflow the Lyapunov solve."""
+    a = np.zeros((4, 4))
+    for i in range(4):
+        a[i, i] = -(10.0 ** draw(st.floats(-5.0, 5.0)))
+        for j in range(i + 1, 4):
+            if draw(st.booleans()):
+                a[i, j] = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-10.0, 200.0))
+    return a, 10.0 ** draw(st.floats(-100.0, 100.0))
+
+
+@hyp_settings(max_examples=300, deadline=None)
+@given(triangular_lyapunov_draws())
+def test_config_and_build_agree_on_lyapunov_a(tmp_path_factory, a_q):
+    # whatever the config accepts must build a usable P: an eigenvalue test
+    # passed such an A, and the build then raised SingularLyapunovError or
+    # logged V = nan on every row
+    a, q = a_q
+    try:
+        cfg = load_lyapunov_config(tmp_path_factory, a, q)
+    except harness.ConfigError as exc:
+        assert str(exc) == "adapt.lyapunov_a: must be Hurwitz"
+        return
+    loop, _, _ = harness.build_closed_loop(cfg)
+    assert np.isfinite(loop.lyapunov_p).all()
+    assert is_positive_definite(loop.lyapunov_p)
+
+
+@st.composite
+def shifted_matrices(draw):
+    """A = W + s I with the entries of W in [-20, 20] and s in [-10, 10]."""
+    w = draw(st.lists(st.floats(-20.0, 20.0), min_size=16, max_size=16))
+    return np.array(w).reshape(4, 4) + draw(st.floats(-10.0, 10.0)) * np.eye(4)
+
+
+@hyp_settings(max_examples=300, deadline=None)
+@given(shifted_matrices())
+def test_config_hurwitz_test_matches_eigenvalue_oracle(tmp_path_factory, a):
+    # away from the imaginary axis, the config accepts A exactly when every
+    # eigenvalue has a negative real part
+    top = float(np.max(np.linalg.eigvals(a).real))
+    assume(abs(top) >= 1e-3 * (1.0 + float(np.max(np.abs(a)))))
+    try:
+        load_lyapunov_config(tmp_path_factory, a)
+        accepted = True
+    except harness.ConfigError as exc:
+        assert str(exc) == "adapt.lyapunov_a: must be Hurwitz"
+        accepted = False
+    assert accepted == (top < 0.0)
+
+
 def config_values(cfg) -> dict:
     """The value of every config key as a ScenarioConfig holds it, in file order."""
     m = cfg.mpc
@@ -378,7 +442,7 @@ def config_values(cfg) -> dict:
             "controller": cfg.controller,
             "mpc.kp": m.prediction_horizon,
             "mpc.kc": m.control_horizon,
-            "mpc.q_diag": tuple(float(v) for v in np.diag(m.state_weight)),
+            "mpc.q_diag": m.state_weight,
             "mpc.r": m.input_weight,
             "mpc.u_max": m.input_bound,
             "mpc.dt": m.dt,
@@ -448,7 +512,7 @@ def valid_flats(draw):
     flat["fuzzy.init_samples"] = count(1, 10_000)
     flat["adapt.gain"] = num(0.0)
     # strictly diagonally dominant with a negative diagonal, so Hurwitz by
-    # Gershgorin with a margin far above the eigensolver's rounding
+    # Gershgorin with a margin far above the Lyapunov solve's rounding
     a = [[0.0 if i == j else num() for j in range(4)] for i in range(4)]
     for i in range(4):
         a[i][i] = -sum(map(abs, a[i])) - pos()
@@ -526,46 +590,42 @@ def test_reference_trajectory_sinusoid_derivatives():
     y0 = harness.reference_trajectory(spec, 0.0)
     assert y0[0] == 0.0
     assert y0[1] == pytest.approx(0.2 * w, rel=1e-12)
-    assert y0[2] == 0.0
-    assert y0[3] == pytest.approx(-0.2 * w**3, rel=1e-12)
-    # chain structure: each entry is the time derivative of the previous
+    # the second entry is the time derivative of the first
     h = 1e-6
     for t in (0.13, 0.7, 1.9):
         vals = harness.reference_trajectory(spec, t)
         plus = harness.reference_trajectory(spec, t + h)
         minus = harness.reference_trajectory(spec, t - h)
-        for k in range(3):
-            fd = (plus[k] - minus[k]) / (2.0 * h)
-            assert fd == pytest.approx(vals[k + 1], abs=1e-5)
+        fd = (plus[0] - minus[0]) / (2.0 * h)
+        assert fd == pytest.approx(vals[1], abs=1e-5)
 
 
 def test_reference_trajectory_zero_kind():
     spec = harness.ReferenceSpec(kind="zero", amplitude=0.3)
     for t in (0.0, 0.5, 4.0):
-        assert harness.reference_trajectory(spec, t) == (0.0, 0.0, 0.0, 0.0)
+        assert harness.reference_trajectory(spec, t) == (0.0, 0.0)
 
 
 def test_reference_trajectory_step_ramp():
     spec = harness.ReferenceSpec(kind="step", amplitude=0.3, step_time=1.0)
-    assert harness.reference_trajectory(spec, 0.99) == (0.0, 0.0, 0.0, 0.0)
-    assert harness.reference_trajectory(spec, 1.5) == (0.3, 0.0, 0.0, 0.0)
-    assert harness.reference_trajectory(spec, 9.0) == (0.3, 0.0, 0.0, 0.0)
-    # smooth ramp in between: derivatives consistent by finite differences
+    assert harness.reference_trajectory(spec, 0.99) == (0.0, 0.0)
+    assert harness.reference_trajectory(spec, 1.5) == (0.3, 0.0)
+    assert harness.reference_trajectory(spec, 9.0) == (0.3, 0.0)
+    # smooth ramp in between: the derivative agrees with finite differences
     h = 1e-6
     for t in (1.1, 1.25, 1.4):
         vals = harness.reference_trajectory(spec, t)
         assert 0.0 < vals[0] < 0.3
         plus = harness.reference_trajectory(spec, t + h)
         minus = harness.reference_trajectory(spec, t - h)
-        for k in range(3):
-            fd = (plus[k] - minus[k]) / (2.0 * h)
-            assert fd == pytest.approx(vals[k + 1], abs=1e-5)
+        fd = (plus[0] - minus[0]) / (2.0 * h)
+        assert fd == pytest.approx(vals[1], abs=1e-5)
 
 
 def test_state_reference_output_channels():
     spec = harness.ReferenceSpec(kind="sinusoid", amplitude=0.2, frequency=0.65)
     for t in (0.0, 0.4, 1.7):
-        y, yd, _, _ = harness.reference_trajectory(spec, t)
+        y, yd = harness.reference_trajectory(spec, t)
         xr = harness.state_reference(spec, TRUE_COEFFS, t)
         assert xr[2] == pytest.approx(y, abs=1e-15)
         assert xr[3] == pytest.approx(yd, abs=1e-15)

@@ -140,9 +140,30 @@ def test_solver_input_validation():
         solve_lyapunov(-np.eye(4), asym)
 
 
+def test_solve_lyapunov_rejects_an_unusable_p():
+    # Hurwitz (triangular, negative diagonal), but the solve overflows: P
+    # came back all NaN, its NaN residual passed "residual > tol", and its
+    # |Q| of about 2e84 is far from overflowing
+    A = np.array(
+        [-0.1, 0, 1e168, 1e126, 0, -0.01, -1e172, 1e48, 0, 0, -1000, 1e182, 0, 0, 0, -100.0]
+    ).reshape(4, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with np.errstate(all="ignore"):
+            with pytest.raises(SingularLyapunovError):
+                solve_lyapunov(A, 1e84 * np.eye(4))
+    # a Q whose norm overflows still solves when P is usable
+    P = solve_lyapunov(-np.eye(4), 1e160 * np.eye(4))
+    np.testing.assert_allclose(P, 0.5e160 * np.eye(4), rtol=1e-15)
+
+
 def test_is_positive_definite_cases():
     assert is_positive_definite(np.eye(4))
     assert not is_positive_definite(np.diag([1.0, -1.0, 1.0, 1.0]))
+    # numpy's Cholesky does not raise on NaN, and an inf matrix is no usable P
+    assert not is_positive_definite(np.full((4, 4), np.nan))
+    assert not is_positive_definite(np.full((4, 4), np.inf))
+    assert not is_positive_definite(np.diag([1.0, np.inf, 1.0, 1.0]))
     with pytest.raises(ValueError):
         asym = np.eye(4)
         asym[1, 0] = 0.3

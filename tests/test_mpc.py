@@ -95,7 +95,7 @@ def test_config_defaults():
     cfg = mpc.MpcConfig()
     assert cfg.prediction_horizon == 5
     assert cfg.control_horizon == 3
-    np.testing.assert_allclose(cfg.state_weight, 0.1 * np.eye(4))
+    assert cfg.state_weight == (0.1, 0.1, 0.1, 0.1)
     assert cfg.input_weight == pytest.approx(0.3)
     assert cfg.input_bound == pytest.approx(5.0)
     assert cfg.dt == pytest.approx(0.05)
@@ -109,14 +109,16 @@ def test_config_rejects_bad_horizons():
 
 
 def test_config_rejects_bad_state_weight():
-    with pytest.raises(ValueError, match="symmetric 4x4"):
-        mpc.MpcConfig(state_weight=np.eye(3))
-    asym = np.eye(4)
-    asym[0, 1] = 0.5
-    with pytest.raises(ValueError, match="symmetric 4x4"):
-        mpc.MpcConfig(state_weight=asym)
-    with pytest.raises(ValueError, match="positive definite"):
-        mpc.MpcConfig(state_weight=np.diag([1.0, 1.0, 1.0, 0.0]))
+    # the weights are the diagonal of Q: three entries, a zero, a negative
+    # and a NaN, which fails every comparison, so each entry is checked
+    for weights in [
+        (0.1, 0.1, 0.1),
+        (1.0, 1.0, 1.0, 0.0),
+        (1.0, -0.5, 1.0, 1.0),
+        (1.0, 1.0, math.nan, 1.0),
+    ]:
+        with pytest.raises(ValueError, match="state_weight must be 4 positive diagonal weights"):
+            mpc.MpcConfig(state_weight=weights)
 
 
 def test_config_rejects_bad_scalars():
@@ -536,7 +538,7 @@ def test_solve_step_matches_linear_quadratic_closed_form():
     Phi, Gamma = rk4_transition(coeffs0, cfg.dt)
     x = np.array([0.1, 0.0, 0.05, 0.0])
     r = np.array([0.0, 0.0, 0.02, 0.0])
-    Q = cfg.state_weight
+    Q = np.diag(cfg.state_weight)
     curvature = float(Gamma @ Q @ Gamma) + cfg.input_weight
     u_star = -float(Gamma @ Q @ (Phi @ x - r)) / curvature
 
@@ -617,6 +619,44 @@ def test_closed_loop_requires_dt_multiple():
             x_ref_fn=zero_ref,
             lyapunov_p=np.eye(4),
             plant_dt=3e-4,
+        )
+
+
+def test_closed_loop_rejects_zero_plant_dt():
+    # raised ZeroDivisionError in the period-ratio check
+    with pytest.raises(ValueError, match="plant_dt must be positive"):
+        mpc.ClosedLoop(
+            model=mpc.NominalPredictor(COEFFS, 0.05),
+            config=mpc.MpcConfig(),
+            true_coeffs=COEFFS,
+            x_ref_fn=zero_ref,
+            lyapunov_p=np.eye(4),
+            plant_dt=0.0,
+        )
+
+
+def test_closed_loop_rejects_nan_plant_dt():
+    # raised "cannot convert float NaN to integer" in round()
+    with pytest.raises(ValueError, match="plant_dt must be positive"):
+        mpc.ClosedLoop(
+            model=mpc.NominalPredictor(COEFFS, 0.05),
+            config=mpc.MpcConfig(),
+            true_coeffs=COEFFS,
+            x_ref_fn=zero_ref,
+            lyapunov_p=np.eye(4),
+            plant_dt=math.nan,
+        )
+
+
+def test_closed_loop_rejects_predictor_of_another_period():
+    # was accepted, and every rollout then spanned the wrong horizon
+    with pytest.raises(ValueError, match=r"model\.dt 0\.1 differs from config\.dt 0\.05"):
+        mpc.ClosedLoop(
+            model=mpc.NominalPredictor(COEFFS, 0.1),
+            config=mpc.MpcConfig(),
+            true_coeffs=COEFFS,
+            x_ref_fn=zero_ref,
+            lyapunov_p=np.eye(4),
         )
 
 
@@ -708,7 +748,7 @@ def adaptive_loop(cfg: mpc.MpcConfig, gain: float, plant_dt: float = 1e-3) -> mp
         x_ref_fn=zero_ref,
         lyapunov_p=np.eye(4),
         plant_dt=plant_dt,
-        adaptation=mpc.AdaptationLoop(gain=gain),
+        adaptation=mpc.AdaptationLoop(gain=gain, theta_bound=1e6),
     )
 
 
@@ -767,7 +807,7 @@ def test_closed_loop_adaptation_needs_fuzzy_predictor():
             true_coeffs=COEFFS,
             x_ref_fn=zero_ref,
             lyapunov_p=np.eye(4),
-            adaptation=mpc.AdaptationLoop(),
+            adaptation=mpc.AdaptationLoop(gain=1.0, theta_bound=1e6),
         )
 
 
