@@ -51,7 +51,15 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-CSV_HEADER = "t,x1,x2,x3,x4,u,y_ref,e,V,w_diag,cost,status,evals"
+# the CSV columns in file order, (name, type): TrajectoryLog's per-period
+# fields in field order, states spread over x1..x4. str(type(v)) writes a
+# value, a float in shortest round-trip form, and type(text) reads it back
+_COLUMNS = (
+    ("t", float), ("x1", float), ("x2", float), ("x3", float), ("x4", float),
+    ("u", float), ("y_ref", float), ("e", float), ("V", float), ("w_diag", float),
+    ("cost", float), ("status", str), ("evals", int),
+)
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 CONTROLLERS = ("classical", "afmpc")
 
@@ -515,14 +523,17 @@ def compute_metrics(log: TrajectoryLog, dt: float) -> RunMetrics:
 
 
 def export_csv(log: TrajectoryLog, path: str) -> None:
-    """Write the log as CSV; floats use shortest round-trip formatting."""
-    # the float columns before status, in CSV_HEADER order
-    floats = [log.t, *log.states.T, log.u, log.y_ref, log.e, log.V, log.w_diag, log.predicted_cost]
-    lines = [CSV_HEADER]
-    for i in range(len(log)):
-        row = [repr(float(col[i])) for col in floats]
-        lines.append(",".join([*row, log.solver_status[i], str(int(log.evaluations[i]))]))
-    text = "\n".join(lines) + "\n"
+    """Write the log as CSV, one row per period; floats in shortest round-trip form."""
+    # the columns are the log's arrays and lists in field order, states split
+    values = [getattr(log, f.name) for f in fields(log)]
+    per_period = [v for v in values if isinstance(v, (np.ndarray, list))]
+    columns = [col for v in per_period for col in (v.T if np.ndim(v) == 2 else [v])]
+    # formatted row by row: all cells at once would raise the peak memory
+    rows = (
+        ",".join(str(kind(v)) for (_, kind), v in zip(_COLUMNS, row, strict=True))
+        for row in zip(*columns)
+    )
+    text = "\n".join([CSV_HEADER, *rows]) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -531,7 +542,7 @@ def export_csv(log: TrajectoryLog, path: str) -> None:
 
 
 def load_csv(path: str) -> dict:
-    """Parse a CSV written by export_csv into named column arrays."""
+    """Parse a CSV written by export_csv: status a list of strings, other columns arrays."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
@@ -539,16 +550,19 @@ def load_csv(path: str) -> dict:
         raise OSError(f"failed reading CSV from {path}: {exc}") from exc
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: unexpected CSV header")
-    names = CSV_HEADER.split(",")
-    columns: dict[str, list] = {name: [] for name in names}
-    for line in lines[1:]:
+    columns: list[list] = [[] for _ in _COLUMNS]
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        if len(parts) != len(names):
-            raise ValueError(f"{path}: malformed row {line!r}")
-        for name, part in zip(names, parts):
-            columns[name].append({"status": str, "evals": int}.get(name, float)(part))
+        if len(parts) != len(_COLUMNS):
+            raise ValueError(f"{path}:{lineno}: malformed row {line!r}")
+        for (name, kind), column, part in zip(_COLUMNS, columns, parts):
+            try:
+                column.append(kind(part))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: column {name}: {exc}") from exc
     return {
-        name: (vals if name == "status" else np.array(vals)) for name, vals in columns.items()
+        name: column if kind is str else np.array(column)
+        for (name, kind), column in zip(_COLUMNS, columns)
     }
 
 

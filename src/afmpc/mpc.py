@@ -281,7 +281,9 @@ def solve_step(
     LinAlgError out of minimize; any other exception propagates. The
     program has box bounds only, so p = 0 is always feasible for its QPs:
     QpInfeasibleError here means numerical trouble, such as a non-finite
-    gradient, not an empty QP.
+    gradient, not an empty QP. Any other period takes minimize's status:
+    converged, max_iter (its iteration budget ran out) or stalled (it
+    stopped short of both, see minimize).
 
     minimize's objective returns the horizon cost, its exact gradient
     2 sum_p S_p' Q (x_p - x_ref,p) + 2 R U and its Gauss-Newton Hessian
@@ -406,7 +408,9 @@ class ClosedLoop:
 
 @dataclass
 class TrajectoryLog:
-    """Per-control-period records of a closed-loop run."""
+    """Per-control-period records of a closed-loop run: each array or list
+    field, t to evaluations, holds one entry per period, and in field order
+    they are the period's record and the CSV columns (states as x1..x4)."""
 
     dt: float
     t: np.ndarray
@@ -458,16 +462,7 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
     # the last bits
     pb = None if ad is None else loop.lyapunov_p[:, 3].copy()
 
-    rec_t: list[float] = []
-    rec_x: list[np.ndarray] = []
-    rec_u: list[float] = []
-    rec_yref: list[float] = []
-    rec_e: list[float] = []
-    rec_v: list[float] = []
-    rec_w: list[float] = []
-    rec_cost: list[float] = []
-    rec_status: list[str] = []
-    rec_evals: list[int] = []
+    rows: list[tuple] = []  # one record per period, in TrajectoryLog field order
     diverged = False
 
     for k in range(steps):
@@ -493,16 +488,10 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
         else:
             w_val = 0.0
 
-        rec_t.append(t)
-        rec_x.append(x.copy())
-        rec_u.append(u)
-        rec_yref.append(float(xr_now[2]))
-        rec_e.append(float(xr_now[2] - x[2]))
-        rec_v.append(v_val)
-        rec_w.append(float(w_val))
-        rec_cost.append(ctrl.predicted_cost)
-        rec_status.append(ctrl.solver_status)
-        rec_evals.append(ctrl.evaluations)
+        rows.append((
+            t, x.copy(), u, float(xr_now[2]), float(xr_now[2] - x[2]), v_val, float(w_val),
+            ctrl.predicted_cost, ctrl.solver_status, ctrl.evaluations,
+        ))
 
         try:
             for i in range(n_sub):
@@ -529,17 +518,9 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
         warm = shift_warm_start(ctrl.optimized_sequence)
 
     return TrajectoryLog(
-        dt=cfg.dt,
-        t=np.array(rec_t),
-        states=np.array(rec_x),
-        u=np.array(rec_u),
-        y_ref=np.array(rec_yref),
-        e=np.array(rec_e),
-        V=np.array(rec_v),
-        w_diag=np.array(rec_w),
-        predicted_cost=np.array(rec_cost),
-        solver_status=rec_status,
-        evaluations=np.array(rec_evals, dtype=int),
+        cfg.dt,
+        # one column per record field; a column of strings stays a list
+        *(list(col) if isinstance(col[0], str) else np.array(col) for col in zip(*rows)),
         diverged=diverged,
         final_fuzzy=fuzzy,
     )

@@ -102,7 +102,7 @@ class Solution:
     objective_value: float
     kkt_residual: float
     iterations: int
-    status: str  # converged | max_iter | infeasible
+    status: str  # converged | max_iter | stalled | infeasible, see minimize
     objective_evaluations: int = 0
     # (merit_before, merit_after) per accepted line-search step
     merit_decreases: tuple = field(default_factory=tuple)
@@ -261,12 +261,13 @@ def minimize(
     Hessian of the current point. Otherwise BFGS starts from the identity
     and gradients are central differences; kkt_tolerance only decides when
     to stop. A failed line search sets the Hessian to the identity, and two
-    consecutive failed line searches end the run. Line searches on a
-    difference gradient accept a merit rise of 1e-12 relative, the
-    objective's rounding noise, so they can close the last digits of the
-    residual. A zero step that leaves the multipliers as they were
-    ends the run, since every later iteration would repeat it. The
-    returned point is the best one seen by KKT residual. Every iterate lies
+    consecutive failed line searches end the run, status stalled. Line
+    searches on a difference gradient accept a merit rise of 1e-12
+    relative, the objective's rounding noise, so they can close the last
+    digits of the residual. A zero step that leaves the multipliers as they
+    were ends the run stalled too, since every later iteration would repeat
+    it; max_iter means the iteration budget ran out. The returned point
+    is the best one seen by KKT residual. Every iterate lies
     inside the box bounds: the QP accepts a bound row within its
     feasibility tolerance, so each line-search trial point is clipped to
     the box. QpInfeasibleError from the QP subproblem propagates to the
@@ -324,6 +325,7 @@ def minimize(
     # (residual, z, lam_gen, f) of the lowest residual seen
     best = (float("inf"), z, lam_gen, f0)
     stall = 0
+    stop = "stalled"  # a break short of convergence
 
     for _ in range(settings.max_iterations):
         res = _kkt_residual(g, c0, Jc, lam_gen, lam_bnd, bnd_A, bnd_gaps)
@@ -401,6 +403,7 @@ def minimize(
         lam_gen, lam_bnd = lam_gen_new, lam_bnd_new
         bnd_gaps = bnd_c - bnd_A @ z
     else:
+        stop = "max_iter"
         res = _kkt_residual(g, c0, Jc, lam_gen, lam_bnd, bnd_A, bnd_gaps)
         if res < best[0]:
             best = (res, z, lam_gen, f0)
@@ -412,7 +415,7 @@ def minimize(
     elif feas_final > max(tol, 1e-8):
         status = "infeasible"
     else:
-        status = "max_iter"
+        status = stop
     return Solution(
         minimizer=z_best,
         multipliers=lam_best,

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings as hyp_settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from afmpc import harness, mpc
 from afmpc.dense_linalg import is_positive_definite
@@ -14,6 +15,7 @@ from afmpc.mpc import TrajectoryLog
 from afmpc.plant import DisturbanceSpec, PlantParams, derive_coefficients
 
 TRUE_COEFFS = derive_coefficients(PlantParams())
+STATUSES = ("converged", "max_iter", "stalled", "fallback")
 
 
 def write_config(tmp_path, text: str) -> str:
@@ -554,7 +556,7 @@ def test_sinusoid_disturbance_bound_solve_converges(tmp_path, monkeypatch):
     # bound; a solve that ended a rounding step outside the box cost more
     # than the warm start once clipped, and period 58 (t = 2.9 s) fell back
     # to it. Every solve whose whole sequence lies on the box must converge;
-    # solves elsewhere after the fall may end max_iter
+    # solves elsewhere after the fall may end max_iter or stalled
     steps = []
     inner = mpc.solve_step
 
@@ -681,28 +683,101 @@ def test_compute_metrics_rejects_empty_log():
         harness.compute_metrics(log, 0.05)
 
 
-def test_export_load_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    n = 7
-    log = synthetic_log(rng.normal(size=n), dt=0.05, evaluations=rng.integers(2, 60, n))
-    log.states = rng.normal(size=(n, 4))
-    log.u = rng.normal(size=n)
-    log.V = rng.uniform(0.0, 2.0, n)
-    log.predicted_cost = rng.uniform(size=n)
-    log.solver_status = ["converged"] * 5 + ["fallback", "max_iter"]
+# finite floats, with the edge cases drawn often: signed zero, the
+# smallest subnormal and the largest magnitudes
+CSV_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def trajectory_logs(draw):
+    n = draw(st.integers(1, 40))
+
+    def floats(shape=(n,)):
+        return draw(hnp.arrays(np.float64, shape, elements=CSV_FLOATS))
+
+    return TrajectoryLog(
+        dt=0.05,
+        t=floats(),
+        states=floats((n, 4)),
+        u=floats(),
+        y_ref=floats(),
+        e=floats(),
+        V=floats(),
+        w_diag=floats(),
+        predicted_cost=floats(),
+        solver_status=draw(st.lists(st.sampled_from(STATUSES), min_size=n, max_size=n)),
+        evaluations=np.array(draw(st.lists(st.integers(0, 2**62), min_size=n, max_size=n))),
+    )
+
+
+def log_columns(log: TrajectoryLog) -> dict:
+    """The CSV column each log field should give, by CSV name."""
+    return {
+        "t": log.t,
+        **{f"x{i + 1}": log.states[:, i] for i in range(4)},
+        "u": log.u,
+        "y_ref": log.y_ref,
+        "e": log.e,
+        "V": log.V,
+        "w_diag": log.w_diag,
+        "cost": log.predicted_cost,
+        "status": log.solver_status,
+        "evals": log.evaluations,
+    }
+
+
+def assert_columns_equal(cols: dict, log: TrajectoryLog) -> None:
+    """Every CSV column holds its log field bit for bit, with its type."""
+    expected = log_columns(log)
+    assert list(cols) == list(expected) == harness.CSV_HEADER.split(",")
+    for name, kind in harness._COLUMNS:
+        if kind is str:
+            assert cols[name] == list(expected[name]), name
+            assert all(type(v) is str for v in cols[name]), name
+        else:
+            want = np.asarray(expected[name])
+            assert cols[name].dtype == want.dtype, name
+            # tobytes tells -0.0 from 0.0, which array_equal does not
+            assert cols[name].tobytes() == want.tobytes(), name
+
+
+@hyp_settings(max_examples=60, deadline=None)
+@given(log=trajectory_logs())
+def test_export_load_csv_round_trip(tmp_path_factory, log):
+    assert harness.CSV_HEADER == "t,x1,x2,x3,x4,u,y_ref,e,V,w_diag,cost,status,evals"
+    path = str(tmp_path_factory.mktemp("csv") / "log.csv")
+    harness.export_csv(log, path)
+    assert_columns_equal(harness.load_csv(path), log)
+
+
+def test_first_period_divergence_gives_a_one_row_log(tmp_path):
+    # the plant overflows within the first control period: the log keeps
+    # the record made before it, one row, and the CSV reloads it exactly
+    cfg = mpc.MpcConfig()
+    loop = mpc.ClosedLoop(
+        model=mpc.NominalPredictor(TRUE_COEFFS, cfg.dt),
+        config=cfg,
+        true_coeffs=TRUE_COEFFS,
+        x_ref_fn=lambda t: np.zeros(4),
+        lyapunov_p=np.eye(4),
+    )
+    x0 = np.array([0.0, 1e307, 0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        log = mpc.run_receding_horizon(x0, loop, 5)
+    assert log.diverged
+    assert len(log) == 1
+    assert log.states.shape == (1, 4)
+    assert np.array_equal(log.states[0], x0)
+    for name, column in log_columns(log).items():
+        assert len(column) == 1, name
+    assert isinstance(log.solver_status, list)
+    assert log.evaluations.dtype.kind == "i"
     path = str(tmp_path / "log.csv")
     harness.export_csv(log, path)
-    cols = harness.load_csv(path)
-    # repr-based formatting survives the round trip bit for bit
-    np.testing.assert_array_equal(cols["t"], log.t)
-    np.testing.assert_array_equal(cols["x1"], log.states[:, 0])
-    np.testing.assert_array_equal(cols["x4"], log.states[:, 3])
-    np.testing.assert_array_equal(cols["u"], log.u)
-    np.testing.assert_array_equal(cols["e"], log.e)
-    np.testing.assert_array_equal(cols["V"], log.V)
-    np.testing.assert_array_equal(cols["evals"], log.evaluations)
-    assert cols["evals"].dtype.kind == "i"
-    assert cols["status"] == log.solver_status
+    assert_columns_equal(harness.load_csv(path), log)
 
 
 def test_load_csv_rejects_bad_content(tmp_path):
@@ -714,6 +789,22 @@ def test_load_csv_rejects_bad_content(tmp_path):
     bad_row.write_text(harness.CSV_HEADER + "\n1.0,2.0,3.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="malformed row"):
         harness.load_csv(str(bad_row))
+
+
+@pytest.mark.parametrize("column, value", [("u", "abc"), ("evals", "3.5")])
+def test_load_csv_names_the_bad_field(tmp_path, column, value):
+    n = 3
+    log = synthetic_log(np.zeros(n), dt=0.05, evaluations=np.full(n, 5))
+    path = tmp_path / "log.csv"
+    harness.export_csv(log, str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    parts = lines[2].split(",")
+    parts[harness.CSV_HEADER.split(",").index(column)] = value
+    lines[2] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    where = re.escape(f"{path}:3: column {column}: ")
+    with pytest.raises(ValueError, match=f"^{where}.*{re.escape(repr(value))}"):
+        harness.load_csv(str(path))
 
 
 def test_compare_report_ratio_cases():

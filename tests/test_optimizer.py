@@ -439,8 +439,26 @@ def test_zero_step_that_repeats_ends_the_run(objective, exact):
     box = np.array([-5.0]), np.array([5.0])
     p = NlpProblem(1, objective, lower_bounds=box[0], upper_bounds=box[1], exact_gradient=exact)
     sol = minimize(p, np.array([0.0]), settings(kkt_tolerance=1e-4))
-    assert sol.status == "max_iter"
+    assert sol.status == "stalled"
     assert sol.iterations <= 2
+
+
+def test_two_failed_line_searches_end_the_run_stalled():
+    # the objective reports the wrong-sign gradient of z^2, so every QP step
+    # points uphill and no backtrack finds a decrease: the run stops after
+    # two failed line searches, with most of its iteration budget unused
+    p = NlpProblem(
+        1,
+        lambda z: (float(z @ z), -2.0 * z, np.eye(1)),
+        lower_bounds=np.array([-5.0]),
+        upper_bounds=np.array([5.0]),
+        exact_gradient=True,
+    )
+    sol = minimize(p, np.array([1.0]), settings())
+    assert sol.status == "stalled"
+    assert sol.iterations == 2
+    assert sol.minimizer[0] == 1.0
+    assert sol.merit_decreases == ()
 
 
 def test_box_qp_cycling():
