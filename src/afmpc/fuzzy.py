@@ -130,7 +130,7 @@ def basis(model: FuzzyModel, X) -> np.ndarray:
     # the element at argmax is the max, NaN included, and costs less
     s -= s[s.argmax()]
     w = np.exp(s, out=s)
-    total = float(w.sum())
+    total = float(np.add.reduce(w))
     if not math.isfinite(total) or total <= 0.0:
         raise DegenerateFiringError("rule-firing normalizer degenerated to zero")
     w /= total
@@ -183,20 +183,24 @@ def adapt(
 
     pb is the product P @ b of the Lyapunov matrix and the input vector,
     fixed over a run, so its caller forms it once. Returns a new model; the
-    rule grid is shared with the input model.
+    rule grid is shared with the input model. Raises ParameterBlowupError
+    when an updated theta is NaN or beyond theta_bound in magnitude.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    s = float(np.asarray(e, dtype=float) @ np.asarray(pb, dtype=float))
+    s = float(e @ pb)
     # Python floats build basis's [x*x, x] faster than np.float64 scalars
-    eps = basis(model, np.asarray(X, dtype=float).tolist())
+    eps = basis(model, X.tolist())
     drive = dt * gain * s * eps
     theta_f = model.theta_f - drive
     theta_g = model.theta_g - drive * u
-    peak = max(float(np.abs(theta_f).max()), float(np.abs(theta_g).max()))
-    if peak > theta_bound:
+    peak_f = float(np.maximum.reduce(np.abs(theta_f)))
+    peak_g = float(np.maximum.reduce(np.abs(theta_g)))
+    # not <=, so that a NaN in either vector fails too
+    if not (peak_f <= theta_bound and peak_g <= theta_bound):
         raise ParameterBlowupError(
-            f"adaptation pushed |theta| to {peak:.3e}, beyond bound {theta_bound:.3e}"
+            f"adaptation pushed max |theta_f| to {peak_f:.3e} and max |theta_g| to"
+            f" {peak_g:.3e}, beyond bound {theta_bound:.3e}"
         )
     return model._replace_thetas(theta_f, theta_g)
 

@@ -75,12 +75,13 @@ class MpcConfig:
         # all(), not min(): NaN compares false, so min() would let it through
         if len(self.state_weight) != 4 or not all(w > 0.0 for w in self.state_weight):
             raise ValueError("state_weight must be 4 positive diagonal weights")
-        if self.input_weight <= 0.0:
+        # not > 0 and not >= 0 below, so that NaN fails too
+        if not self.input_weight > 0.0:
             raise ValueError("input_weight must be positive")
         # zero is allowed as a degenerate (input pinned to 0) bound
-        if self.input_bound < 0.0:
+        if not self.input_bound >= 0.0:
             raise ValueError("input_bound must be non-negative")
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError("dt must be positive")
 
 
@@ -215,13 +216,15 @@ def predict_trajectory(model, x0: np.ndarray, U: np.ndarray, d: np.ndarray, sens
     d = np.atleast_1d(np.asarray(d, dtype=float))
     x = np.asarray(x0, dtype=float)
     kp, kc = d.shape[0], U.shape[0]
+    # Python floats, so that no slot makes a numpy scalar
+    u_seq, d_seq = U.tolist(), d.tolist()
     states = np.empty((kp, 4))
     if sensitivities:
         moved = []  # state tangents of U_0 .. U_j, j the last input applied so far
         unmoved = [(0.0, 0.0, 0.0, 0.0)] * kc
         rows = []  # per slot, the tangents of every input
     for p in range(kp):
-        u = U[p] if p < kc else U[-1]
+        u = u_seq[p] if p < kc else u_seq[-1]
         try:
             # sin() of an overflowed state raises; fold that into divergence
             if sensitivities:
@@ -229,10 +232,10 @@ def predict_trajectory(model, x0: np.ndarray, U: np.ndarray, d: np.ndarray, sens
                 if len(moved) == j_in:
                     moved.append((0.0, 0.0, 0.0, 0.0))
                 tangents = [t + (1.0 if j == j_in else 0.0,) for j, t in enumerate(moved)]
-                x, moved = model.predict(x, float(u), float(d[p]), tangents)
+                x, moved = model.predict(x, u, d_seq[p], tangents)
                 rows.append(moved + unmoved[len(moved) :])
             else:
-                x = model.predict(x, float(u), float(d[p]))
+                x = model.predict(x, u, d_seq[p])
         except (ValueError, OverflowError, fz.DegenerateFiringError) as exc:
             raise PredictionDivergenceError(f"prediction divergence at slot {p + 1}") from exc
         if not all(map(math.isfinite, x.tolist())):
@@ -250,8 +253,13 @@ def horizon_cost(states: np.ndarray, inputs: np.ndarray, x_ref: np.ndarray, conf
     """Sum of Q-weighted squared state errors plus R-weighted squared inputs,
     Q the diagonal config.state_weight."""
     err = np.asarray(states, dtype=float) - np.asarray(x_ref, dtype=float)
+    return _error_cost(err, np.atleast_1d(np.asarray(inputs, dtype=float)), config)
+
+
+def _error_cost(err: np.ndarray, u: np.ndarray, config: MpcConfig) -> float:
+    """horizon_cost from the state errors err = states - x_ref and the
+    input vector u."""
     state_term = float(np.einsum("pi,i,pi->", err, config.state_weight, err))
-    u = np.atleast_1d(np.asarray(inputs, dtype=float))
     return state_term + config.input_weight * float(u @ u)
 
 
@@ -300,9 +308,8 @@ def solve_step(
     kc = config.control_horizon
     if d is None:
         d = np.zeros(kp)
-    warm = np.clip(
-        np.atleast_1d(np.asarray(warm_start, dtype=float)),
-        -config.input_bound,
+    warm = np.minimum(
+        np.maximum(np.atleast_1d(np.asarray(warm_start, dtype=float)), -config.input_bound),
         config.input_bound,
     )
     if warm.shape != (kc,):
@@ -337,8 +344,8 @@ def solve_step(
             # finite sensitivities whose squares overflow: as useless as a
             # diverged rollout
             return _DIVERGED_COST, np.zeros(kc), r2_eye
-        grad = (states - x_ref).ravel() @ qs + r2 * U
-        return horizon_cost(states, U, x_ref, config), grad, hess
+        err = states - x_ref
+        return _error_cost(err, U, config), err.ravel() @ qs + r2 * U, hess
 
     problem = NlpProblem(
         dimension=kc,

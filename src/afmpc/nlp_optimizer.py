@@ -27,6 +27,7 @@ randomness, no wall-clock dependence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -76,8 +77,9 @@ class NlpProblem:
             self.dimension,
         ):
             raise ValueError("bounds must be vectors of length dimension")
-        if np.any(self.lower_bounds > self.upper_bounds):
-            raise ValueError("lower_bounds must not exceed upper_bounds")
+        # not <=, so that a NaN bound fails too; +-inf bounds stay legal
+        if not (self.lower_bounds <= self.upper_bounds).all():
+            raise ValueError("lower_bounds must not exceed upper_bounds, and no bound may be NaN")
 
     def constraint_values(self, z: np.ndarray) -> np.ndarray:
         if self.inequality_constraints is None:
@@ -91,7 +93,8 @@ class SolverSettings:
     max_iterations: int = 100
 
     def __post_init__(self) -> None:
-        if self.kkt_tolerance <= 0.0 or self.max_iterations <= 0:
+        # not > 0, so that a NaN tolerance, which no solve could meet, fails too
+        if not self.kkt_tolerance > 0.0 or self.max_iterations <= 0:
             raise ValueError("solver settings must all be positive")
 
 
@@ -143,7 +146,7 @@ def _active_set_qp(H, g, A, b):
     """
     n = g.shape[0]
     m = A.shape[0]
-    feas_tol = _QP_FEAS_TOL * max(1.0, float(np.abs(b).max())) if m else 0.0
+    feas_tol = _QP_FEAS_TOL * max(1.0, float(np.maximum.reduce(np.abs(b)))) if m else 0.0
     p = np.linalg.solve(H, -g)
     work: list[int] = []
     lam = np.zeros(0)  # multipliers of the working rows, in work order
@@ -152,11 +155,12 @@ def _active_set_qp(H, g, A, b):
     for _ in range(cap):
         if j is None:
             viol = A @ p - b
-            if not m or float(viol.max()) <= feas_tol:
+            if not m or float(np.maximum.reduce(viol)) <= feas_tol:
                 out = np.zeros(m)
-                out[work] = np.maximum(lam, 0.0)
+                if work:
+                    out[work] = np.maximum(lam, 0.0)
                 return p, out
-            j = int(np.argmax(viol))
+            j = int(viol.argmax())
             lam_j = 0.0
         # direction of a unit rise in lam_j that keeps the working rows active
         k = len(work)
@@ -169,13 +173,15 @@ def _active_set_qp(H, g, A, b):
         curv = -float(A[j] @ dp)
         slack = float(A[j] @ p - b[j])
         # a row dependent on the working rows leaves dp at rounding level
-        dependent = curv <= 0.0 or float(np.abs(dp).max()) <= 1e-12 * float(np.abs(sol).max())
-        t_full = np.inf if dependent else slack / curv
+        dependent = curv <= 0.0 or float(np.maximum.reduce(np.abs(dp))) <= 1e-12 * float(
+            np.maximum.reduce(np.abs(sol))
+        )
+        t_full = math.inf if dependent else slack / curv
         shrink = np.flatnonzero(dlam < 0.0)
         ratios = -lam[shrink] / dlam[shrink]
-        t_part = float(ratios.min()) if shrink.size else np.inf
+        t_part = float(np.minimum.reduce(ratios)) if shrink.size else math.inf
         t = min(t_full, t_part)
-        if not np.isfinite(t):
+        if not math.isfinite(t):
             raise QpInfeasibleError(
                 f"QP infeasible: no finite step makes row {j} feasible (violation {slack:.3g})"
             )
@@ -198,9 +204,15 @@ def _bound_rows(problem: NlpProblem):
 
     Each bounded coordinate gives an upper row, then a lower row.
     """
-    eye = np.eye(problem.dimension)
-    rows = np.stack([eye, -eye], axis=1).reshape(-1, problem.dimension)
-    offsets = np.stack([problem.upper_bounds, -problem.lower_bounds], axis=1).ravel()
+    n = problem.dimension
+    eye = np.eye(n)
+    rows = np.empty((2 * n, n))
+    rows[0::2] = eye
+    # -eye, not a zero fill: its off-diagonal entries are -0.0
+    rows[1::2] = -eye
+    offsets = np.empty(2 * n)
+    offsets[0::2] = problem.upper_bounds
+    offsets[1::2] = -problem.lower_bounds
     bounded = offsets < _UNBOUNDED
     return rows[bounded], offsets[bounded]
 
@@ -210,7 +222,7 @@ def _qp_hessian(H):
     is nearly singular."""
     a = np.abs(H)
     # the max of |H| is NaN or inf when H is non-finite
-    if not float(a.max()) <= _HESSIAN_RESET:
+    if not float(np.maximum.reduce(a, axis=None)) <= _HESSIAN_RESET:
         return np.eye(H.shape[0])
     # the 1-norm condition number, ||H||_1 ||H^-1||_1 from one LU-based
     # inverse, is the value np.linalg.cond(H, 1) returns at a fraction of
@@ -220,7 +232,9 @@ def _qp_hessian(H):
         inv = np.linalg.inv(H)
     except np.linalg.LinAlgError:
         return np.eye(H.shape[0])
-    cond = float(a.sum(axis=0).max()) * float(np.abs(inv).sum(axis=0).max())
+    cond = float(np.maximum.reduce(np.add.reduce(a))) * float(
+        np.maximum.reduce(np.add.reduce(np.abs(inv)))
+    )
     # a NaN condition number (an inverse that overflowed) resets too
     if not cond <= _HESSIAN_COND_RESET:
         return np.eye(H.shape[0])
@@ -233,18 +247,18 @@ def _kkt_residual(g, c0, Jc, lam_gen, lam_bnd, bnd_A, bnd_gaps):
         grad_l += Jc.T @ lam_gen
     if lam_bnd.size:
         grad_l += bnd_A.T @ lam_bnd
-    stat = float(np.abs(grad_l).max())
-    feas = float(np.maximum(c0, 0.0).max()) if c0.size else 0.0
+    stat = float(np.maximum.reduce(np.abs(grad_l)))
+    feas = float(np.maximum.reduce(np.maximum(c0, 0.0))) if c0.size else 0.0
     comp = 0.0
     if lam_gen.size:
-        comp = float(np.abs(lam_gen * c0).max())
+        comp = float(np.maximum.reduce(np.abs(lam_gen * c0)))
     if lam_bnd.size:
-        comp = max(comp, float(np.abs(lam_bnd * bnd_gaps).max()))
+        comp = max(comp, float(np.maximum.reduce(np.abs(lam_bnd * bnd_gaps))))
     return max(stat, feas, comp)
 
 
 def _merit(f, c0, mu):
-    return f + mu * float(np.maximum(c0, 0.0).sum()) if c0.size else f
+    return f + mu * float(np.add.reduce(np.maximum(c0, 0.0))) if c0.size else f
 
 
 def minimize(
@@ -277,7 +291,7 @@ def minimize(
         settings = SolverSettings()
     n = problem.dimension
     lo, hi = problem.lower_bounds, problem.upper_bounds
-    z = np.clip(np.asarray(z0, dtype=float).copy(), lo, hi)
+    z = np.minimum(np.maximum(np.asarray(z0, dtype=float), lo), hi)
     if z.shape != (n,):
         raise ValueError(f"z0 must be a vector of length {n}")
 
@@ -302,7 +316,7 @@ def minimize(
         hess = np.asarray(hess, dtype=float)
         if hess.shape != (n, n):
             raise ValueError(f"objective Hessian must be a {n}x{n} matrix, got shape {hess.shape}")
-        if not np.all(np.isfinite(hess)):
+        if not np.isfinite(hess).all():
             raise ValueError("objective Hessian must be finite")
         return float(f), grad, hess
 
@@ -343,16 +357,16 @@ def minimize(
         lam_gen_new = lam_all[:m]
         lam_bnd_new = lam_all[m:]
         iters += 1
-        if float(np.abs(p).max()) <= 1e-14:
+        if float(np.maximum.reduce(np.abs(p))) <= 1e-14:
             if np.array_equal(lam_gen, lam_gen_new) and np.array_equal(lam_bnd, lam_bnd_new):
                 # nothing moves, so every later iteration would repeat this one
                 break
             lam_gen, lam_bnd = lam_gen_new, lam_bnd_new
             continue
-        mu = max(mu, 2.0 * float(np.abs(lam_gen_new).max() if m else 0.0) + 1.0)
+        mu = max(mu, 2.0 * float(np.maximum.reduce(np.abs(lam_gen_new)) if m else 0.0) + 1.0)
         phi0 = _merit(f0, c0, mu)
         # directional derivative of the l1 merit along p
-        d = float(g @ p) - mu * float(np.maximum(c0, 0.0).sum() if m else 0.0)
+        d = float(g @ p) - mu * float(np.add.reduce(np.maximum(c0, 0.0)) if m else 0.0)
         # near a solution the merit decrease ~res**2/curvature that a
         # central-difference gradient still resolves can sink below the
         # rounding noise of J; an exact model Hessian's steps do not need
@@ -409,7 +423,7 @@ def minimize(
             best = (res, z, lam_gen, f0)
 
     res_final, z_best, lam_best, f_best = best
-    feas_final = float(np.maximum(confun(z_best), 0.0).max()) if m else 0.0
+    feas_final = float(np.maximum.reduce(np.maximum(confun(z_best), 0.0))) if m else 0.0
     if res_final <= tol:
         status = "converged"
     elif feas_final > max(tol, 1e-8):

@@ -277,6 +277,18 @@ def test_adapt_parameter_blowup_guard():
         )
 
 
+@pytest.mark.parametrize("e4, u", [(math.nan, 1.0), (1.0, math.nan)])
+def test_adapt_rejects_a_nan_step(e4, u):
+    # a NaN error makes every theta NaN, a NaN input every theta_g; NaN
+    # fails the bound test, so neither model may be returned
+    model = two_rule_model()
+    with pytest.raises(ParameterBlowupError, match="nan"):
+        adapt(
+            model, np.array([0.0, 0.0, 0.0, e4]), np.array([0, 0, 0, 1.0]),
+            np.zeros(4), u=u, dt=0.01, gain=1.0, theta_bound=1e6,
+        )
+
+
 def test_adapt_validation():
     model = two_rule_model()
     with pytest.raises(ValueError):

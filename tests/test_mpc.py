@@ -128,6 +128,13 @@ def test_config_rejects_bad_scalars():
         mpc.MpcConfig(input_bound=-1.0)
     with pytest.raises(ValueError, match="dt"):
         mpc.MpcConfig(dt=0.0)
+    # NaN fails every comparison, so each guard must reject it too
+    with pytest.raises(ValueError, match="input_weight"):
+        mpc.MpcConfig(input_weight=math.nan)
+    with pytest.raises(ValueError, match="input_bound"):
+        mpc.MpcConfig(input_bound=math.nan)
+    with pytest.raises(ValueError, match="dt"):
+        mpc.MpcConfig(dt=math.nan)
 
 
 def test_config_accepts_zero_input_bound():
@@ -278,6 +285,36 @@ def test_rollout_sensitivities_match_central_differences(case):
         down = mpc.predict_trajectory(model, x0, U - step, d)
         fd[:, :, j] = (up - down) / (2.0 * h)
     assert np.abs(sens - fd).max() <= 1e-6 * np.abs(sens).max()
+
+
+@hyp_settings(max_examples=60, deadline=None)
+@given(case=sensitivity_cases(), ref=st.lists(st.floats(-1.0, 1.0), min_size=20, max_size=20))
+def test_objective_value_is_horizon_cost_of_the_plain_rollout(case, ref):
+    # the solver's objective rolls out with sensitivities and forms its
+    # cost from the same state errors as its gradient; its value must be
+    # horizon_cost of the plain rollout, bit for bit
+    model, x0, U, d = case
+    cfg = mpc.MpcConfig(control_horizon=U.shape[0])
+    x_ref = np.array(ref).reshape(cfg.prediction_horizon, 4)
+    objectives = []
+
+    def capture(problem, z0, settings=None):
+        objectives.append(problem.objective)
+        raise QpInfeasibleError("objective captured")
+
+    inner = mpc.minimize
+    mpc.minimize = capture
+    try:
+        mpc.solve_step(model, x0, x_ref, cfg, U, d)
+    finally:
+        mpc.minimize = inner
+    f, _, _ = objectives[0](U)
+    try:
+        states = mpc.predict_trajectory(model, x0, U, d)
+    except mpc.PredictionDivergenceError:
+        assert f == mpc._DIVERGED_COST
+        return
+    assert f == mpc.horizon_cost(states, U, x_ref, cfg)
 
 
 @hyp_settings(max_examples=60, deadline=None)

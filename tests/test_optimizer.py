@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 
-from afmpc.nlp_optimizer import NlpProblem, QpInfeasibleError, SolverSettings, _active_set_qp, _qp_hessian, minimize
+from afmpc.nlp_optimizer import (
+    NlpProblem,
+    QpInfeasibleError,
+    SolverSettings,
+    _active_set_qp,
+    _bound_rows,
+    _qp_hessian,
+    minimize,
+)
 
 TOL = 1e-6
 
@@ -185,11 +193,59 @@ def test_problem_validation():
         )
 
 
+def test_problem_rejects_a_nan_bound_and_keeps_infinite_ones():
+    # a NaN bound fails every comparison; minimize used to meet it as a QP
+    # row of violation nan
+    for lb, ub in [(math.nan, 1.0), (-1.0, math.nan)]:
+        with pytest.raises(ValueError, match="NaN"):
+            NlpProblem(1, lambda z: z[0], lower_bounds=np.array([lb]), upper_bounds=np.array([ub]))
+    p = NlpProblem(
+        2,
+        lambda z: float(z @ z),
+        lower_bounds=np.array([-math.inf, 1.0]),
+        upper_bounds=np.array([math.inf, math.inf]),
+    )
+    sol = minimize(p, np.array([3.0, 3.0]), settings())
+    np.testing.assert_allclose(sol.minimizer, [0.0, 1.0], atol=1e-6)
+
+
 def test_settings_validation():
     with pytest.raises(ValueError):
         SolverSettings(kkt_tolerance=0.0)
+    # no residual is ever <= NaN, so no solve could converge
+    with pytest.raises(ValueError):
+        SolverSettings(kkt_tolerance=math.nan)
     with pytest.raises(ValueError):
         SolverSettings(max_iterations=0)
+
+
+bounds = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1e19, -1e19, 2e19, -2e19]),
+)
+
+
+@hyp_settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(bounds, bounds).map(sorted), min_size=1, max_size=5))
+def test_bound_rows_match_written_out_rows(pairs):
+    # per coordinate i, the upper row e_i with offset ub_i, then the lower
+    # row -e_i (its off-diagonal entries -0.0) with offset -lb_i; a row
+    # whose offset is not below 1e19 bounds nothing and is left out
+    n = len(pairs)
+    lb = np.array([lo for lo, _ in pairs])
+    ub = np.array([hi for _, hi in pairs])
+    want_rows, want_offsets = [], []
+    for i in range(n):
+        if ub[i] < 1e19:
+            want_rows.append([1.0 if j == i else 0.0 for j in range(n)])
+            want_offsets.append(ub[i])
+        if -lb[i] < 1e19:
+            want_rows.append([-1.0 if j == i else -0.0 for j in range(n)])
+            want_offsets.append(-lb[i])
+    rows, offsets = _bound_rows(NlpProblem(n, lambda z: 0.0, lower_bounds=lb, upper_bounds=ub))
+    assert rows.shape == (len(want_rows), n)
+    assert rows.tobytes() == np.array(want_rows, dtype=float).tobytes()
+    assert offsets.tobytes() == np.array(want_offsets, dtype=float).tobytes()
 
 
 def box_qp(Q, q, lb, ub) -> NlpProblem:
