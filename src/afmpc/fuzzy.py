@@ -45,7 +45,8 @@ class GaussianMF:
     width: float
 
     def __post_init__(self) -> None:
-        if self.width <= 0.0:
+        # not > 0, so that a NaN width fails too
+        if not self.width > 0.0:
             raise ValueError("membership width must be positive")
 
 
@@ -74,7 +75,7 @@ class FuzzyModel:
     _s_const: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.g_floor <= 0.0:
+        if not self.g_floor > 0.0:
             raise ValueError("g_floor must be positive")
         if len(self.mfs) != 4:
             raise ValueError(f"expected membership groups for 4 states, got {len(self.mfs)}")
@@ -186,7 +187,8 @@ def adapt(
     rule grid is shared with the input model. Raises ParameterBlowupError
     when an updated theta is NaN or beyond theta_bound in magnitude.
     """
-    if dt <= 0.0:
+    # not > 0, so that a NaN dt fails here, not as a parameter blowup
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
     s = float(e @ pb)
     # Python floats build basis's [x*x, x] faster than np.float64 scalars
@@ -269,6 +271,9 @@ def fit_consequents_lsq(
     """
     if not model.state_ranges:
         raise ValueError("model carries no state ranges to sample")
+    # no samples leave E^T E zero, and theta_f would silently come out 0
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     lo = np.array([r[0] for r in model.state_ranges])
     hi = np.array([r[1] for r in model.state_ranges])

@@ -385,6 +385,13 @@ class AdaptationLoop:
     gain: float
     theta_bound: float
 
+    def __post_init__(self) -> None:
+        # not >= 0 and not > 0, so that NaN fails too
+        if not self.gain >= 0.0:
+            raise ValueError(f"gain must be non-negative, got {self.gain}")
+        if not self.theta_bound > 0.0:
+            raise ValueError(f"theta_bound must be positive, got {self.theta_bound}")
+
 
 @dataclass(frozen=True)
 class ClosedLoop:

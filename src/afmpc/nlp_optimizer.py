@@ -16,9 +16,9 @@ approximation of the Lagrangian Hessian, started from the identity, stands
 in for H. Constraints are differenced the same way in either case. The
 KKT tolerance is only a stopping rule: it selects no scheme.
 
-Whichever Hessian reaches the QP is replaced by the identity when it is
-non-finite, has an entry above 1e8 or has a 1-norm condition number above
-1e10, so the QP never gets a nearly singular system.
+Whichever Hessian reaches the QP, exact or BFGS, is replaced by the
+identity unless its 1-norm condition number is finite and at most 1e10,
+so the QP never gets a non-finite or nearly singular system.
 
 A linearized QP that admits no point raises QpInfeasibleError out of
 minimize; there is no fallback solve. Everything is deterministic: no
@@ -46,7 +46,6 @@ _QP_FEAS_TOL = 1e-9
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 30
 _FD_STEP = 1e-6
-_HESSIAN_RESET = 1e8
 _HESSIAN_COND_RESET = 1e10
 
 
@@ -218,12 +217,8 @@ def _bound_rows(problem: NlpProblem):
 
 
 def _qp_hessian(H):
-    """H, or the identity when H is non-finite, has an entry above 1e8 or
-    is nearly singular."""
-    a = np.abs(H)
-    # the max of |H| is NaN or inf when H is non-finite
-    if not float(np.maximum.reduce(a, axis=None)) <= _HESSIAN_RESET:
-        return np.eye(H.shape[0])
+    """H, or the identity unless H has a finite 1-norm condition number of
+    at most 1e10; scale-free, so large entries alone reset nothing."""
     # the 1-norm condition number, ||H||_1 ||H^-1||_1 from one LU-based
     # inverse, is the value np.linalg.cond(H, 1) returns at a fraction of
     # its overhead; the default 2-norm one takes an SVD, whose first call
@@ -232,10 +227,10 @@ def _qp_hessian(H):
         inv = np.linalg.inv(H)
     except np.linalg.LinAlgError:
         return np.eye(H.shape[0])
-    cond = float(np.maximum.reduce(np.add.reduce(a))) * float(
+    cond = float(np.maximum.reduce(np.add.reduce(np.abs(H)))) * float(
         np.maximum.reduce(np.add.reduce(np.abs(inv)))
     )
-    # a NaN condition number (an inverse that overflowed) resets too
+    # not <=, so that a non-finite H (a NaN or inf cond) resets too
     if not cond <= _HESSIAN_COND_RESET:
         return np.eye(H.shape[0])
     return H

@@ -45,11 +45,12 @@ class PlantParams:
     k_p: float = 74.89     # input gain of the arm drive
 
     def __post_init__(self) -> None:
+        # not > 0 and not >= 0, so that NaN fails too
         for name in ("m1", "J1", "g", "l1", "k_p"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("c1", "k1"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
@@ -103,7 +104,7 @@ class DisturbanceSpec:
     def __post_init__(self) -> None:
         if self.kind not in _DISTURBANCE_KINDS:
             raise ValueError(f"unknown disturbance kind {self.kind!r}, expected one of {_DISTURBANCE_KINDS}")
-        if self.amplitude < 0.0:
+        if not self.amplitude >= 0.0:
             raise ValueError("disturbance amplitude must be non-negative")
         if self.seed < 0:
             raise ValueError("disturbance seed must be non-negative")
@@ -217,7 +218,8 @@ def step(
     t: float = 0.0,
 ) -> np.ndarray:
     """Advance the state one RK4 step with the input held constant."""
-    if dt <= 0.0:
+    # not > 0, so that a NaN dt fails here, not as a divergence
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
     d = (0.0, 0.0, 0.0)
     if disturbance is not None:

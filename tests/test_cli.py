@@ -9,6 +9,16 @@ import pytest
 
 from afmpc import cli, harness
 
+# this checkout's package, prepended so that a subprocess runs the afmpc
+# under test, not whichever one its inherited path finds first
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def checkout_env(**overrides) -> dict:
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC, **overrides)
+
+
 SHORT_RUN = "reference.kind = zero\nscenario.alpha0 = 0.1\nrun.duration = 0.5\nfuzzy.init_samples = 500\n"
 
 
@@ -227,6 +237,7 @@ def test_installed_entry_point_smoke():
         capture_output=True,
         text=True,
         timeout=60,
+        env=checkout_env(),
     )
     assert proc.returncode == 0
     assert "controller = classical" in proc.stdout
@@ -240,7 +251,7 @@ def test_run_csv_independent_of_blas_threads(tmp_path):
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"afmpc_{threads}.csv"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env = checkout_env(OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "afmpc", "run", "--config", path,
              "--controller", "afmpc", "--out", str(out)],

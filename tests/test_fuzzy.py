@@ -46,6 +46,12 @@ def test_membership_width_validation():
         GaussianMF(center=0.0, width=-1.0)
 
 
+def test_membership_rejects_nan_width():
+    # NaN fails every comparison; it passed the old width <= 0 guard
+    with pytest.raises(ValueError, match="membership width must be positive"):
+        GaussianMF(center=0.0, width=math.nan)
+
+
 def test_basis_singleton_grid():
     model = build_rule_grid((1, 1, 1, 1), UNIT_RANGES)
     np.testing.assert_allclose(basis(model, np.zeros(4)), [1.0])
@@ -295,6 +301,17 @@ def test_adapt_validation():
         adapt(model, np.zeros(4), np.zeros(4), np.zeros(4), 0.0, dt=0.0, gain=1.0, theta_bound=1e6)
 
 
+def test_adapt_rejects_nan_dt():
+    # a NaN dt made every theta NaN and raised ParameterBlowupError for a
+    # blow-up that never happened
+    model = two_rule_model()
+    with pytest.raises(ValueError, match="dt must be positive"):
+        adapt(
+            model, np.ones(4), np.ones(4), np.zeros(4), 1.0,
+            dt=math.nan, gain=1.0, theta_bound=1e6,
+        )
+
+
 def test_build_rule_grid_sizes():
     assert build_rule_grid((1, 1, 1, 1), UNIT_RANGES).n_rules == 1
     assert build_rule_grid((3, 3, 3, 3), UNIT_RANGES).n_rules == 81
@@ -322,6 +339,20 @@ def test_build_rule_grid_validation():
         build_rule_grid((2, 2, 2, 2), ((1.0, -1.0), (-1, 1), (-1, 1), (-1, 1)))
 
 
+def test_g_floor_rejects_nan():
+    # a NaN floor passed the old g_floor <= 0 guard, and g_hat's max() then
+    # never clamped
+    with pytest.raises(ValueError, match="g_floor must be positive"):
+        build_rule_grid((1, 1, 1, 1), UNIT_RANGES, g_floor=math.nan)
+    with pytest.raises(ValueError, match="g_floor must be positive"):
+        FuzzyModel(
+            mfs=[[GaussianMF(0.0, 1.0)]] * 4,
+            theta_f=np.zeros(1),
+            theta_g=np.zeros(1),
+            g_floor=math.nan,
+        )
+
+
 def test_theta_length_validation():
     with pytest.raises(ValueError):
         FuzzyModel(
@@ -332,6 +363,13 @@ def test_theta_length_validation():
     # basis unpacks exactly 4 state components
     with pytest.raises(ValueError, match="4 states, got 3"):
         FuzzyModel(mfs=[[GaussianMF(0.0, 1.0)]] * 3, theta_f=np.zeros(1), theta_g=np.zeros(1))
+
+
+def test_fit_consequents_rejects_no_samples():
+    # returned theta_f = 0 from an all-zero E^T E, as if that were the fit
+    model = build_rule_grid((2, 1, 1, 1), UNIT_RANGES)
+    with pytest.raises(ValueError, match="n_samples must be at least 1, got 0"):
+        fit_consequents_lsq(model, lambda X: X[:, 0], n_samples=0, seed=0)
 
 
 def test_fit_consequents_recovers_representable_target():

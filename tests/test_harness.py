@@ -586,6 +586,22 @@ def test_sinusoid_disturbance_bound_solve_converges(tmp_path, monkeypatch):
     assert "fallback" not in log.solver_status
 
 
+def test_tight_input_bound_solves_stay_cheap_after_the_fall(tmp_path):
+    # with u_max = 0.5 the pendulum falls, and the solves after it sit on
+    # large rollout sensitivities; a Hessian reset on entry size alone sent
+    # them down steepest descent at about 20 halvings a step, 43.58 rollouts
+    # per solve on average, where the scale-free condition test gives 19.15
+    path = write_config(
+        tmp_path,
+        "controller = afmpc\n"
+        "mpc.u_max = 0.5\n"
+        "run.duration = 3.0\n",
+    )
+    log, _ = harness.run_scenario(harness.load_config(path))
+    assert np.mean(log.evaluations) <= 30.0
+    assert "fallback" not in log.solver_status
+
+
 def test_reference_trajectory_sinusoid_derivatives():
     spec = harness.ReferenceSpec(kind="sinusoid", amplitude=0.2, frequency=0.65)
     w = 2.0 * math.pi * 0.65

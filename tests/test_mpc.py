@@ -685,6 +685,22 @@ def test_closed_loop_rejects_nan_plant_dt():
         )
 
 
+@pytest.mark.parametrize(
+    "gain, theta_bound, match",
+    [
+        (-1.0, 1e6, "gain must be non-negative"),
+        (math.nan, 1e6, "gain must be non-negative"),
+        (1.0, 0.0, "theta_bound must be positive"),
+        (1.0, math.nan, "theta_bound must be positive"),
+    ],
+)
+def test_adaptation_loop_rejects_bad_settings(gain, theta_bound, match):
+    # was accepted: a negative gain drives theta up the Lyapunov gradient,
+    # and a NaN gain or bound raised ParameterBlowupError on the first step
+    with pytest.raises(ValueError, match=match):
+        mpc.AdaptationLoop(gain=gain, theta_bound=theta_bound)
+
+
 def test_closed_loop_rejects_predictor_of_another_period():
     # was accepted, and every rollout then spanned the wrong horizon
     with pytest.raises(ValueError, match=r"model\.dt 0\.1 differs from config\.dt 0\.05"):

@@ -52,6 +52,13 @@ def test_param_validation():
         PlantParams(c1=-0.1)
 
 
+@pytest.mark.parametrize("name", ["m1", "J1", "g", "l1", "k_p", "c1", "k1"])
+def test_param_validation_rejects_nan(name):
+    # NaN fails every comparison; it passed the old <= 0 and < 0 guards
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        PlantParams(**{name: math.nan})
+
+
 def test_dynamics_equilibria():
     c = default_coeffs()
     np.testing.assert_allclose(dynamics(np.zeros(4), 0.0, c), np.zeros(4))
@@ -185,6 +192,13 @@ def test_step_rejects_bad_dt():
         step(np.zeros(4), 0.0, 0.0, c)
 
 
+def test_step_rejects_nan_dt():
+    # a NaN dt made the state NaN and raised IntegrationDivergenceError for
+    # a divergence that never happened
+    with pytest.raises(ValueError, match="dt must be positive"):
+        step(np.zeros(4), 0.0, math.nan, default_coeffs())
+
+
 def test_step_divergence_detection():
     c = default_coeffs()
     x = np.array([0.0, 1e308, 0.0, 0.0])
@@ -230,3 +244,9 @@ def test_disturbance_validation():
         DisturbanceSpec(kind="ramp")
     with pytest.raises(ValueError):
         DisturbanceSpec(kind="constant", amplitude=-1.0)
+
+
+def test_disturbance_rejects_nan_amplitude():
+    # NaN fails every comparison; it passed the old amplitude < 0 guard
+    with pytest.raises(ValueError, match="disturbance amplitude must be non-negative"):
+        DisturbanceSpec(kind="constant", amplitude=math.nan)
