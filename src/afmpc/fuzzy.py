@@ -32,7 +32,8 @@ __all__ = [
 
 
 class DegenerateFiringError(ArithmeticError):
-    """Raised if the rule-firing normalizer degenerates to zero."""
+    """Raised if the rule firing strengths are not finite at a state: the
+    state is non-finite, or its squares overflow."""
 
 
 class ParameterBlowupError(RuntimeError):
@@ -131,9 +132,10 @@ def basis(model: FuzzyModel, X) -> np.ndarray:
     # the element at argmax is the max, NaN included, and costs less
     s -= s[s.argmax()]
     w = np.exp(s, out=s)
+    # the shift puts one strength at exp(0) = 1, so total >= 1 unless NaN
     total = float(np.add.reduce(w))
-    if not math.isfinite(total) or total <= 0.0:
-        raise DegenerateFiringError("rule-firing normalizer degenerated to zero")
+    if not math.isfinite(total):
+        raise DegenerateFiringError(f"rule firing strengths are not finite at state ({x1}, {x2}, {x3}, {x4})")
     w /= total
     return w
 
@@ -150,8 +152,9 @@ def basis_matrix(model: FuzzyModel, X: np.ndarray) -> np.ndarray:
     s -= s.max(axis=1, keepdims=True)
     w = np.exp(s, out=s)
     total = w.sum(axis=1, keepdims=True)
-    if not np.all(np.isfinite(total)) or np.any(total <= 0.0):
-        raise DegenerateFiringError("rule-firing normalizer degenerated to zero")
+    if not np.isfinite(total).all():
+        row = int(np.argmin(np.isfinite(total)))
+        raise DegenerateFiringError(f"rule firing strengths are not finite at state {tuple(X[row].tolist())}, row {row}")
     w /= total
     return w
 

@@ -426,7 +426,6 @@ class TrajectoryLog:
     field, t to evaluations, holds one entry per period, and in field order
     they are the period's record and the CSV columns (states as x1..x4)."""
 
-    dt: float
     t: np.ndarray
     states: np.ndarray  # (n, 4), state at each solve instant
     u: np.ndarray
@@ -532,7 +531,6 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
         warm = shift_warm_start(ctrl.optimized_sequence)
 
     return TrajectoryLog(
-        cfg.dt,
         # one column per record field; a column of strings stays a list
         *(list(col) if isinstance(col[0], str) else np.array(col) for col in zip(*rows)),
         diverged=diverged,

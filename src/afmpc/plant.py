@@ -106,6 +106,8 @@ class DisturbanceSpec:
             raise ValueError(f"unknown disturbance kind {self.kind!r}, expected one of {_DISTURBANCE_KINDS}")
         if not self.amplitude >= 0.0:
             raise ValueError("disturbance amplitude must be non-negative")
+        if self.kind == "sinusoid" and not 0.0 < self.frequency < math.inf:
+            raise ValueError(f"sinusoid disturbance frequency must be finite and positive, got {self.frequency}")
         if self.seed < 0:
             raise ValueError("disturbance seed must be non-negative")
 

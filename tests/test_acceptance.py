@@ -212,7 +212,7 @@ def test_criterion_7_lyapunov_decrease_diagnostic(default_comparison):
     eps_w = float(np.max(np.abs(drive * log_a.w_diag)))
     dv = np.diff(log_a.V)
     after_transient = log_a.t[1:] > 1.0
-    passed = dv[after_transient] <= eps_w * log_a.dt + 1e-15
+    passed = dv[after_transient] <= eps_w * cfg.mpc.dt + 1e-15
     fraction = float(np.mean(passed))
     ok = fraction >= 0.90
     report("lyapunov decrease diagnostic", ok)

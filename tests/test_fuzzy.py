@@ -161,17 +161,24 @@ def test_basis_interleaved_models_match_separate_evaluation():
             assert np.array_equal(v, w)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+# 1e200 is finite, but its square overflows
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
 @pytest.mark.parametrize("slot", range(4))
 def test_basis_non_finite_state_raises_degenerate_firing(bad, slot):
     model = build_rule_grid((3, 3, 3, 3), WIDE)
     x = [0.1, -0.2, 0.3, -0.4]
     x[slot] = bad
+    message = "rule firing strengths are not finite at state"
+    batch = np.zeros((5, 4))
+    batch[3] = x
     with np.errstate(invalid="ignore", over="ignore"):
-        with pytest.raises(DegenerateFiringError):
+        with pytest.raises(DegenerateFiringError, match=message):
             basis(model, x)
-        with pytest.raises(DegenerateFiringError):
+        with pytest.raises(DegenerateFiringError, match=message):
             basis(model, np.array(x))
+        # one non-finite row fails the whole batch, and the error names it
+        with pytest.raises(DegenerateFiringError, match=f"{message} .*, row 3$"):
+            basis_matrix(model, batch)
 
 
 def test_rule_order_is_lexicographic_with_last_state_fastest():

@@ -35,7 +35,6 @@ def synthetic_log(e: np.ndarray, dt: float, evaluations: np.ndarray) -> Trajecto
     n = e.shape[0]
     t = dt * np.arange(n)
     return TrajectoryLog(
-        dt=dt,
         t=t,
         states=np.zeros((n, 4)),
         u=np.linspace(-1.0, 1.0, n),
@@ -353,6 +352,18 @@ def test_config_rejects_negative_seeds(tmp_path, lines, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("frequency", ["-1.0", "0.0"])
+def test_config_rejects_a_sinusoid_disturbance_without_a_positive_frequency(tmp_path, frequency):
+    path = write_config(
+        tmp_path, f"disturbance.kind = sinusoid\ndisturbance.amplitude = 0.1\ndisturbance.frequency = {frequency}\n"
+    )
+    with pytest.raises(harness.ConfigError) as excinfo:
+        harness.load_config(path)
+    assert str(excinfo.value) == (
+        f"disturbance: sinusoid disturbance frequency must be finite and positive, got {float(frequency)}"
+    )
+
+
 @pytest.mark.parametrize(
     "values",
     [
@@ -527,7 +538,8 @@ def valid_flats(draw):
     flat["reference.consistent_arm"] = draw(st.booleans())
     flat["disturbance.kind"] = pick("none", "constant", "sinusoid", "band_limited_noise")
     flat["disturbance.amplitude"] = num(0.0)
-    flat["disturbance.frequency"] = num()
+    # only a sinusoid needs a positive frequency; other kinds ignore it
+    flat["disturbance.frequency"] = pos() if flat["disturbance.kind"] == "sinusoid" else num()
     flat["disturbance.seed"] = count(0, 2**31)
     flat.update({f"mismatch.{name}": pos() for name in ("a1", "a2", "a3", "a4", "b1", "b2")})
     flat["scenario.alpha0"] = num()
@@ -715,7 +727,6 @@ def trajectory_logs(draw):
         return draw(hnp.arrays(np.float64, shape, elements=CSV_FLOATS))
 
     return TrajectoryLog(
-        dt=0.05,
         t=floats(),
         states=floats((n, 4)),
         u=floats(),

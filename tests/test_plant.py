@@ -246,6 +246,16 @@ def test_disturbance_validation():
         DisturbanceSpec(kind="constant", amplitude=-1.0)
 
 
+@pytest.mark.parametrize("frequency", [math.nan, math.inf, 0.0, -1.0])
+def test_sinusoid_disturbance_rejects_a_frequency_not_finite_and_positive(frequency):
+    # a NaN frequency made disturbance_value NaN, and step then reported a
+    # divergence for a state that never diverged
+    with pytest.raises(ValueError, match="sinusoid disturbance frequency must be finite and positive"):
+        DisturbanceSpec(kind="sinusoid", amplitude=0.1, frequency=frequency)
+    for kind in ("none", "constant", "band_limited_noise"):
+        DisturbanceSpec(kind=kind, amplitude=0.1, frequency=frequency)
+
+
 def test_disturbance_rejects_nan_amplitude():
     # NaN fails every comparison; it passed the old amplitude < 0 guard
     with pytest.raises(ValueError, match="disturbance amplitude must be non-negative"):
