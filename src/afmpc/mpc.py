@@ -92,9 +92,10 @@ class NominalPredictor:
     coeffs: CoeffSet
     dt: float
 
-    def predict(self, x: np.ndarray, u: float, d: float = 0.0, tangents=None):
-        """The state one control period ahead; with tangents, also the
-        tangents carried through the step (see plant.rk4)."""
+    def predict(self, x, u: float, d: float = 0.0, tangents=None):
+        """The state one control period ahead from the 4 floats x, as 4
+        floats; with tangents, also the tangents carried through the step
+        (see plant.rk4)."""
         c = self.coeffs
         a1, a2, a3, a4, b1, b2 = c.a1, c.a2, c.a3, c.a4, c.b1, c.b2
 
@@ -146,9 +147,10 @@ class AdaptiveFuzzyPredictor:
         tf, tg = fuz.theta_f[:, None], fuz.theta_g[:, None]
         return np.hstack([tf, tg, tf * m, tg * m, m])
 
-    def predict(self, x: np.ndarray, u: float, d: float = 0.0, tangents=None):
-        """The state one control period ahead; with tangents, also the
-        tangents carried through the step (see plant.rk4)."""
+    def predict(self, x, u: float, d: float = 0.0, tangents=None):
+        """The state one control period ahead from the 4 floats x, as 4
+        floats; with tangents, also the tangents carried through the step
+        (see plant.rk4)."""
         fuz = self.fuzzy
         a1, b1 = self.coeffs.a1, self.coeffs.b1
         g_floor = fuz.g_floor
@@ -214,11 +216,12 @@ def predict_trajectory(model, x0: np.ndarray, U: np.ndarray, d: np.ndarray, sens
     """
     U = np.atleast_1d(np.asarray(U, dtype=float))
     d = np.atleast_1d(np.asarray(d, dtype=float))
-    x = np.asarray(x0, dtype=float)
     kp, kc = d.shape[0], U.shape[0]
-    # Python floats, so that no slot makes a numpy scalar
+    # Python floats, so that no slot makes a numpy scalar; each predictor
+    # call takes the 4 floats the one before returned
+    x = np.asarray(x0, dtype=float).tolist()
     u_seq, d_seq = U.tolist(), d.tolist()
-    states = np.empty((kp, 4))
+    states = []
     if sensitivities:
         moved = []  # state tangents of U_0 .. U_j, j the last input applied so far
         unmoved = [(0.0, 0.0, 0.0, 0.0)] * kc
@@ -238,9 +241,10 @@ def predict_trajectory(model, x0: np.ndarray, U: np.ndarray, d: np.ndarray, sens
                 x = model.predict(x, u, d_seq[p])
         except (ValueError, OverflowError, fz.DegenerateFiringError) as exc:
             raise PredictionDivergenceError(f"prediction divergence at slot {p + 1}") from exc
-        if not all(map(math.isfinite, x.tolist())):
+        if not all(map(math.isfinite, x)):
             raise PredictionDivergenceError(f"prediction divergence at slot {p + 1}")
-        states[p] = x
+        states.append(x)
+    states = np.array(states)
     if not sensitivities:
         return states
     sens = np.array(rows).transpose(0, 2, 1)
@@ -298,11 +302,14 @@ def solve_step(
     2 sum_p S_p' Q S_p + 2 R I, from one rollout with sensitivities
     S_p = dx_p/dU and Q = diag(config.state_weight). The Hessian drops
     only the second derivatives of the states, so it is exact for a linear
-    model and positive definite always. The warm start's and the final
-    point's costs come from plain rollouts. ControlStep.evaluations counts
-    every horizon rollout of the solve, a sensitivity rollout as one: one
-    for the warm start, each one minimize made (also those before it
-    raised), and one for the cost of minimize's point.
+    model and positive definite always. The warm start's sensitivity
+    rollout is made here, once: it gives the warm start's horizon cost, and
+    minimize takes its objective value as the first point's evaluation
+    (start), without counting it again. The cost of minimize's point comes
+    from a plain rollout. ControlStep.evaluations counts every horizon
+    rollout of the solve, a sensitivity rollout as one: one for the warm
+    start, each one minimize made (also those before it raised), and one
+    for the cost of minimize's point.
     """
     kp = config.prediction_horizon
     kc = config.control_horizon
@@ -329,23 +336,29 @@ def solve_step(
             return _DIVERGED_COST
         return horizon_cost(states, U, x_ref, config)
 
-    def cost_and_gradient(U: np.ndarray):
+    def rollout(U: np.ndarray):
+        """The horizon cost at U and the objective's (f, gradient, Hessian)
+        there, from one sensitivity rollout."""
         nonlocal evals
         evals += 1
         try:
             states, sens = predict_trajectory(model, x_k, U, d, sensitivities=True)
         except PredictionDivergenceError:
-            return _DIVERGED_COST, np.zeros(kc), r2_eye
+            return _DIVERGED_COST, (_DIVERGED_COST, np.zeros(kc), r2_eye)
         # S and 2 Q S, each flattened to (kp * 4, kc)
         s = sens.reshape(-1, kc)
         qs = (w2[:, None] * sens).reshape(-1, kc)
         hess = s.T @ qs + r2_eye
-        if not np.isfinite(hess).all():
-            # finite sensitivities whose squares overflow: as useless as a
-            # diverged rollout
-            return _DIVERGED_COST, np.zeros(kc), r2_eye
         err = states - x_ref
-        return _error_cost(err, U, config), err.ravel() @ qs + r2 * U, hess
+        f = _error_cost(err, U, config)
+        if not np.isfinite(hess).all():
+            # finite sensitivities whose squares overflow: as useless to the
+            # solver as a diverged rollout, though the cost itself stands
+            return f, (_DIVERGED_COST, np.zeros(kc), r2_eye)
+        return f, (f, err.ravel() @ qs + r2 * U, hess)
+
+    def cost_and_gradient(U: np.ndarray):
+        return rollout(U)[1]
 
     problem = NlpProblem(
         dimension=kc,
@@ -354,11 +367,11 @@ def solve_step(
         upper_bounds=np.full(kc, config.input_bound),
         exact_gradient=True,
     )
-    warm_cost = cost(warm)
+    warm_cost, warm_start = rollout(warm)
     try:
         # control-grade accuracy: inputs are O(1), so 1e-4 KKT residual is
         # far below actuator resolution and keeps per-step solves cheap
-        sol = minimize(problem, warm, SolverSettings(kkt_tolerance=1e-4))
+        sol = minimize(problem, warm, SolverSettings(kkt_tolerance=1e-4), start=warm_start)
         status = sol.status
         sequence = sol.minimizer
         final_cost = cost(sequence)

@@ -177,8 +177,10 @@ def _active_set_qp(H, g, A, b):
         )
         t_full = math.inf if dependent else slack / curv
         shrink = np.flatnonzero(dlam < 0.0)
-        ratios = -lam[shrink] / dlam[shrink]
-        t_part = float(np.minimum.reduce(ratios)) if shrink.size else math.inf
+        # Python floats: a ratio over a subnormal dlam overflows to +inf
+        # (never) without the RuntimeWarning numpy's division raises
+        ratios = [-a / b for a, b in zip(lam[shrink].tolist(), dlam[shrink].tolist())]
+        t_part = min(ratios) if ratios else math.inf
         t = min(t_full, t_part)
         if not math.isfinite(t):
             raise QpInfeasibleError(
@@ -192,7 +194,7 @@ def _active_set_qp(H, g, A, b):
             lam = np.append(lam, lam_j)
             j = None
         else:
-            drop = int(shrink[np.argmin(ratios)])
+            drop = int(shrink[ratios.index(t_part)])
             del work[drop]
             lam = np.delete(lam, drop)
     raise QpInfeasibleError(f"QP working set did not settle in {cap} steps")
@@ -260,6 +262,7 @@ def minimize(
     problem: NlpProblem,
     z0: np.ndarray,
     settings: Optional[SolverSettings] = None,
+    start: Optional[tuple] = None,
 ) -> Solution:
     """SQP iteration with l1-merit backtracking; deterministic.
 
@@ -267,7 +270,11 @@ def minimize(
     Hessian), a ValueError naming the gradient or the Hessian when either
     has the wrong shape or the Hessian is not finite, and each call counts
     as one evaluation in Solution.objective_evaluations; each QP takes the
-    Hessian of the current point. Otherwise BFGS starts from the identity
+    Hessian of the current point. start, allowed on such a problem only,
+    is the objective's value at z0 clipped to the box, from a call the
+    caller already made: it stands in for the first call, passes the same
+    checks and is not counted, and the run is otherwise the one without
+    it. Otherwise BFGS starts from the identity
     and gradients are central differences; kkt_tolerance only decides when
     to stop. A failed line search sets the Hessian to the identity, and two
     consecutive failed line searches end the run, status stalled. Line
@@ -289,10 +296,12 @@ def minimize(
     z = np.minimum(np.maximum(np.asarray(z0, dtype=float), lo), hi)
     if z.shape != (n,):
         raise ValueError(f"z0 must be a vector of length {n}")
+    exact = problem.exact_gradient
+    if start is not None and not exact:
+        raise ValueError("start needs an exact_gradient problem")
 
     evals = [0]
     raw_objective = problem.objective
-    exact = problem.exact_gradient
 
     def fun(x):
         evals[0] += 1
@@ -304,7 +313,11 @@ def minimize(
         if not exact:
             return fun(x), None, None
         evals[0] += 1
-        f, grad, hess = raw_objective(x)
+        return checked(raw_objective(x))
+
+    def checked(value):
+        """The objective's (f, gradient, Hessian), checked and as floats."""
+        f, grad, hess = value
         grad = np.array(grad, dtype=float)
         if grad.shape != (n,):
             raise ValueError(f"objective gradient must have shape ({n},), got {grad.shape}")
@@ -318,7 +331,7 @@ def minimize(
     confun = problem.constraint_values
     tol = settings.kkt_tolerance
 
-    f0, g0, H = evaluate(z)
+    f0, g0, H = evaluate(z) if start is None else checked(start)
     if H is None:
         H = np.eye(n)
     c0 = confun(z)

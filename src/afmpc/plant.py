@@ -146,13 +146,16 @@ def dynamics(state, u: float, coeffs: CoeffSet, d: float = 0.0) -> tuple[float, 
 
 
 def rk4(field_fn, x, dt: float, d=(0.0, 0.0, 0.0), tangents=None):
-    """One classical RK4 step of x' = field_fn(x, d) from any 4-sequence x.
+    """One classical RK4 step of x' = field_fn(x, d) from the 4 floats x.
 
     field_fn maps 4 floats and a disturbance to 4 floats. The stages (k1 to
     k4, components a, b, c, e) run on Python floats, several times cheaper
     than numpy at this size, in the operation order of the ndarray form
     x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), which they match bit
-    for bit. d holds the disturbance at the start, the middle and the end
+    for bit, and the step returns its 4 floats as a tuple, so that the
+    next step takes it as it is. x may be any 4-sequence, but an ndarray's
+    entries enter as numpy scalars: a caller holding an ndarray passes
+    tolist(). d holds the disturbance at the start, the middle and the end
     of the step; the two middle stages share the middle value.
 
     With tangents, a sequence of 5-sequences (a state tangent dx and an
@@ -176,20 +179,18 @@ def rk4(field_fn, x, dt: float, d=(0.0, 0.0, 0.0), tangents=None):
             jvps.append(jvp)
             return k
 
-    x1, x2, x3, x4 = np.asarray(x, dtype=float).tolist()
+    x1, x2, x3, x4 = x
     h = 0.5 * dt
     a1, a2, a3, a4 = stage((x1, x2, x3, x4), d0)
     b1, b2, b3, b4 = stage((x1 + h * a1, x2 + h * a2, x3 + h * a3, x4 + h * a4), dm)
     c1, c2, c3, c4 = stage((x1 + h * b1, x2 + h * b2, x3 + h * b3, x4 + h * b4), dm)
     e1, e2, e3, e4 = stage((x1 + dt * c1, x2 + dt * c2, x3 + dt * c3, x4 + dt * c4), d1)
     w = dt / 6.0
-    out = np.array(
-        [
-            x1 + w * (((a1 + 2.0 * b1) + 2.0 * c1) + e1),
-            x2 + w * (((a2 + 2.0 * b2) + 2.0 * c2) + e2),
-            x3 + w * (((a3 + 2.0 * b3) + 2.0 * c3) + e3),
-            x4 + w * (((a4 + 2.0 * b4) + 2.0 * c4) + e4),
-        ]
+    out = (
+        x1 + w * (((a1 + 2.0 * b1) + 2.0 * c1) + e1),
+        x2 + w * (((a2 + 2.0 * b2) + 2.0 * c2) + e2),
+        x3 + w * (((a3 + 2.0 * b3) + 2.0 * c3) + e3),
+        x4 + w * (((a4 + 2.0 * b4) + 2.0 * c4) + e4),
     )
     if tangents is None:
         return out
@@ -219,18 +220,20 @@ def step(
     disturbance: DisturbanceSpec | None = None,
     t: float = 0.0,
 ) -> np.ndarray:
-    """Advance the state one RK4 step with the input held constant."""
+    """Advance the state one RK4 step with the input held constant; returns
+    an ndarray."""
     # not > 0, so that a NaN dt fails here, not as a divergence
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     d = (0.0, 0.0, 0.0)
     if disturbance is not None:
         d = tuple(disturbance_value(disturbance, ti) for ti in (t, t + 0.5 * dt, t + dt))
+    x = np.asarray(state, dtype=float).tolist()
     try:
         # sin() of an overflowed angle raises; fold that into divergence
-        out = rk4(lambda s, dd: dynamics(s, u, coeffs, dd), state, dt, d)
+        out = rk4(lambda s, dd: dynamics(s, u, coeffs, dd), x, dt, d)
     except (ValueError, OverflowError) as exc:
         raise IntegrationDivergenceError(f"integration diverged at t={t}") from exc
-    if not all(map(math.isfinite, out.tolist())):
+    if not all(map(math.isfinite, out)):
         raise IntegrationDivergenceError(f"integration diverged at t={t}")
-    return out
+    return np.array(out)

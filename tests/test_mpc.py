@@ -73,8 +73,8 @@ class InfinitePredictor:
 
     def predict(self, x, u, d=0.0, tangents=None):
         if tangents is None:
-            return np.full(4, np.inf)
-        return np.full(4, np.inf), [tuple(t[:4]) for t in tangents]
+            return (math.inf,) * 4
+        return (math.inf,) * 4, [tuple(t[:4]) for t in tangents]
 
 
 class BrokenAfterWarmStartPredictor:
@@ -198,10 +198,10 @@ class NonFiniteAtSlotPredictor:
     def predict(self, x, u, d=0.0, tangents=None):
         self.calls += 1
         out = self.inner.predict(x, u, d, tangents)
-        state = (out if tangents is None else out[0]).copy()
+        state = list(out if tangents is None else out[0])
         if self.calls == self.slot:
             state[1] = self.value
-        return state if tangents is None else (state, out[1])
+        return tuple(state) if tangents is None else (tuple(state), out[1])
 
 
 @pytest.mark.parametrize("sensitivities", [False, True])
@@ -298,7 +298,7 @@ def test_objective_value_is_horizon_cost_of_the_plain_rollout(case, ref):
     x_ref = np.array(ref).reshape(cfg.prediction_horizon, 4)
     objectives = []
 
-    def capture(problem, z0, settings=None):
+    def capture(problem, z0, settings=None, start=None):
         objectives.append(problem.objective)
         raise QpInfeasibleError("objective captured")
 
@@ -328,11 +328,12 @@ def test_fused_fuzzy_field_matches_f_hat_and_g_hat(model, x0, u, d):
         g = fz.g_hat(fuzzy_model, s)
         return (s[1], c.a1 * s[1] + c.b1 * u, s[3], fz.f_hat(fuzzy_model, s) + g * (u + dd))
 
-    want = rk4(field, x0, model.dt, (d, d, d))
+    x0 = x0.tolist()
+    want = np.array(rk4(field, x0, model.dt, (d, d, d)))
     scale = 1e-12 * np.abs(want).max()
-    assert np.abs(model.predict(x0, u, d) - want).max() <= scale
+    assert np.abs(np.array(model.predict(x0, u, d)) - want).max() <= scale
     state, _ = model.predict(x0, u, d, [(1.0, 0.0, 0.0, 0.0, 0.0)])
-    assert np.abs(state - want).max() <= scale
+    assert np.abs(np.array(state) - want).max() <= scale
 
 
 def test_fuzzy_sensitivities_ignore_theta_g_while_clamped():
@@ -496,6 +497,65 @@ def test_solve_step_falls_back_on_qp_infeasibility(monkeypatch):
     assert ctrl.predicted_cost == warm_cost
 
 
+def test_solve_step_rolls_out_the_warm_start_once(monkeypatch):
+    # the warm start's sensitivity rollout gives its horizon cost and is
+    # minimize's first evaluation too; no plain rollout repeats it
+    cfg = mpc.MpcConfig()
+    model = mpc.NominalPredictor(COEFFS, cfg.dt)
+    warm = np.array([0.7, -0.2, 6.0])
+    clipped = np.array([0.7, -0.2, cfg.input_bound])
+    inner = mpc.predict_trajectory
+    rollouts = []
+
+    def spy(model, x0, U, d, sensitivities=False):
+        rollouts.append(np.array(U))
+        return inner(model, x0, U, d, sensitivities)
+
+    monkeypatch.setattr(mpc, "predict_trajectory", spy)
+    x_ref = np.zeros((cfg.prediction_horizon, 4))
+    ctrl = mpc.solve_step(model, np.array([0.2, -0.5, 0.3, 1.0]), x_ref, cfg, warm)
+    # the solve moved, so the final cost's rollout is not at the warm start
+    assert ctrl.solver_status == "converged"
+    assert not np.array_equal(ctrl.optimized_sequence, clipped)
+    assert sum(np.array_equal(U, clipped) for U in rollouts) == 1
+    assert len(rollouts) == ctrl.evaluations
+
+
+class OverflowingSensitivitiesPredictor:
+    """Nominal predictor whose input tangents are scaled by 1e200: the
+    states and sensitivities stay finite, the Gauss-Newton Hessian overflows."""
+
+    def __init__(self, dt: float):
+        self.inner = mpc.NominalPredictor(COEFFS, dt)
+
+    def predict(self, x, u, d=0.0, tangents=None):
+        if tangents is None:
+            return self.inner.predict(x, u, d)
+        return self.inner.predict(x, u, d, [tuple(t[:4]) + (1e200 * t[4],) for t in tangents])
+
+
+def test_solve_step_keeps_the_warm_start_cost_when_its_hessian_overflows(monkeypatch):
+    # the objective scores such a point as diverged, but the warm start's
+    # horizon cost, which a fallback period reports, is that of its states
+    def infeasible_minimize(*args, **kwargs):
+        raise QpInfeasibleError("QP infeasible")
+
+    monkeypatch.setattr(mpc, "minimize", infeasible_minimize)
+    cfg = mpc.MpcConfig()
+    model = OverflowingSensitivitiesPredictor(cfg.dt)
+    x = np.array([0.2, -0.5, 0.3, 1.0])
+    x_ref = np.zeros((cfg.prediction_horizon, 4))
+    warm = np.array([0.7, -0.2, 0.1])
+    d = np.zeros(cfg.prediction_horizon)
+    warm_cost = mpc.horizon_cost(mpc.predict_trajectory(model, x, warm, d), warm, x_ref, cfg)
+    # numpy warns of the overflow in the Hessian's product, which the
+    # objective detects by its non-finite entries
+    with np.errstate(over="ignore"):
+        ctrl = mpc.solve_step(model, x, x_ref, cfg, warm)
+    assert ctrl.solver_status == "fallback"
+    assert ctrl.predicted_cost == warm_cost < mpc._DIVERGED_COST
+
+
 def test_solve_step_falls_back_when_every_rollout_diverges():
     # every rollout scores the flat divergence cost, whose zero gradient
     # minimize reports as converged; with no finite prediction the period
@@ -529,7 +589,7 @@ def test_solve_step_counts_minimize_evaluations_plus_warm_and_final(monkeypatch)
 
 @pytest.mark.parametrize("k", [0, 1, 7])
 def test_solve_step_counts_evaluations_made_before_minimize_raised(monkeypatch, k):
-    def failing_minimize(problem, z0, settings=None):
+    def failing_minimize(problem, z0, settings=None, start=None):
         for _ in range(k):
             problem.objective(z0)
         raise QpInfeasibleError("QP infeasible")
@@ -602,9 +662,9 @@ def test_linear_model_solve_takes_one_newton_step(case):
     # without the sine the rollout is linear in the inputs, so the
     # Gauss-Newton Hessian is the exact one of the quadratic program and
     # the first QP step, box included, lands on its minimizer: one
-    # iteration and four rollouts (warm start, minimize's first point and
-    # its one trial, final cost); a warm start that already meets the
-    # tolerance takes none and one rollout fewer
+    # iteration and three rollouts (the warm start's, which is minimize's
+    # first point, its one trial, final cost); a warm start that already
+    # meets the tolerance takes none and one rollout fewer
     x, x_ref, warm = case
     cfg = mpc.MpcConfig()
     model = mpc.NominalPredictor(dataclasses.replace(COEFFS, a3=0.0), cfg.dt)
@@ -621,7 +681,7 @@ def test_linear_model_solve_takes_one_newton_step(case):
     (sol,) = solutions
     assert ctrl.solver_status == "converged"
     assert sol.iterations <= 1
-    assert ctrl.evaluations == 3 + sol.iterations
+    assert ctrl.evaluations == 2 + sol.iterations
 
 
 def test_fuzzy_predictor_consistent_with_nominal_when_fitted():

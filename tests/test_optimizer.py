@@ -1,5 +1,7 @@
 """Tests for the dense SQP optimizer: KKT quality on analytic problems."""
 
+import dataclasses
+import functools
 import itertools
 import math
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 
+from afmpc import harness, mpc
 from afmpc.nlp_optimizer import (
     NlpProblem,
     QpInfeasibleError,
@@ -357,12 +360,25 @@ def test_box_qp_converges_to_enumerated_minimizer(tol, qp):
 ON_BOUND_QP = (np.array([[0.109375]]), np.array([9.5]), np.array([-1.0]), np.array([1.0]), np.array([-1.0]))
 
 
+# Q's subnormal off-diagonal entry leaves the QP a subnormal dlam, and the
+# ratio test's -lam / dlam overflows: it reads +inf, never, without the
+# RuntimeWarning that numpy's division raised
+SUBNORMAL_QP = (
+    np.array([[0.75, -1.11253693e-311], [-1.11253693e-311, 0.5]]),
+    np.array([1.0, 1.0]),
+    np.full(2, -1.0),
+    np.full(2, 1.0),
+    np.array([-1.0, -1.0]),
+)
+
+
 @pytest.mark.parametrize("tol", [1e-6, 1e-4])
 @hyp_settings(max_examples=300, deadline=None)
 @given(qp=box_qps())
 @example(qp=STIFF_QP)
 @example(qp=ROUNDING_QP)
 @example(qp=ON_BOUND_QP)
+@example(qp=SUBNORMAL_QP)
 def test_box_qp_with_exact_gradient_converges_to_enumerated_minimizer(tol, qp):
     # the MPC path since its rollouts carry sensitivities: each evaluation
     # returns (f, grad f, Hessian), counts once, and no difference is ever
@@ -515,6 +531,100 @@ def test_two_failed_line_searches_end_the_run_stalled():
     assert sol.iterations == 2
     assert sol.minimizer[0] == 1.0
     assert sol.merit_decreases == ()
+
+
+@functools.cache
+def default_mpc_loops() -> tuple:
+    """The default scenario's closed loops, classical and afmpc."""
+    return tuple(
+        harness.build_closed_loop(dataclasses.replace(harness.default_config(), controller=c))[0]
+        for c in ("classical", "afmpc")
+    )
+
+
+@st.composite
+def mpc_problems(draw):
+    """The default controllers' solve_step program, (problem, warm start),
+    at a drawn state, reference and warm start."""
+    loop = draw(st.sampled_from(default_mpc_loops()))
+    cfg = loop.config
+    entries = lambda lo, hi, size: np.array(draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+    x = entries(-1.0, 1.0, 4)
+    x_ref = entries(-1.0, 1.0, 4 * cfg.prediction_horizon).reshape(cfg.prediction_horizon, 4)
+    warm = entries(-6.0, 6.0, cfg.control_horizon)
+    captured = []
+
+    def capture(problem, z0, settings=None, start=None):
+        captured.append((problem, z0))
+        raise QpInfeasibleError("problem captured")
+
+    inner = mpc.minimize
+    mpc.minimize = capture
+    try:
+        mpc.solve_step(loop.model, x, x_ref, cfg, warm)
+    finally:
+        mpc.minimize = inner
+    return captured[0]
+
+
+def solution_fields(sol) -> tuple:
+    """Every field of a Solution but objective_evaluations, bit for bit."""
+    return (
+        sol.minimizer.tobytes(),
+        sol.multipliers.tobytes(),
+        repr(sol.objective_value),
+        repr(sol.kkt_residual),
+        sol.iterations,
+        sol.status,
+        repr(sol.merit_decreases),
+    )
+
+
+@hyp_settings(max_examples=100, deadline=None)
+@given(
+    case=st.one_of(
+        st.one_of(st.sampled_from(["rosenbrock", "criterion_4"]), box_qps()).map(
+            lambda c: stopping_rule_case(c, True)
+        ),
+        mpc_problems(),
+    )
+)
+@example(case=stopping_rule_case(STIFF_QP, True))
+def test_start_stands_in_for_the_first_evaluation(case):
+    # the objective's value at the clipped start point, handed in, gives
+    # the run without it, one evaluation fewer
+    problem, z0 = case
+    settings = SolverSettings(kkt_tolerance=1e-4)
+    plain = minimize(problem, z0, settings)
+    z = np.minimum(np.maximum(z0, problem.lower_bounds), problem.upper_bounds)
+    started = minimize(problem, z0, settings, start=problem.objective(z))
+    assert solution_fields(started) == solution_fields(plain)
+    assert started.objective_evaluations == plain.objective_evaluations - 1
+
+
+GOOD_START = (0.0, np.zeros(2), np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        pytest.param((0.0, np.zeros(3), np.eye(2)), id="gradient-shape"),
+        pytest.param((0.0, np.zeros(2), np.eye(3)), id="hessian-shape"),
+        pytest.param((0.0, np.zeros(2), np.diag([1.0, math.inf])), id="hessian-finite"),
+        pytest.param((0.0, np.zeros(2)), id="arity"),
+    ],
+)
+def test_malformed_start_raises_as_a_malformed_objective(bad):
+    with pytest.raises(ValueError) as from_objective:
+        minimize(NlpProblem(2, lambda z: bad, exact_gradient=True), np.zeros(2))
+    with pytest.raises(ValueError) as from_start:
+        minimize(NlpProblem(2, lambda z: GOOD_START, exact_gradient=True), np.zeros(2), start=bad)
+    assert str(from_start.value) == str(from_objective.value)
+
+
+def test_start_needs_an_exact_gradient_problem():
+    with pytest.raises(ValueError, match="start needs an exact_gradient problem"):
+        minimize(NlpProblem(2, lambda z: float(z @ z)), np.zeros(2), start=GOOD_START)
 
 
 def test_box_qp_cycling():

@@ -116,11 +116,11 @@ def finite(bound):
 def test_rk4_equals_ndarray_formula_bit_for_bit(x, u, dt, d):
     # the float stages keep the ndarray form's operations and their order
     c = default_coeffs()
-    got = rk4(lambda s, dd: dynamics(s, u, c, dd), x, dt, d)
-    assert isinstance(got, np.ndarray) and got.shape == (4,)
-    assert np.array_equal(got, reference_rk4(x, u, dt, d, c))
-    # any 4-sequence gives the same step
-    assert np.array_equal(got, rk4(lambda s, dd: dynamics(s, u, c, dd), tuple(x.tolist()), dt, d))
+    got = rk4(lambda s, dd: dynamics(s, u, c, dd), tuple(x.tolist()), dt, d)
+    assert isinstance(got, tuple) and all(type(v) is float for v in got) and len(got) == 4
+    assert np.array_equal(np.array(got), reference_rk4(x, u, dt, d, c))
+    # any 4-sequence gives the same step, an ndarray's numpy scalars too
+    assert np.array_equal(np.array(rk4(lambda s, dd: dynamics(s, u, c, dd), x, dt, d)), np.array(got))
 
 
 def test_step_keeps_equilibrium():

@@ -10,8 +10,9 @@ recorded solve of A and of B in turn, solve by solve, A first on even
 repetitions and B first on odd ones, so that both trees meet the same
 drift of the machine's speed. A solve's time is its minimum over the
 repetitions. The script prints, per tree, the p50 and the sum of those
-minima, then the ratios B/A, and whether both trees returned the same
-input and cost, bit for bit, for every solve. Every replay gets a fresh
+minima and the mean rollouts per solve (ControlStep.evaluations), then
+the ratios B/A, and whether both trees returned the same input and cost,
+bit for bit, for every solve. Every replay gets a fresh
 copy of its predictor, so caches the predictor builds on first use are
 paid as in the closed-loop run.
 
@@ -70,15 +71,16 @@ def record_solves(pkg, controller: str) -> list:
     return calls
 
 
-def replay(pkg, call) -> tuple[int, tuple]:
-    """One timed solve on a fresh copy of its predictor: (ns, (input, cost))."""
+def replay(pkg, call) -> tuple[int, tuple, int]:
+    """One timed solve on a fresh copy of its predictor: (ns, (input, cost),
+    rollouts)."""
     args, kwargs = call
     args = (dataclasses.replace(args[0]),) + args[1:]
     solve_step = pkg.mpc.solve_step
     t0 = time.perf_counter_ns()
     step = solve_step(*args, **kwargs)
     t1 = time.perf_counter_ns()
-    return t1 - t0, (step.applied_input, step.predicted_cost)
+    return t1 - t0, (step.applied_input, step.predicted_cost), step.evaluations
 
 
 def main(argv=None) -> int:
@@ -99,19 +101,21 @@ def main(argv=None) -> int:
     n = min(map(len, calls))
     best = [[float("inf")] * n for _ in trees]
     results = [[None] * n for _ in trees]
+    rollouts = [[0] * n for _ in trees]
     for rep in range(args.reps):
         order = (0, 1) if rep % 2 == 0 else (1, 0)
         for i in range(n):
             for t in order:
-                ns, results[t][i] = replay(trees[t], calls[t][i])
+                ns, results[t][i], rollouts[t][i] = replay(trees[t], calls[t][i])
                 best[t][i] = min(best[t][i], ns)
 
     print(f"controller {args.controller}, {n} solves, {args.reps} reps, per-solve minima")
     stats = []
-    for label, src, times in zip("AB", (args.src_a, args.src_b), best):
+    for label, src, times, counts in zip("AB", (args.src_a, args.src_b), best, rollouts):
         us = [ns / 1e3 for ns in times]
         stats.append((statistics.median(us), sum(us) / 1e3))
-        print(f"{label} {src}: p50 {stats[-1][0]:.1f} us, sum {stats[-1][1]:.2f} ms")
+        print(f"{label} {src}: p50 {stats[-1][0]:.1f} us, sum {stats[-1][1]:.2f} ms, "
+              f"{sum(counts) / n:.3f} rollouts per solve")
     print(f"B/A: p50 {stats[1][0] / stats[0][0]:.4f}, sum {stats[1][1] / stats[0][1]:.4f}")
     print(f"same results: {'yes' if results[0] == results[1] else 'no'}")
     return 0
