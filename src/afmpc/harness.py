@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -95,29 +95,6 @@ class MismatchFactors:
         return CoeffSet(**scaled)
 
 
-@dataclass
-class ScenarioConfig:
-    plant: PlantParams
-    controller: str
-    mpc: MpcConfig
-    fuzzy_counts: tuple
-    fuzzy_ranges: tuple
-    fuzzy_g_floor: float
-    fuzzy_theta_bound: float
-    fuzzy_init: str  # zero | nominal_fit
-    fuzzy_init_samples: int
-    adapt_gain: float
-    lyapunov_a: np.ndarray
-    lyapunov_q_diag: float
-    reference: ReferenceSpec
-    disturbance: DisturbanceSpec
-    mismatch: MismatchFactors
-    alpha0: float
-    duration: float
-    plant_dt: float
-    seed: int
-
-
 @dataclass(frozen=True)
 class RunMetrics:
     rmse: float
@@ -125,6 +102,48 @@ class RunMetrics:
     steady_state_error: float
     mean_evaluations: float  # horizon rollouts per solve
     max_evaluations: int
+
+
+def _key(name: str, default):
+    """A ScenarioConfig field that holds config key `name`'s value as parsed."""
+    return field(metadata={"key": name, "default": default})
+
+
+@dataclass
+class ScenarioConfig:
+    """The config file's schema: its fields in file order, each a section
+    dataclass of _SECTIONS or a single key declared by _key."""
+
+    plant: PlantParams
+    controller: str = _key("controller", "classical")
+    mpc: MpcConfig
+    fuzzy_counts: tuple = _key("fuzzy.counts", (3, 3, 3, 3))
+    fuzzy_range_x1: tuple = _key("fuzzy.range_x1", (-math.pi, math.pi))
+    fuzzy_range_x2: tuple = _key("fuzzy.range_x2", (-8.0, 8.0))
+    fuzzy_range_x3: tuple = _key("fuzzy.range_x3", (-math.pi / 2, math.pi / 2))
+    fuzzy_range_x4: tuple = _key("fuzzy.range_x4", (-8.0, 8.0))
+    fuzzy_g_floor: float = _key("fuzzy.g_floor", 1.0)
+    fuzzy_theta_bound: float = _key("fuzzy.theta_bound", 1e6)
+    fuzzy_init: str = _key("fuzzy.init", "nominal_fit")  # zero | nominal_fit
+    fuzzy_init_samples: int = _key("fuzzy.init_samples", 4000)
+    adapt_gain: float = _key("adapt.gain", 32.0)
+    # corrected error-system matrix, row-major: Hurwitz, block-diagonal so
+    # the solved P de-weights the unregulated arm channels in the
+    # adaptation drive
+    lyapunov_a: tuple = _key("adapt.lyapunov_a", (
+        -1.0, 0.0, 0.0, 0.0,
+        0.0, -1.0, 0.0, 0.0,
+        0.0, 0.0, 0.0, 1.0,
+        0.0, 0.0, -9.0, -4.8,
+    ))
+    lyapunov_q_diag: float = _key("adapt.lyapunov_q_diag", 500.0)
+    reference: ReferenceSpec
+    disturbance: DisturbanceSpec
+    mismatch: MismatchFactors
+    alpha0: float = _key("scenario.alpha0", 0.0)
+    duration: float = _key("run.duration", 10.0)
+    plant_dt: float = _key("run.dt", 0.001)
+    seed: int = _key("run.seed", 0)
 
 
 # config sections that a dataclass holds: section -> (dataclass, {field: key
@@ -155,44 +174,17 @@ _FIELD_KEYS = {
 }
 
 
-def _section_defaults(section: str) -> dict:
-    default = _SECTIONS[section][0]()
-    return {key: getattr(default, name) for name, key in _FIELD_KEYS[section].items()}
+def _field_defaults(f) -> dict:
+    """The config keys that ScenarioConfig field f holds, with their defaults."""
+    if f.name not in _SECTIONS:
+        return {f.metadata["key"]: f.metadata["default"]}
+    default = _SECTIONS[f.name][0]()
+    return {key: getattr(default, name) for name, key in _FIELD_KEYS[f.name].items()}
 
 
 # every legal key with its default, in file order; a key's type is its
 # default's type (float, int, bool, str or a tuple of one of them)
-_DEFAULTS: dict = {
-    **_section_defaults("plant"),
-    "controller": "classical",
-    **_section_defaults("mpc"),
-    "fuzzy.counts": (3, 3, 3, 3),
-    "fuzzy.range_x1": (-math.pi, math.pi),
-    "fuzzy.range_x2": (-8.0, 8.0),
-    "fuzzy.range_x3": (-math.pi / 2, math.pi / 2),
-    "fuzzy.range_x4": (-8.0, 8.0),
-    "fuzzy.g_floor": 1.0,
-    "fuzzy.theta_bound": 1e6,
-    "fuzzy.init": "nominal_fit",
-    "fuzzy.init_samples": 4000,
-    "adapt.gain": 32.0,
-    # corrected error-system matrix: Hurwitz, block-diagonal so the solved P
-    # de-weights the unregulated arm channels in the adaptation drive
-    "adapt.lyapunov_a": (
-        -1.0, 0.0, 0.0, 0.0,
-        0.0, -1.0, 0.0, 0.0,
-        0.0, 0.0, 0.0, 1.0,
-        0.0, 0.0, -9.0, -4.8,
-    ),
-    "adapt.lyapunov_q_diag": 500.0,
-    **_section_defaults("reference"),
-    **_section_defaults("disturbance"),
-    **_section_defaults("mismatch"),
-    "scenario.alpha0": 0.0,
-    "run.duration": 10.0,
-    "run.dt": 0.001,
-    "run.seed": 0,
-}
+_DEFAULTS: dict = {key: v for f in fields(ScenarioConfig) for key, v in _field_defaults(f).items()}
 
 # the legal values of each string key
 _CHOICES = {
@@ -227,25 +219,31 @@ def _parse_value(default, raw: str, choices: tuple = ()):
     return val
 
 
+def _whole_multiple(total: float, step: float) -> bool:
+    """Whether total / step is finite and within 1e-9 of a positive integer."""
+    ratio = total / step
+    return math.isfinite(ratio) and round(ratio) >= 1 and abs(ratio - round(ratio)) <= 1e-9
+
+
 def _build_config(flat: dict) -> ScenarioConfig:
     errors: list[str] = []
+    built: dict = {}  # section -> its dataclass, or None if it raised
 
     def section(name: str):
-        kwargs = {field: flat[key] for field, key in _FIELD_KEYS[name].items()}
+        kwargs = {attr: flat[key] for attr, key in _FIELD_KEYS[name].items()}
         try:
-            return _SECTIONS[name][0](**kwargs)
+            built[name] = _SECTIONS[name][0](**kwargs)
         except ValueError as exc:
             errors.append(f"{name}: {exc}")
-            return None
+            built[name] = None
+        return built[name]
 
-    plant = section("plant")
+    section("plant")
     mpc_cfg = section("mpc")
-    ranges = []
     for i in (1, 2, 3, 4):
         lo, hi = flat[f"fuzzy.range_x{i}"]
         if not hi > lo:
             errors.append(f"fuzzy.range_x{i}: range ({lo}, {hi}) is not increasing")
-        ranges.append((lo, hi))
     if any(c < 1 for c in flat["fuzzy.counts"]):
         errors.append("fuzzy.counts: every count must be >= 1")
     if flat["fuzzy.g_floor"] <= 0.0:
@@ -256,7 +254,6 @@ def _build_config(flat: dict) -> ScenarioConfig:
         errors.append("fuzzy.init_samples: must be >= 1")
     if flat["adapt.gain"] < 0.0:
         errors.append("adapt.gain: must be non-negative")
-    lyapunov_a = np.array(flat["adapt.lyapunov_a"]).reshape(4, 4)
     q = flat["adapt.lyapunov_q_diag"]
     if q <= 0.0:
         errors.append("adapt.lyapunov_q_diag: must be positive")
@@ -268,15 +265,16 @@ def _build_config(flat: dict) -> ScenarioConfig:
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error", NotPositiveDefiniteWarning)
             try:
-                solve_lyapunov(lyapunov_a, q * np.eye(4))
+                solve_lyapunov(np.reshape(flat["adapt.lyapunov_a"], (4, 4)), q * np.eye(4))
             except (SingularLyapunovError, NotPositiveDefiniteWarning):
                 errors.append("adapt.lyapunov_a: must be Hurwitz")
-    ref = section("reference")
+    section("reference")
     if flat["reference.kind"] == "sinusoid" and flat["reference.frequency"] <= 0.0:
         errors.append("reference.frequency: must be positive for a sinusoid reference")
     if flat["reference.step_time"] < 0.0:
         errors.append("reference.step_time: must be non-negative")
-    dist = section("disturbance")
+    section("disturbance")
+    section("mismatch")
     for key in _FIELD_KEYS["mismatch"].values():
         if flat[key] <= 0.0:
             errors.append(f"{key}: factor must be positive")
@@ -285,35 +283,22 @@ def _build_config(flat: dict) -> ScenarioConfig:
     if flat["run.dt"] <= 0.0:
         errors.append("run.dt: must be positive")
     elif mpc_cfg is not None:
-        ratio = mpc_cfg.dt / flat["run.dt"]
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        if not _whole_multiple(mpc_cfg.dt, flat["run.dt"]):
             errors.append("mpc.dt: must be a positive integer multiple of run.dt")
         if flat["run.duration"] < mpc_cfg.dt:
             errors.append("run.duration: shorter than one control period")
+        elif not _whole_multiple(flat["run.duration"], mpc_cfg.dt):
+            # build_closed_loop would round the period count without a word
+            errors.append("run.duration: must be a whole number of control periods")
     if flat["run.seed"] < 0:
         errors.append("run.seed: must be non-negative")
     if errors:
         raise ConfigError("\n".join(errors))
     return ScenarioConfig(
-        plant=plant,
-        controller=flat["controller"],
-        mpc=mpc_cfg,
-        fuzzy_counts=tuple(flat["fuzzy.counts"]),
-        fuzzy_ranges=tuple(ranges),
-        fuzzy_g_floor=flat["fuzzy.g_floor"],
-        fuzzy_theta_bound=flat["fuzzy.theta_bound"],
-        fuzzy_init=flat["fuzzy.init"],
-        fuzzy_init_samples=flat["fuzzy.init_samples"],
-        adapt_gain=flat["adapt.gain"],
-        lyapunov_a=lyapunov_a,
-        lyapunov_q_diag=flat["adapt.lyapunov_q_diag"],
-        reference=ref,
-        disturbance=dist,
-        mismatch=section("mismatch"),
-        alpha0=flat["scenario.alpha0"],
-        duration=flat["run.duration"],
-        plant_dt=flat["run.dt"],
-        seed=flat["run.seed"],
+        **{
+            f.name: built[f.name] if f.name in _SECTIONS else flat[f.metadata["key"]]
+            for f in fields(ScenarioConfig)
+        }
     )
 
 
@@ -447,16 +432,15 @@ def build_closed_loop(config: ScenarioConfig):
     """
     true_coeffs = derive_coefficients(config.plant)
     nominal = config.mismatch.apply(true_coeffs)
-    p_mat = solve_lyapunov(config.lyapunov_a, config.lyapunov_q_diag * np.eye(4))
+    p_mat = solve_lyapunov(np.reshape(config.lyapunov_a, (4, 4)), config.lyapunov_q_diag * np.eye(4))
 
     def x_ref_fn(t: float) -> np.ndarray:
         return state_reference(config.reference, true_coeffs, t)
 
     adaptation = None
     if config.controller == "afmpc":
-        model_fz = fz.build_rule_grid(
-            config.fuzzy_counts, config.fuzzy_ranges, config.fuzzy_g_floor
-        )
+        ranges = (config.fuzzy_range_x1, config.fuzzy_range_x2, config.fuzzy_range_x3, config.fuzzy_range_x4)
+        model_fz = fz.build_rule_grid(config.fuzzy_counts, ranges, config.fuzzy_g_floor)
         if config.fuzzy_init == "nominal_fit":
             # fair prior: fit the consequents to the same mismatched model
             # the classical controller uses, nothing more

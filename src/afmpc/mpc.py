@@ -348,7 +348,9 @@ def solve_step(
         # S and 2 Q S, each flattened to (kp * 4, kc)
         s = sens.reshape(-1, kc)
         qs = (w2[:, None] * sens).reshape(-1, kc)
-        hess = s.T @ qs + r2_eye
+        # an overflow here is caught by the finiteness test below, not warned
+        with np.errstate(over="ignore"):
+            hess = s.T @ qs + r2_eye
         err = states - x_ref
         f = _error_cost(err, U, config)
         if not np.isfinite(hess).all():

@@ -201,7 +201,7 @@ def test_criterion_6_steady_state_comparison(default_comparison):
 
 def test_criterion_7_lyapunov_decrease_diagnostic(default_comparison):
     cfg, _, _, log_a, _, _, _ = default_comparison
-    P = solve_lyapunov(cfg.lyapunov_a, cfg.lyapunov_q_diag * np.eye(4))
+    P = solve_lyapunov(np.reshape(cfg.lyapunov_a, (4, 4)), cfg.lyapunov_q_diag * np.eye(4))
     b = np.array([0.0, 0.0, 0.0, 1.0])
     refs = np.stack(
         [harness.state_reference(cfg.reference, TRUE_COEFFS, t) for t in log_a.t]

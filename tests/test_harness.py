@@ -24,13 +24,6 @@ def write_config(tmp_path, text: str) -> str:
     return str(path)
 
 
-def assert_mpc_equal(a, b) -> None:
-    assert a.prediction_horizon == b.prediction_horizon
-    assert a.control_horizon == b.control_horizon
-    assert np.array_equal(a.state_weight, b.state_weight)
-    assert (a.input_weight, a.input_bound, a.dt) == (b.input_weight, b.input_bound, b.dt)
-
-
 def synthetic_log(e: np.ndarray, dt: float, evaluations: np.ndarray) -> TrajectoryLog:
     n = e.shape[0]
     t = dt * np.arange(n)
@@ -58,18 +51,18 @@ def test_default_config_values():
     assert cfg.mpc.input_weight == 0.3
     assert cfg.mpc.state_weight == (0.1, 0.1, 0.1, 0.1)
     assert cfg.fuzzy_counts == (3, 3, 3, 3)
-    assert cfg.fuzzy_ranges[0] == (-math.pi, math.pi)
-    assert cfg.fuzzy_ranges[1] == (-8.0, 8.0)
-    assert cfg.fuzzy_ranges[2] == (-math.pi / 2, math.pi / 2)
-    assert cfg.fuzzy_ranges[3] == (-8.0, 8.0)
+    assert cfg.fuzzy_range_x1 == (-math.pi, math.pi)
+    assert cfg.fuzzy_range_x2 == (-8.0, 8.0)
+    assert cfg.fuzzy_range_x3 == (-math.pi / 2, math.pi / 2)
+    assert cfg.fuzzy_range_x4 == (-8.0, 8.0)
     assert cfg.fuzzy_g_floor == 1.0
     assert cfg.fuzzy_theta_bound == 1e6
     assert cfg.fuzzy_init == "nominal_fit"
     assert cfg.adapt_gain == 32.0
     assert cfg.lyapunov_q_diag == 500.0
     # arm block is -I; pendulum block is a damped oscillator companion form
-    np.testing.assert_allclose(
-        cfg.lyapunov_a,
+    np.testing.assert_array_equal(
+        np.reshape(cfg.lyapunov_a, (4, 4)),
         np.array(
             [
                 [-1.0, 0.0, 0.0, 0.0],
@@ -102,17 +95,7 @@ def test_default_config_matches_dataclass_defaults():
 
 def test_load_config_empty_file_gives_defaults(tmp_path):
     path = write_config(tmp_path, "# nothing but a comment\n\n")
-    cfg = harness.load_config(path)
-    ref = harness.default_config()
-    assert cfg.controller == ref.controller
-    assert_mpc_equal(cfg.mpc, ref.mpc)
-    assert cfg.fuzzy_counts == ref.fuzzy_counts
-    assert cfg.adapt_gain == ref.adapt_gain
-    assert np.array_equal(cfg.lyapunov_a, ref.lyapunov_a)
-    assert cfg.reference == ref.reference
-    assert cfg.disturbance == ref.disturbance
-    assert cfg.mismatch == ref.mismatch
-    assert (cfg.duration, cfg.plant_dt, cfg.seed) == (ref.duration, ref.plant_dt, ref.seed)
+    assert harness.load_config(path) == harness.default_config()
 
 
 def test_load_config_parses_values_and_comments(tmp_path):
@@ -214,9 +197,23 @@ def test_control_period_must_divide_into_plant_steps(tmp_path):
     path = write_config(tmp_path, "run.dt = 0.0003\n")
     with pytest.raises(harness.ConfigError, match="integer multiple of run.dt"):
         harness.load_config(path)
+    # a ratio that overflows to inf raised OverflowError in round()
+    path = write_config(tmp_path, "mpc.dt = 1e300\nrun.dt = 1e-300\n")
+    with pytest.raises(harness.ConfigError, match="integer multiple of run.dt"):
+        harness.load_config(path)
     path = write_config(tmp_path, "run.duration = 0.01\n")
     with pytest.raises(harness.ConfigError, match="shorter than one control period"):
         harness.load_config(path)
+
+
+@pytest.mark.parametrize("duration", ["0.08", "0.12", "10.01"])
+def test_duration_must_be_a_whole_number_of_control_periods(tmp_path, duration):
+    # the period count was rounded without a word: 0.08 s and 0.12 s both
+    # simulated two 0.05 s periods
+    path = write_config(tmp_path, f"run.duration = {duration}\n")
+    with pytest.raises(harness.ConfigError) as excinfo:
+        harness.load_config(path)
+    assert str(excinfo.value) == "run.duration: must be a whole number of control periods"
 
 
 def test_overrides_apply_after_file(tmp_path):
@@ -235,22 +232,7 @@ def test_dump_config_round_trips_defaults(tmp_path):
     for key in ("controller =", "mpc.kp =", "adapt.gain = 32.0", "reference.frequency = 0.65"):
         assert key in text
     path = write_config(tmp_path, text)
-    cfg = harness.load_config(path)
-    ref = harness.default_config()
-    assert cfg.controller == ref.controller
-    assert_mpc_equal(cfg.mpc, ref.mpc)
-    assert cfg.fuzzy_counts == ref.fuzzy_counts
-    assert cfg.fuzzy_ranges == ref.fuzzy_ranges
-    assert np.array_equal(cfg.lyapunov_a, ref.lyapunov_a)
-    assert cfg.reference == ref.reference
-    assert cfg.disturbance == ref.disturbance
-    assert cfg.mismatch == ref.mismatch
-    assert (cfg.alpha0, cfg.duration, cfg.plant_dt, cfg.seed) == (
-        ref.alpha0,
-        ref.duration,
-        ref.plant_dt,
-        ref.seed,
-    )
+    assert harness.load_config(path) == harness.default_config()
 
 
 # one line of each parse error kind, and the full report they give
@@ -460,13 +442,16 @@ def config_values(cfg) -> dict:
             "mpc.u_max": m.input_bound,
             "mpc.dt": m.dt,
             "fuzzy.counts": cfg.fuzzy_counts,
-            **{f"fuzzy.range_x{i}": r for i, r in enumerate(cfg.fuzzy_ranges, start=1)},
+            "fuzzy.range_x1": cfg.fuzzy_range_x1,
+            "fuzzy.range_x2": cfg.fuzzy_range_x2,
+            "fuzzy.range_x3": cfg.fuzzy_range_x3,
+            "fuzzy.range_x4": cfg.fuzzy_range_x4,
             "fuzzy.g_floor": cfg.fuzzy_g_floor,
             "fuzzy.theta_bound": cfg.fuzzy_theta_bound,
             "fuzzy.init": cfg.fuzzy_init,
             "fuzzy.init_samples": cfg.fuzzy_init_samples,
             "adapt.gain": cfg.adapt_gain,
-            "adapt.lyapunov_a": tuple(float(v) for v in cfg.lyapunov_a.ravel()),
+            "adapt.lyapunov_a": cfg.lyapunov_a,
             "adapt.lyapunov_q_diag": cfg.lyapunov_q_diag,
         }
     )
@@ -543,7 +528,8 @@ def valid_flats(draw):
     flat["disturbance.seed"] = count(0, 2**31)
     flat.update({f"mismatch.{name}": pos() for name in ("a1", "a2", "a3", "a4", "b1", "b2")})
     flat["scenario.alpha0"] = num()
-    flat["run.duration"] = mpc_dt * num(1.0)
+    # a whole number of control periods, the only durations the config takes
+    flat["run.duration"] = mpc_dt * count(1, 1000)
     flat["run.dt"] = run_dt
     flat["run.seed"] = count(0, 2**31)
     return flat
@@ -861,7 +847,7 @@ def test_build_closed_loop_wires_mismatch_and_lyapunov(tmp_path):
     assert loop.model.coeffs.b2 == TRUE_COEFFS.b2
     # solved Lyapunov matrix: A'P + P A = -Q, symmetric positive definite
     P = loop.lyapunov_p
-    A = cfg.lyapunov_a
+    A = np.reshape(cfg.lyapunov_a, (4, 4))
     np.testing.assert_allclose(A.T @ P + P @ A, -500.0 * np.eye(4), atol=1e-8)
     assert np.all(np.linalg.eigvalsh(P) > 0.0)
     np.testing.assert_allclose(x0, loop.x_ref_fn(0.0) + np.array([0.0, 0.0, 0.1, 0.0]), atol=0)
