@@ -26,6 +26,7 @@ from .mpc import (
     MpcConfig,
     NominalPredictor,
     TrajectoryLog,
+    _whole_multiple,
     run_receding_horizon,
 )
 
@@ -217,12 +218,6 @@ def _parse_value(default, raw: str, choices: tuple = ()):
     if not math.isfinite(val):
         raise ValueError("expected a finite number")
     return val
-
-
-def _whole_multiple(total: float, step: float) -> bool:
-    """Whether total / step is finite and within 1e-9 of a positive integer."""
-    ratio = total / step
-    return math.isfinite(ratio) and round(ratio) >= 1 and abs(ratio - round(ratio)) <= 1e-9
 
 
 def _build_config(flat: dict) -> ScenarioConfig:

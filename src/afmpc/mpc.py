@@ -408,6 +408,12 @@ class AdaptationLoop:
             raise ValueError(f"theta_bound must be positive, got {self.theta_bound}")
 
 
+def _whole_multiple(total: float, step: float) -> bool:
+    """Whether total / step is finite and within 1e-9 of a positive integer."""
+    ratio = total / step
+    return math.isfinite(ratio) and round(ratio) >= 1 and abs(ratio - round(ratio)) <= 1e-9
+
+
 @dataclass(frozen=True)
 class ClosedLoop:
     """Everything run_receding_horizon needs to simulate one controller."""
@@ -422,14 +428,13 @@ class ClosedLoop:
     adaptation: Optional[AdaptationLoop] = None
 
     def __post_init__(self) -> None:
-        # not > 0, so that NaN fails too; round() below would raise on it
+        # not > 0, so that NaN fails too; the multiple test divides by it
         if not self.plant_dt > 0.0:
             raise ValueError(f"plant_dt must be positive, got {self.plant_dt}")
         # a predictor of another step would span the wrong horizon
         if self.model.dt != self.config.dt:
             raise ValueError(f"model.dt {self.model.dt} differs from config.dt {self.config.dt}")
-        ratio = self.config.dt / self.plant_dt
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        if not _whole_multiple(self.config.dt, self.plant_dt):
             raise ValueError("config.dt must be a positive multiple of plant_dt")
         if self.adaptation is not None and not isinstance(self.model, AdaptiveFuzzyPredictor):
             raise ValueError("adaptation needs an AdaptiveFuzzyPredictor model")

@@ -2,8 +2,9 @@
 
 Solves minimize J(z) subject to c(z) <= 0 and lb <= z <= ub with a
 dual active-set QP (Goldfarb-Idnani) for the search direction and an
-l1-merit backtracking line search. Bounds enter the QP as linear rows,
-built once per call, so every accepted iterate stays inside the box.
+l1-merit backtracking line search. Each QP takes one row system A p <= b,
+the linearized constraints and then the box rows (built once per call),
+with one multiplier per row; every accepted iterate stays inside the box.
 
 A problem whose objective returns (J, grad J, H), H a symmetric positive
 definite model Hessian, sets exact_gradient: each call is one evaluation,
@@ -238,20 +239,13 @@ def _qp_hessian(H):
     return H
 
 
-def _kkt_residual(g, c0, Jc, lam_gen, lam_bnd, bnd_A, bnd_gaps):
-    grad_l = g.copy()
-    if lam_gen.size:
-        grad_l += Jc.T @ lam_gen
-    if lam_bnd.size:
-        grad_l += bnd_A.T @ lam_bnd
-    stat = float(np.maximum.reduce(np.abs(grad_l)))
-    feas = float(np.maximum.reduce(np.maximum(c0, 0.0))) if c0.size else 0.0
-    comp = 0.0
-    if lam_gen.size:
-        comp = float(np.maximum.reduce(np.abs(lam_gen * c0)))
-    if lam_bnd.size:
-        comp = max(comp, float(np.maximum.reduce(np.abs(lam_bnd * bnd_gaps))))
-    return max(stat, feas, comp)
+def _kkt_residual(g, A, b, lam):
+    """Largest KKT violation at p = 0 of the rows A p <= b with multipliers
+    lam: stationarity, or a row's infeasibility -b or complementarity |lam b|."""
+    res = float(np.maximum.reduce(np.abs(g + A.T @ lam)))
+    if b.size:
+        res = max(res, float(np.maximum.reduce(np.maximum(-b, np.abs(lam * b)))))
+    return res
 
 
 def _merit(f, c0, mu):
@@ -300,20 +294,20 @@ def minimize(
     if start is not None and not exact:
         raise ValueError("start needs an exact_gradient problem")
 
-    evals = [0]
-    raw_objective = problem.objective
-
-    def fun(x):
-        evals[0] += 1
-        return float(raw_objective(x))
+    evals = 0
 
     def evaluate(x):
         """f at x with its exact gradient and Hessian, None without them;
         one evaluation."""
+        nonlocal evals
+        evals += 1
+        value = problem.objective(x)
         if not exact:
-            return fun(x), None, None
-        evals[0] += 1
-        return checked(raw_objective(x))
+            return float(value), None, None
+        return checked(value)
+
+    def fun(x):
+        return evaluate(x)[0]
 
     def checked(value):
         """The objective's (f, gradient, Hessian), checked and as floats."""
@@ -337,41 +331,46 @@ def minimize(
     c0 = confun(z)
     m = c0.shape[0]
     g, Jc = _fd_derivatives(fun, confun, z, c0, g0)
-    lam_gen = np.zeros(m)
     bnd_A, bnd_c = _bound_rows(problem)
-    bnd_gaps = bnd_c - bnd_A @ z
-    lam_bnd = np.zeros(bnd_A.shape[0])
+
+    def rows(z, c0, Jc):
+        """The QP's rows A p <= b around z: the linearized constraints, then
+        the box."""
+        gaps = bnd_c - bnd_A @ z
+        if not m:
+            return bnd_A, gaps
+        return np.vstack([Jc, bnd_A]), np.concatenate([-c0, gaps])
+
+    A, b = rows(z, c0, Jc)
+    # one multiplier per row of A; the first m are the constraints'
+    lam = np.zeros(A.shape[0])
     mu = 10.0
     iters = 0
     merit_pairs: list[tuple[float, float]] = []
-    # (residual, z, lam_gen, f) of the lowest residual seen
-    best = (float("inf"), z, lam_gen, f0)
+    # (residual, z, lam, f) of the lowest residual seen
+    best = (float("inf"), z, lam, f0)
     stall = 0
     stop = "stalled"  # a break short of convergence
 
-    for _ in range(settings.max_iterations):
-        res = _kkt_residual(g, c0, Jc, lam_gen, lam_bnd, bnd_A, bnd_gaps)
+    while True:
+        res = _kkt_residual(g, A, b, lam)
         if res < best[0]:
-            best = (res, z, lam_gen, f0)
+            best = (res, z, lam, f0)
         if res <= tol:
             break
-        if m:
-            A_all = np.vstack([Jc, bnd_A])
-            b_all = np.concatenate([-c0, bnd_gaps])
-        else:
-            A_all, b_all = bnd_A, bnd_gaps
+        if iters == settings.max_iterations:
+            stop = "max_iter"
+            break
         H = _qp_hessian(H)
-        p, lam_all = _active_set_qp(H, g, A_all, b_all)
-        lam_gen_new = lam_all[:m]
-        lam_bnd_new = lam_all[m:]
+        p, lam_new = _active_set_qp(H, g, A, b)
         iters += 1
         if float(np.maximum.reduce(np.abs(p))) <= 1e-14:
-            if np.array_equal(lam_gen, lam_gen_new) and np.array_equal(lam_bnd, lam_bnd_new):
+            if np.array_equal(lam, lam_new):
                 # nothing moves, so every later iteration would repeat this one
                 break
-            lam_gen, lam_bnd = lam_gen_new, lam_bnd_new
+            lam = lam_new
             continue
-        mu = max(mu, 2.0 * float(np.maximum.reduce(np.abs(lam_gen_new)) if m else 0.0) + 1.0)
+        mu = max(mu, 2.0 * float(np.maximum.reduce(np.abs(lam_new[:m])) if m else 0.0) + 1.0)
         phi0 = _merit(f0, c0, mu)
         # directional derivative of the l1 merit along p
         d = float(g @ p) - mu * float(np.add.reduce(np.maximum(c0, 0.0)) if m else 0.0)
@@ -391,10 +390,10 @@ def minimize(
                 accepted = True
                 break
             alpha *= 0.5
+        # z stays put on a failed search, and this QP's multipliers describe
+        # z; those of an earlier, damped step can hold a bound no longer hit
+        lam = lam_new
         if not accepted:
-            # z stays put, and this QP's multipliers describe z; those of
-            # an earlier, damped step can hold a bound that is no longer hit
-            lam_gen, lam_bnd = lam_gen_new, lam_bnd_new
             stall += 1
             H = np.eye(n)
             if stall == 2:
@@ -410,7 +409,8 @@ def minimize(
             s = z_try - z
             y = g_new - g
             if m:
-                y = y + (Jc_new - Jc).T @ lam_gen_new
+                # Jc, not A[:m]: its transposed layout sets the product's summation order
+                y = y + (Jc_new - Jc).T @ lam[:m]
             sHs = float(s @ (H @ s))
             sy = float(s @ y)
             if sHs > 0.0:
@@ -422,13 +422,7 @@ def minimize(
                     Hs = H @ s
                     H = H + np.outer(y, y) / sy - np.outer(Hs, Hs) / sHs
         z, f0, c0, g, Jc = z_try, f_try, c_try, g_new, Jc_new
-        lam_gen, lam_bnd = lam_gen_new, lam_bnd_new
-        bnd_gaps = bnd_c - bnd_A @ z
-    else:
-        stop = "max_iter"
-        res = _kkt_residual(g, c0, Jc, lam_gen, lam_bnd, bnd_A, bnd_gaps)
-        if res < best[0]:
-            best = (res, z, lam_gen, f0)
+        A, b = rows(z, c0, Jc)
 
     res_final, z_best, lam_best, f_best = best
     feas_final = float(np.maximum.reduce(np.maximum(confun(z_best), 0.0))) if m else 0.0
@@ -440,11 +434,11 @@ def minimize(
         status = stop
     return Solution(
         minimizer=z_best,
-        multipliers=lam_best,
+        multipliers=lam_best[:m],
         objective_value=float(f_best),
         kkt_residual=float(res_final),
         iterations=iters,
         status=status,
-        objective_evaluations=evals[0],
+        objective_evaluations=evals,
         merit_decreases=tuple(merit_pairs),
     )

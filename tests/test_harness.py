@@ -193,6 +193,24 @@ def test_build_validation_reports_all_problems(tmp_path):
         assert fragment in msg
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("fuzzy.counts = 0 3 3 3", "fuzzy.counts: every count must be >= 1"),
+        ("fuzzy.theta_bound = 0.0", "fuzzy.theta_bound: must be positive"),
+        ("fuzzy.init_samples = 0", "fuzzy.init_samples: must be >= 1"),
+        ("adapt.lyapunov_q_diag = 0.0", "adapt.lyapunov_q_diag: must be positive"),
+        ("reference.step_time = -1.0", "reference.step_time: must be non-negative"),
+        ("run.dt = 0.0", "run.dt: must be positive"),
+    ],
+)
+def test_build_rule_reports_its_one_message(tmp_path, line, message):
+    path = write_config(tmp_path, line + "\n")
+    with pytest.raises(harness.ConfigError) as excinfo:
+        harness.load_config(path)
+    assert str(excinfo.value) == message
+
+
 def test_control_period_must_divide_into_plant_steps(tmp_path):
     path = write_config(tmp_path, "run.dt = 0.0003\n")
     with pytest.raises(harness.ConfigError, match="integer multiple of run.dt"):

@@ -707,15 +707,17 @@ def test_fuzzy_predictor_consistent_with_nominal_when_fitted():
 
 
 def test_closed_loop_requires_dt_multiple():
-    with pytest.raises(ValueError, match="multiple of plant_dt"):
-        mpc.ClosedLoop(
-            model=mpc.NominalPredictor(COEFFS, 0.05),
-            config=mpc.MpcConfig(),
-            true_coeffs=COEFFS,
-            x_ref_fn=zero_ref,
-            lyapunov_p=np.eye(4),
-            plant_dt=3e-4,
-        )
+    # the second ratio overflows to inf, and raised OverflowError in round()
+    for dt, plant_dt in ((0.05, 3e-4), (1e300, 1e-300)):
+        with pytest.raises(ValueError, match="config.dt must be a positive multiple of plant_dt"):
+            mpc.ClosedLoop(
+                model=mpc.NominalPredictor(COEFFS, dt),
+                config=mpc.MpcConfig(dt=dt),
+                true_coeffs=COEFFS,
+                x_ref_fn=zero_ref,
+                lyapunov_p=np.eye(4),
+                plant_dt=plant_dt,
+            )
 
 
 def test_closed_loop_rejects_zero_plant_dt():

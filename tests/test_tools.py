@@ -1,5 +1,6 @@
-"""Smoke test of the scripts under tools/."""
+"""Smoke tests of the scripts under tools/."""
 
+import json
 import re
 import subprocess
 import sys
@@ -29,3 +30,27 @@ def test_interleave_solves_compares_the_tree_with_itself():
     assert ratios and all(float(r) > 0.0 for r in ratios.groups())
     # one tree, loaded twice under two names, solves every period alike
     assert lines[4] == "same results: yes"
+
+
+def test_robustness_stops_each_run_at_the_fall(tmp_path):
+    out = tmp_path / "robustness.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "robustness.py"), "--scenario", "u_max-0.5",
+         "--duration", "1.0", "--out", str(out)],
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    records = json.loads(out.read_text())["runs"]
+    lines = proc.stdout.splitlines()
+    assert [r["run"] for r in records] == ["u_max-0.5 classical", "u_max-0.5 afmpc"]
+    for record, line in zip(records, lines, strict=True):
+        # a 0.5 V input cannot hold the pendulum up: each run stops at its fall
+        assert record["outcome"] == "falls"
+        assert 0.0 < record["t"] < 1.0
+        assert record["overrides"]["mpc.u_max"] == "0.5"
+        assert record["rollouts_per_solve"] >= 1.0
+        assert line.startswith(f"{record['run']} ")
+        assert f"falls {record['t']:.2f} s" in line
+    # theta_g is the adaptive controller's alone
+    assert records[0]["theta_g"] is None and lines[0].endswith("theta_g -")
+    lo, hi = records[1]["theta_g"]
+    assert lo <= hi and lines[1].endswith(f"theta_g {lo:.4g} .. {hi:.4g}")
