@@ -71,13 +71,20 @@ class ConfigError(ValueError):
     """Invalid scenario configuration; message lists every problem found."""
 
 
+_REFERENCE_KINDS = ("zero", "step", "sinusoid")
+
+
 @dataclass(frozen=True)
 class ReferenceSpec:
-    kind: str = "sinusoid"  # zero | step | sinusoid
+    kind: str = "sinusoid"  # one of _REFERENCE_KINDS
     amplitude: float = 0.2  # rad
     frequency: float = 0.65  # Hz, sinusoid only
     step_time: float = 1.0  # seconds, step only
     consistent_arm: bool = True
+
+    def __post_init__(self) -> None:
+        if self.kind not in _REFERENCE_KINDS:
+            raise ValueError(f"unknown reference kind {self.kind!r}, expected one of {_REFERENCE_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -191,7 +198,7 @@ _DEFAULTS: dict = {key: v for f in fields(ScenarioConfig) for key, v in _field_d
 _CHOICES = {
     "controller": CONTROLLERS,
     "fuzzy.init": ("zero", "nominal_fit"),
-    "reference.kind": ("zero", "step", "sinusoid"),
+    "reference.kind": _REFERENCE_KINDS,
     "disturbance.kind": _DISTURBANCE_KINDS,
 }
 
@@ -469,7 +476,7 @@ def build_closed_loop(config: ScenarioConfig):
         true_coeffs=true_coeffs,
         x_ref_fn=x_ref_fn,
         lyapunov_p=p_mat,
-        disturbance=None if config.disturbance.kind == "none" else config.disturbance,
+        disturbance=config.disturbance,
         plant_dt=config.plant_dt,
         adaptation=adaptation,
     )

@@ -423,7 +423,7 @@ class ClosedLoop:
     true_coeffs: CoeffSet
     x_ref_fn: Callable[[float], np.ndarray]  # 4-state reference at time t
     lyapunov_p: np.ndarray
-    disturbance: Optional[DisturbanceSpec] = None
+    disturbance: DisturbanceSpec = DisturbanceSpec()
     plant_dt: float = 1e-3
     adaptation: Optional[AdaptationLoop] = None
 
@@ -463,9 +463,9 @@ class TrajectoryLog:
         return self.t.shape[0]
 
 
-def _predicted_disturbances(spec: Optional[DisturbanceSpec], t: float, kp: int, dt: float) -> np.ndarray:
+def _predicted_disturbances(spec: DisturbanceSpec, t: float, kp: int, dt: float) -> np.ndarray:
     """Known deterministic kinds are fed forward; noise predicts zero."""
-    if spec is None or spec.kind in ("none", "band_limited_noise"):
+    if spec.kind in ("none", "band_limited_noise"):
         return np.zeros(kp)
     return np.array([disturbance_value(spec, t + (p + 1) * dt) for p in range(kp)])
 

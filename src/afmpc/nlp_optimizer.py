@@ -138,11 +138,12 @@ def _active_set_qp(H, g, A, b):
     """min 1/2 p'Hp + g'p s.t. A p <= b by the Goldfarb-Idnani dual method.
 
     From the unconstrained minimizer, raise the multiplier of the most
-    violated row j until j is active (full step: j joins the working set)
-    or a working multiplier reaches 0 (partial step: that row leaves and j
-    is pursued further). Each step raises the dual objective, so no working
-    set repeats, and the working rows stay linearly independent, so every
-    KKT matrix is nonsingular for positive definite H. Returns (p, multipliers).
+    violated row j until j is active (full step: j joins the working set,
+    exactly met) or a working multiplier reaches 0 (partial step: that row
+    leaves and j is pursued further). Each step raises the dual objective,
+    so no working set repeats, and the working rows stay linearly
+    independent, so every KKT matrix is nonsingular for positive definite
+    H. Returns (p, multipliers).
     """
     n = g.shape[0]
     m = A.shape[0]
@@ -191,8 +192,11 @@ def _active_set_qp(H, g, A, b):
         lam = lam + t * dlam
         lam_j += t
         if t_full <= t_part:
+            # a huge p rounds j's bound away in p + t dp: step on by j's slack left
+            rest = float(A[j] @ p - b[j]) / curv
+            p = p + rest * dp
             work.append(j)
-            lam = np.append(lam, lam_j)
+            lam = np.append(lam + rest * dlam, lam_j + rest)
             j = None
         else:
             drop = int(shrink[ratios.index(t_part)])
@@ -268,19 +272,18 @@ def minimize(
     is the objective's value at z0 clipped to the box, from a call the
     caller already made: it stands in for the first call, passes the same
     checks and is not counted, and the run is otherwise the one without
-    it. Otherwise BFGS starts from the identity
-    and gradients are central differences; kkt_tolerance only decides when
-    to stop. A failed line search sets the Hessian to the identity, and two
-    consecutive failed line searches end the run, status stalled. Line
+    it. Otherwise BFGS starts from the identity and gradients are central
+    differences; kkt_tolerance only decides when to stop. A failed line
+    search sets the Hessian to the identity, and two consecutive failed
+    line searches end the run, status stalled; nothing else does. Line
     searches on a difference gradient accept a merit rise of 1e-12
     relative, the objective's rounding noise, so they can close the last
-    digits of the residual. A zero step that leaves the multipliers as they
-    were ends the run stalled too, since every later iteration would repeat
-    it; max_iter means the iteration budget ran out. The returned point
-    is the best one seen by KKT residual. Every iterate lies
-    inside the box bounds: the QP accepts a bound row within its
-    feasibility tolerance, so each line-search trial point is clipped to
-    the box. QpInfeasibleError from the QP subproblem propagates to the
+    digits of the residual. A QP step of at most 1e-14 that changes the
+    multipliers only takes them; max_iter means the iteration budget ran
+    out. The returned point is the best one seen by KKT residual. Every
+    iterate lies inside the box bounds: the QP accepts a bound row within
+    its feasibility tolerance, so each line-search trial point is clipped
+    to the box. QpInfeasibleError from the QP subproblem propagates to the
     caller.
     """
     if settings is None:
@@ -326,8 +329,7 @@ def minimize(
     tol = settings.kkt_tolerance
 
     f0, g0, H = evaluate(z) if start is None else checked(start)
-    if H is None:
-        H = np.eye(n)
+    H = np.eye(n) if H is None else H
     c0 = confun(z)
     m = c0.shape[0]
     g, Jc = _fd_derivatives(fun, confun, z, c0, g0)
@@ -350,7 +352,7 @@ def minimize(
     # (residual, z, lam, f) of the lowest residual seen
     best = (float("inf"), z, lam, f0)
     stall = 0
-    stop = "stalled"  # a break short of convergence
+    stop = "stalled"  # two failed line searches in a row
 
     while True:
         res = _kkt_residual(g, A, b, lam)
@@ -364,10 +366,8 @@ def minimize(
         H = _qp_hessian(H)
         p, lam_new = _active_set_qp(H, g, A, b)
         iters += 1
-        if float(np.maximum.reduce(np.abs(p))) <= 1e-14:
-            if np.array_equal(lam, lam_new):
-                # nothing moves, so every later iteration would repeat this one
-                break
+        # with the same multipliers, a tiny step can be the last ulp to a bound
+        if float(np.maximum.reduce(np.abs(p))) <= 1e-14 and not np.array_equal(lam, lam_new):
             lam = lam_new
             continue
         mu = max(mu, 2.0 * float(np.maximum.reduce(np.abs(lam_new[:m])) if m else 0.0) + 1.0)

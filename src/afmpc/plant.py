@@ -217,7 +217,7 @@ def step(
     u: float,
     dt: float,
     coeffs: CoeffSet,
-    disturbance: DisturbanceSpec | None = None,
+    disturbance: DisturbanceSpec = DisturbanceSpec(),
     t: float = 0.0,
 ) -> np.ndarray:
     """Advance the state one RK4 step with the input held constant; returns
@@ -226,7 +226,7 @@ def step(
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     d = (0.0, 0.0, 0.0)
-    if disturbance is not None:
+    if disturbance.kind != "none":
         d = tuple(disturbance_value(disturbance, ti) for ti in (t, t + 0.5 * dt, t + dt))
     x = np.asarray(state, dtype=float).tolist()
     try:

@@ -640,6 +640,17 @@ def test_reference_trajectory_zero_kind():
         assert harness.reference_trajectory(spec, t) == (0.0, 0.0)
 
 
+def test_reference_spec_rejects_an_unknown_kind():
+    # an unknown kind fell through reference_trajectory to the step branch,
+    # so a "ramp" reference silently tracked a step
+    with pytest.raises(ValueError, match="unknown reference kind 'ramp'"):
+        harness.ReferenceSpec(kind="ramp")
+    # the config file accepts exactly the kinds the dataclass does
+    assert harness._CHOICES["reference.kind"] == harness._REFERENCE_KINDS
+    for kind in harness._REFERENCE_KINDS:
+        assert harness.ReferenceSpec(kind=kind).kind == kind
+
+
 def test_reference_trajectory_step_ramp():
     spec = harness.ReferenceSpec(kind="step", amplitude=0.3, step_time=1.0)
     assert harness.reference_trajectory(spec, 0.99) == (0.0, 0.0)
@@ -869,7 +880,9 @@ def test_build_closed_loop_wires_mismatch_and_lyapunov(tmp_path):
     np.testing.assert_allclose(A.T @ P + P @ A, -500.0 * np.eye(4), atol=1e-8)
     assert np.all(np.linalg.eigvalsh(P) > 0.0)
     np.testing.assert_allclose(x0, loop.x_ref_fn(0.0) + np.array([0.0, 0.0, 0.1, 0.0]), atol=0)
-    assert loop.disturbance is None
+    # no disturbance has one encoding, the config's own spec of kind none
+    assert loop.disturbance is cfg.disturbance
+    assert loop.disturbance == DisturbanceSpec()
 
 
 def test_build_closed_loop_afmpc_pieces(tmp_path):

@@ -940,7 +940,7 @@ def test_adaptation_disabled_at_zero_gain():
 
 def test_predicted_disturbances_feed_forward_known_kinds():
     kp, dt, t = 4, 0.05, 0.3
-    assert np.all(mpc._predicted_disturbances(None, t, kp, dt) == 0.0)
+    assert np.all(mpc._predicted_disturbances(DisturbanceSpec(), t, kp, dt) == 0.0)
     noise = DisturbanceSpec(kind="band_limited_noise", amplitude=1.0, seed=2)
     assert np.all(mpc._predicted_disturbances(noise, t, kp, dt) == 0.0)
     sine = DisturbanceSpec(kind="sinusoid", amplitude=0.5, frequency=1.3)

@@ -504,15 +504,47 @@ def test_initial_hessian_validation(hessian, message):
         (lambda z: (1e30 * float(z[0]), np.array([1e30]), np.eye(1)), True),
     ],
 )
-def test_zero_step_that_repeats_ends_the_run(objective, exact):
-    # a slope this steep loses the QP's bound step to cancellation, so the
-    # step is zero with the multipliers unchanged and the residual stays
-    # at the slope: each further iteration would repeat the same QP
+def test_steep_slope_reaches_its_bound(objective, exact):
+    # the QP starts from p = -g = -1e30, where p + t dp alone rounds the
+    # bound step to 0; it meets the bound row exactly, so the run reaches
+    # the lower bound and its KKT residual there, the slope against the
+    # bound's multiplier, closes
     box = np.array([-5.0]), np.array([5.0])
     p = NlpProblem(1, objective, lower_bounds=box[0], upper_bounds=box[1], exact_gradient=exact)
     sol = minimize(p, np.array([0.0]), settings(kkt_tolerance=1e-4))
-    assert sol.status == "stalled"
-    assert sol.iterations <= 2
+    assert sol.status == "converged"
+    assert sol.minimizer[0] == -5.0
+    assert sol.kkt_residual <= 1e-4
+
+
+@hyp_settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(1, 300),
+    sign=st.sampled_from([-1.0, 1.0]),
+    z0=st.floats(-5.0, 5.0),
+    tol=st.sampled_from([1e-4, 1e-6]),
+)
+# the first step ends an ulp short of 5, and the 8.9e-16 step that is left,
+# with the multipliers unchanged, must still be searched
+@example(k=10, sign=-1.0, z0=-3.1959947558947777, tol=1e-6)
+def test_linear_slope_converges_at_the_bound_it_points_to(k, sign, z0, tol):
+    # c z on [-5, 5] with its exact gradient: however steep the slope, the
+    # QP step lands on the bound the slope points to, where the multiplier
+    # cancels c exactly; a difference gradient is left out, since its
+    # rounding noise grows with |c|
+    c = sign * 10.0**k
+    p = NlpProblem(
+        1,
+        lambda z: (c * float(z[0]), np.array([c]), np.eye(1)),
+        lower_bounds=np.array([-5.0]),
+        upper_bounds=np.array([5.0]),
+        exact_gradient=True,
+    )
+    sol = minimize(p, np.array([z0]), settings(kkt_tolerance=tol))
+    assert sol.status == "converged"
+    # within rounding: a point an ulp inside meets a loose tolerance at small |c|
+    assert sol.minimizer[0] == pytest.approx(-5.0 * sign, abs=1e-12)
+    assert sol.kkt_residual <= tol
 
 
 def test_two_failed_line_searches_end_the_run_stalled():
