@@ -60,20 +60,23 @@ def membership(mf: GaussianMF, x: float) -> float:
 @dataclass
 class FuzzyModel:
     """Rule grid over the 4 states plus the two adaptable consequent vectors;
-    evaluating a model writes none of its fields, so models interleave freely."""
+    evaluating a model writes none of its fields, so models interleave freely.
+
+    The grid is also held as one coefficient matrix [M | c] (n_rules x 9):
+    the log firing strength of each rule is M @ [x*x, x] + c, which basis,
+    basis_matrix and the fuzzy predictor's gradient read.
+    """
 
     mfs: list[list[GaussianMF]]
     theta_f: np.ndarray
     theta_g: np.ndarray
     g_floor: float = 1.0
     state_ranges: tuple[tuple[float, float], ...] = ()
-    # quadratic-expansion coefficients of the log firing strength, minus
-    # half the squared scaled distance: s(x) = mat @ [x*x, x] + const per
-    # rule, derived from mfs; basis and basis_matrix both evaluate it in
-    # this form (the factor -0.5 is a power of two, so folding it into the
-    # coefficients leaves every result bit for bit as without it)
-    _s_mat: np.ndarray = field(init=False, repr=False)
-    _s_const: np.ndarray = field(init=False, repr=False)
+    # [M | c], derived from mfs: the log firing strength, minus half the
+    # squared scaled distance, is s(x) = _s_coef @ [x*x, x, 1] per rule (the
+    # factor -0.5 is a power of two, so folding it into the coefficients
+    # leaves every result bit for bit as without it)
+    _s_coef: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.g_floor > 0.0:
@@ -98,8 +101,8 @@ class FuzzyModel:
             np.meshgrid(*per_state_widths, indexing="ij"), axis=-1
         ).reshape(n_rules, len(self.mfs))
         inv_sq = 1.0 / (widths * widths)
-        self._s_mat = -0.5 * np.hstack([inv_sq, -2.0 * centers * inv_sq])
-        self._s_const = -0.5 * np.sum(centers * centers * inv_sq, axis=1)
+        const = np.sum(centers * centers * inv_sq, axis=1)
+        self._s_coef = -0.5 * np.hstack([inv_sq, -2.0 * centers * inv_sq, const[:, None]])
 
     @property
     def n_rules(self) -> int:
@@ -112,30 +115,46 @@ class FuzzyModel:
         clone.theta_g = theta_g
         clone.g_floor = self.g_floor
         clone.state_ranges = self.state_ranges
-        clone._s_mat = self._s_mat
-        clone._s_const = self._s_const
+        clone._s_coef = self._s_coef
         return clone
+
+
+# Below this sum of the unshifted strengths, basis takes the max-shifted
+# form. Log strengths are <= 0, so no strength overflows, and only a state
+# far from every rule needs the shift. At or above it, every strength above
+# 1e-157 of the sum is a normal float with full relative precision, so the
+# normalized vector is the shifted one's up to rounding (the rest differ by
+# less than 1e-157), and 1 / total cannot overflow.
+_SHIFT_BELOW = 1e-150
 
 
 def basis(model: FuzzyModel, X) -> np.ndarray:
     """Normalized rule-firing vector at state X; components sum to 1.
 
-    X is any 4-sequence. The shared exponential shift does not change the
-    normalized value and keeps the normalizer away from underflow for
-    states far outside the membership ranges. The log firing strengths are
-    evaluated through their precomputed quadratic expansion: one
-    matrix-vector product with [x*x, x], built afresh on every call.
+    X is any 4-sequence. The log firing strengths s(X) come from their
+    precomputed quadratic expansion: one matrix-vector product of the
+    coefficients with [x*x, x, 1], built afresh on every call, then one
+    exp, in place, normalized by its sum. Only when that sum underflows
+    (every rule far from X) or is NaN do the strengths take the
+    max-shifted form exp(s - max s), which has the same normalized value
+    and raises DegenerateFiringError if X is not finite or its squares
+    overflow.
     """
     x1, x2, x3, x4 = X
-    s = model._s_mat @ np.array([x1 * x1, x2 * x2, x3 * x3, x4 * x4, x1, x2, x3, x4])
-    s += model._s_const
-    # the element at argmax is the max, NaN included, and costs less
-    s -= s[s.argmax()]
-    w = np.exp(s, out=s)
-    # the shift puts one strength at exp(0) = 1, so total >= 1 unless NaN
+    v = np.array([x1 * x1, x2 * x2, x3 * x3, x4 * x4, x1, x2, x3, x4, 1.0])
+    w = model._s_coef @ v
+    np.exp(w, out=w)
     total = float(np.add.reduce(w))
-    if not math.isfinite(total):
-        raise DegenerateFiringError(f"rule firing strengths are not finite at state ({x1}, {x2}, {x3}, {x4})")
+    # not >=, so that a NaN sum takes the shifted form too
+    if not total >= _SHIFT_BELOW:
+        w = model._s_coef @ v
+        # the element at argmax is the max, NaN included, and costs less
+        w -= w[w.argmax()]
+        np.exp(w, out=w)
+        # the shift puts one strength at exp(0) = 1, so total >= 1 unless NaN
+        total = float(np.add.reduce(w))
+        if not math.isfinite(total):
+            raise DegenerateFiringError(f"rule firing strengths are not finite at state ({x1}, {x2}, {x3}, {x4})")
     w /= total
     return w
 
@@ -144,18 +163,29 @@ def basis_matrix(model: FuzzyModel, X: np.ndarray) -> np.ndarray:
     """Row-wise basis vectors for a batch of states, shape (len(X), n_rules).
 
     Each row is basis(model, X[i]) up to rounding, by the same quadratic
-    expansion in one matrix product for the whole batch.
+    expansion: one matrix product of the batch, with a ones column, and
+    the coefficients, then one exp. Only the rows whose sum underflows or
+    is NaN are recomputed in the max-shifted form, and the error for a
+    non-finite row names the first such row.
     """
     X = np.asarray(X, dtype=float)
-    s = np.hstack([X * X, X]) @ model._s_mat.T
-    s += model._s_const
-    s -= s.max(axis=1, keepdims=True)
-    w = np.exp(s, out=s)
-    total = w.sum(axis=1, keepdims=True)
-    if not np.isfinite(total).all():
-        row = int(np.argmin(np.isfinite(total)))
-        raise DegenerateFiringError(f"rule firing strengths are not finite at state {tuple(X[row].tolist())}, row {row}")
-    w /= total
+    V = np.hstack([X * X, X, np.ones((len(X), 1))])
+    w = V @ model._s_coef.T
+    np.exp(w, out=w)
+    total = w.sum(axis=1)
+    shift = ~(total >= _SHIFT_BELOW)
+    if shift.any():
+        rows = np.flatnonzero(shift)
+        s = V[rows] @ model._s_coef.T
+        s -= s.max(axis=1, keepdims=True)
+        np.exp(s, out=s)
+        sub = s.sum(axis=1)
+        if not np.isfinite(sub).all():
+            row = int(rows[np.argmin(np.isfinite(sub))])
+            raise DegenerateFiringError(f"rule firing strengths are not finite at state {tuple(X[row].tolist())}, row {row}")
+        w[rows] = s
+        total[rows] = sub
+    w /= total[:, None]
     return w
 
 

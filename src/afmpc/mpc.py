@@ -129,7 +129,8 @@ class AdaptiveFuzzyPredictor:
 
     Linearized, the field differentiates theta . eps(X) in closed form.
     eps is a softmax of the log firing strengths s(X), whose gradient is
-    D_ij = 2 M_ij x_j + M_i,4+j with M = _s_mat, so
+    D_ij = 2 M_ij x_j + M_i,4+j with M the first 8 columns of the model's
+    coefficient matrix [M | c] (fz.FuzzyModel), so
         d(theta . eps)/dx = (theta o eps)' D - (theta . eps)(eps' D).
     g_hat has zero gradient while its floor is active.
     """
@@ -143,7 +144,7 @@ class AdaptiveFuzzyPredictor:
         # (rules x 26): [theta_f, theta_g, theta_f * M, theta_g * M, M], each
         # M block being the 4 quadratic then the 4 linear coefficients of s(X)
         fuz = self.fuzzy
-        m = fuz._s_mat
+        m = fuz._s_coef[:, :8]
         tf, tg = fuz.theta_f[:, None], fuz.theta_g[:, None]
         return np.hstack([tf, tg, tf * m, tg * m, m])
 

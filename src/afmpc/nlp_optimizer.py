@@ -411,16 +411,19 @@ def minimize(
             if m:
                 # Jc, not A[:m]: its transposed layout sets the product's summation order
                 y = y + (Jc_new - Jc).T @ lam[:m]
-            sHs = float(s @ (H @ s))
-            sy = float(s @ y)
-            if sHs > 0.0:
-                if sy < 0.2 * sHs:
-                    theta = 0.8 * sHs / (sHs - sy)
-                    y = theta * y + (1.0 - theta) * (H @ s)
-                    sy = float(s @ y)
-                if sy > 1e-12:
-                    Hs = H @ s
-                    H = H + np.outer(y, y) / sy - np.outer(Hs, Hs) / sHs
+            # a steep slope's y can overflow y y^T; the non-finite H that
+            # leaves is reset to the identity by _qp_hessian before any QP
+            with np.errstate(over="ignore", invalid="ignore"):
+                sHs = float(s @ (H @ s))
+                sy = float(s @ y)
+                if sHs > 0.0:
+                    if sy < 0.2 * sHs:
+                        theta = 0.8 * sHs / (sHs - sy)
+                        y = theta * y + (1.0 - theta) * (H @ s)
+                        sy = float(s @ y)
+                    if sy > 1e-12:
+                        Hs = H @ s
+                        H = H + np.outer(y, y) / sy - np.outer(Hs, Hs) / sHs
         z, f0, c0, g, Jc = z_try, f_try, c_try, g_new, Jc_new
         A, b = rows(z, c0, Jc)
 

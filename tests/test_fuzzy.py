@@ -101,11 +101,31 @@ def states(bound):
     return st.lists(st.floats(-bound, bound), min_size=4, max_size=4).map(np.array)
 
 
+def log_strengths(model, x):
+    """Reference log firing strengths: the sums of the log membership
+    degrees, -((x - c) / w)^2 / 2, from the distances themselves."""
+    logs = [
+        [-0.5 * ((xi - m.center) / m.width) ** 2 for m in group]
+        for group, xi in zip(model.mfs, x)
+    ]
+    return functools.reduce(np.add.outer, logs).ravel()
+
+
 def direct_basis(model, x):
-    """Reference: normalized product of the membership degrees."""
-    degrees = [[membership(m, xi) for m in group] for group, xi in zip(model.mfs, x)]
-    raw = functools.reduce(np.multiply.outer, degrees).ravel()
+    """Reference: normalized product of the membership degrees, formed from
+    their logs and shifted by the largest, so that it holds at states where
+    every degree underflows too."""
+    s = log_strengths(model, x)
+    raw = np.exp(s - s.max())
     return raw / raw.sum()
+
+
+def test_direct_basis_is_the_product_of_the_memberships():
+    model = build_rule_grid((3, 2, 3, 2), WIDE)
+    for x in np.random.default_rng(7).uniform(-4.0, 4.0, size=(20, 4)):
+        degrees = [[membership(m, xi) for m in group] for group, xi in zip(model.mfs, x)]
+        raw = functools.reduce(np.multiply.outer, degrees).ravel()
+        np.testing.assert_allclose(direct_basis(model, x), raw / raw.sum(), rtol=1e-12, atol=0.0)
 
 
 @hyp_settings(max_examples=200, deadline=None)
@@ -132,6 +152,52 @@ def test_basis_matrix_rows_equal_basis(model, units):
 
 
 WIDE = ((-math.pi, math.pi), (-8.0, 8.0), (-1.5, 1.5), (-8.0, 8.0))
+
+# basis takes the max-shifted form where the unshifted strengths sum below
+# 1e-150, that is, from about 26 widths beyond the nearest rule; scaled
+# from a tenth of the ranges to 40 times them, every ray of rule_grids
+# starts inside and ends past that point (the closest case, 2 memberships
+# per state along (1, 1, 1, 1) / 2, ends at a log sum of -361 against
+# log(1e-150) = -345), and the expansion's cancellation, which grows as
+# |x|^2, stays below 1e-12 there
+SCALES = np.geomspace(0.1, 40.0, 30)
+LOG_SHIFT_BELOW = math.log(1e-150)
+
+directions = (
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+    .map(np.array)
+    .filter(lambda v: np.linalg.norm(v) >= 0.1)
+    .map(lambda v: v / np.linalg.norm(v))
+)
+
+
+@hyp_settings(max_examples=200, deadline=None)
+@given(
+    model=rule_grids(),
+    direction=directions,
+    bad=st.sampled_from([math.nan, math.inf, -math.inf, 1e200]),
+    slot=st.integers(0, 3),
+    at=st.integers(0, len(SCALES) - 1),
+)
+def test_basis_matches_the_direct_form_on_both_sides_of_the_shift(model, direction, bad, slot, at):
+    X = SCALES[:, None] * direction * np.array([hi for _, hi in model.state_ranges])
+    totals = [np.logaddexp.reduce(log_strengths(model, x)) for x in X]
+    assert totals[0] > LOG_SHIFT_BELOW > totals[-1]
+    # the batch holds rows on both sides, so its far rows take the
+    # row-wise shifted form while the rest stay unshifted
+    E = basis_matrix(model, X)
+    for x, row in zip(X, E):
+        ref = direct_basis(model, x)
+        np.testing.assert_allclose(basis(model, x), ref, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(row, ref, rtol=0.0, atol=1e-12)
+    # a non-finite row among in-range and far ones fails the batch, and
+    # the error names the first such row
+    mixed = X.copy()
+    mixed[at, slot] = bad
+    mixed[-1, slot] = math.nan
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(DegenerateFiringError, match=f", row {at}$"):
+            basis_matrix(model, mixed)
 
 
 def test_basis_same_bits_for_list_tuple_and_array_input():

@@ -517,6 +517,21 @@ def test_steep_slope_reaches_its_bound(objective, exact):
     assert sol.kkt_residual <= 1e-4
 
 
+@pytest.mark.parametrize("c", [1e175, -1e175])
+@pytest.mark.parametrize("z0", [-4.1, -2.5, 0.0, 0.3, 2.5])
+def test_overflowing_bfgs_update_resets_to_the_identity(c, z0):
+    # on c z with a difference gradient, y y^T of the damped BFGS update
+    # overflows at this slope; the non-finite H is reset to the identity
+    # before the next QP instead of raising numpy's overflow warning, which
+    # the tests' warning filter turns into an error
+    p = NlpProblem(
+        1, lambda z: c * float(z[0]), lower_bounds=np.array([-5.0]), upper_bounds=np.array([5.0])
+    )
+    sol = minimize(p, np.array([z0]), settings(kkt_tolerance=1e-4))
+    assert sol.status == "converged"
+    assert sol.minimizer[0] == -5.0 * math.copysign(1.0, c)
+
+
 @hyp_settings(max_examples=200, deadline=None)
 @given(
     k=st.integers(1, 300),

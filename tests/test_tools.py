@@ -1,12 +1,34 @@
 """Smoke tests of the scripts under tools/."""
 
+import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def tool(monkeypatch):
+    """Imports a script under tools/ as a module. Its import pins the BLAS
+    thread variables with os.environ.setdefault and may put src on
+    sys.path; both are undone after the test."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+
+    def load(name):
+        spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    return load
 
 
 def test_interleave_solves_compares_the_tree_with_itself():
@@ -29,7 +51,20 @@ def test_interleave_solves_compares_the_tree_with_itself():
     ratios = re.fullmatch(r"B/A: p50 (\S+), sum (\S+)", lines[3])
     assert ratios and all(float(r) > 0.0 for r in ratios.groups())
     # one tree, loaded twice under two names, solves every period alike
-    assert lines[4] == "same results: yes"
+    assert lines[4:] == ["same results: yes"]
+
+
+def test_interleave_solves_reports_the_largest_difference(tool):
+    result_lines = tool("interleave_solves").result_lines
+    same = [(1.5, 10.0), (-5.0, 2.0)]
+    assert result_lines(same, list(same)) == ["same results: yes"]
+    # the largest |difference| of each, whichever tree's value is larger
+    moved = [(1.5 + 2.0**-40, 10.0), (-5.0, 2.0 - 2.0**-30)]
+    assert result_lines(same, moved) == [
+        "same results: no",
+        f"largest |difference|: applied input {2.0**-40:.3e}, predicted cost {2.0**-30:.3e}",
+    ]
+    assert result_lines(moved, same) == result_lines(same, moved)
 
 
 def test_robustness_stops_each_run_at_the_fall(tmp_path):
@@ -54,3 +89,17 @@ def test_robustness_stops_each_run_at_the_fall(tmp_path):
     assert records[0]["theta_g"] is None and lines[0].endswith("theta_g -")
     lo, hi = records[1]["theta_g"]
     assert lo <= hi and lines[1].endswith(f"theta_g {lo:.4g} .. {hi:.4g}")
+
+
+def test_robustness_seed_sets_run_afmpc_over_their_seeds(tool):
+    runs = tool("robustness").runs
+    seeds81 = runs(["seeds81"])
+    assert [label for label, _ in seeds81] == [f"seeds81 seed {s}" for s in range(10)]
+    # the default scenario: no override but the controller and the seed
+    assert [overrides for _, overrides in seeds81] == [
+        {"controller": "afmpc", "run.seed": str(s)} for s in range(10)
+    ]
+    grid = runs(["grid625"])
+    assert [label for label, _ in grid] == [f"grid625 seed {s}" for s in range(30)]
+    assert all(o["fuzzy.counts"] == "5 5 5 5" and o["controller"] == "afmpc" for _, o in grid)
+    assert [label for label, _ in runs(["default"])] == ["default classical", "default afmpc"]

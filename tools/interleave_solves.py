@@ -12,7 +12,9 @@ drift of the machine's speed. A solve's time is its minimum over the
 repetitions. The script prints, per tree, the p50 and the sum of those
 minima and the mean rollouts per solve (ControlStep.evaluations), then
 the ratios B/A, and whether both trees returned the same input and cost,
-bit for bit, for every solve. Every replay gets a fresh
+bit for bit, for every solve; if not, the largest absolute difference of
+each over the paired solves, so that a rounding-level change can be told
+from a larger one. Every replay gets a fresh
 copy of its predictor, so caches the predictor builds on first use are
 paid as in the closed-loop run.
 
@@ -83,6 +85,17 @@ def replay(pkg, call) -> tuple[int, tuple, int]:
     return t1 - t0, (step.applied_input, step.predicted_cost), step.evaluations
 
 
+def result_lines(results_a: list, results_b: list) -> list[str]:
+    """Whether the paired (input, cost) results are the same, bit for bit;
+    if not, also the largest |difference| of each over the pairs."""
+    if results_a == results_b:
+        return ["same results: yes"]
+    du = max(abs(a[0] - b[0]) for a, b in zip(results_a, results_b))
+    dc = max(abs(a[1] - b[1]) for a, b in zip(results_a, results_b))
+    return ["same results: no",
+            f"largest |difference|: applied input {du:.3e}, predicted cost {dc:.3e}"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src_a")
@@ -117,7 +130,8 @@ def main(argv=None) -> int:
         print(f"{label} {src}: p50 {stats[-1][0]:.1f} us, sum {stats[-1][1]:.2f} ms, "
               f"{sum(counts) / n:.3f} rollouts per solve")
     print(f"B/A: p50 {stats[1][0] / stats[0][0]:.4f}, sum {stats[1][1] / stats[0][1]:.4f}")
-    print(f"same results: {'yes' if results[0] == results[1] else 'no'}")
+    for line in result_lines(*results):
+        print(line)
     return 0
 
 

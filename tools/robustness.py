@@ -3,9 +3,11 @@
     python3 tools/robustness.py [--scenario NAME ...] [--duration S] [--out FILE]
 
 Each scenario is the default one plus the config overrides listed in
-MATRIX, run once with the classical and once with the afmpc controller;
-GRID adds afmpc on the 625-rule grid (fuzzy.counts = 5 5 5 5) with
-run.seed 0 to 29. Without --scenario every run is made.
+MATRIX, run once with the classical and once with the afmpc controller.
+SEED_SETS adds afmpc alone over a range of run.seed values: grid625 on the
+625-rule grid (fuzzy.counts = 5 5 5 5) with seeds 0 to 29, and seeds81 on
+the default scenario (81 rules) with seeds 0 to 9. Without --scenario
+every run is made.
 
 A run stops at the end of the first plant step after which |x3| >= pi/2:
 a wrapper on mpc.plant_step records that time and raises
@@ -66,17 +68,21 @@ MATRIX = {
     "u_max-1.0": {"mpc.u_max": "1.0"},
     "step-noise-0.5": {"reference.kind": "step", **_disturbance("band_limited_noise", "0.5")},
 }
-GRID = ("grid625", {"fuzzy.counts": "5 5 5 5"}, range(30))
+SEED_SETS = {
+    "grid625": ({"fuzzy.counts": "5 5 5 5"}, range(30)),
+    "seeds81": ({}, range(10)),
+}
 
 
 def runs(scenarios: list[str]) -> list[tuple[str, dict]]:
     """(label, overrides) of every run of the named scenarios, in order."""
     out = []
     for name in scenarios:
-        if name == GRID[0]:
+        if name in SEED_SETS:
+            overrides, seeds = SEED_SETS[name]
             out += [
-                (f"{name} seed {seed}", dict(GRID[1], controller="afmpc", **{"run.seed": str(seed)}))
-                for seed in GRID[2]
+                (f"{name} seed {seed}", dict(overrides, controller="afmpc", **{"run.seed": str(seed)}))
+                for seed in seeds
             ]
         else:
             out += [
@@ -145,14 +151,14 @@ def line(record: dict) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--scenario", action="append", choices=[*MATRIX, GRID[0]],
+    parser.add_argument("--scenario", action="append", choices=[*MATRIX, *SEED_SETS],
                         help="run only this scenario (repeatable)")
     parser.add_argument("--duration", type=float, default=None,
                         help="override run.duration, in seconds")
     parser.add_argument("--out", help="write the records as JSON to this file")
     args = parser.parse_args(argv)
 
-    todo = runs(args.scenario or [*MATRIX, GRID[0]])
+    todo = runs(args.scenario or [*MATRIX, *SEED_SETS])
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=min(2, len(todo)), mp_context=spawn) as pool:
         records = []
