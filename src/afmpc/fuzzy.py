@@ -77,6 +77,9 @@ class FuzzyModel:
     # factor -0.5 is a power of two, so folding it into the coefficients
     # leaves every result bit for bit as without it)
     _s_coef: np.ndarray = field(init=False, repr=False)
+    # upper bounds on max |theta_f| and max |theta_g| that adapt carries
+    # from a model it made to the next; NaN, so unknown, on any other model
+    _peak_bounds: tuple[float, float] = field(default=(math.nan, math.nan), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.g_floor > 0.0:
@@ -108,7 +111,9 @@ class FuzzyModel:
     def n_rules(self) -> int:
         return self.theta_f.shape[0]
 
-    def _replace_thetas(self, theta_f: np.ndarray, theta_g: np.ndarray) -> "FuzzyModel":
+    def _replace_thetas(
+        self, theta_f: np.ndarray, theta_g: np.ndarray, peak_bounds: tuple[float, float] = (math.nan, math.nan)
+    ) -> "FuzzyModel":
         clone = FuzzyModel.__new__(FuzzyModel)
         clone.mfs = self.mfs
         clone.theta_f = theta_f
@@ -116,6 +121,7 @@ class FuzzyModel:
         clone.g_floor = self.g_floor
         clone.state_ranges = self.state_ranges
         clone._s_coef = self._s_coef
+        clone._peak_bounds = peak_bounds
         return clone
 
 
@@ -189,12 +195,12 @@ def basis_matrix(model: FuzzyModel, X: np.ndarray) -> np.ndarray:
     return w
 
 
-def f_hat(model: FuzzyModel, X: np.ndarray) -> float:
+def f_hat(model: FuzzyModel, X) -> float:
     """Drift estimate theta_f . eps(X)."""
     return float(model.theta_f @ basis(model, X))
 
 
-def g_hat(model: FuzzyModel, X: np.ndarray) -> float:
+def g_hat(model: FuzzyModel, X) -> float:
     """Input-gain estimate theta_g . eps(X), clamped below at g_floor."""
     return max(float(model.theta_g @ basis(model, X)), model.g_floor)
 
@@ -203,7 +209,7 @@ def adapt(
     model: FuzzyModel,
     e: np.ndarray,
     pb: np.ndarray,
-    X: np.ndarray,
+    X,
     u: float,
     dt: float,
     *,
@@ -216,28 +222,46 @@ def adapt(
     theta_g' = -gain * (e.P b) * eps(X) * u
 
     pb is the product P @ b of the Lyapunov matrix and the input vector,
-    fixed over a run, so its caller forms it once. Returns a new model; the
-    rule grid is shared with the input model. Raises ParameterBlowupError
-    when an updated theta is NaN or beyond theta_bound in magnitude.
+    fixed over a run, so its caller forms it once; X is any 4-sequence.
+    Returns a new model; the rule grid is shared with the input model.
+    Raises ParameterBlowupError when an updated theta is NaN or beyond
+    theta_bound in magnitude.
+
+    The step carries upper bounds on max |theta_f| and max |theta_g| to the
+    model it returns, and takes the exact peaks only when a bound is not
+    within theta_bound: on a model adapt did not make, near the bound, and
+    on a NaN or an overflow. The bounds hold only while no theta is written
+    after the model is made.
     """
     # not > 0, so that a NaN dt fails here, not as a parameter blowup
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    s = float(e @ pb)
-    # Python floats build basis's [x*x, x] faster than np.float64 scalars
-    eps = basis(model, X.tolist())
-    drive = dt * gain * s * eps
+    # e @ pb, not a Python sum of the 4 products: the two round differently
+    k = dt * gain * float(e @ pb)
+    drive = basis(model, X)
+    drive *= k
     theta_f = model.theta_f - drive
-    theta_g = model.theta_g - drive * u
-    peak_f = float(np.maximum.reduce(np.abs(theta_f)))
-    peak_g = float(np.maximum.reduce(np.abs(theta_g)))
-    # not <=, so that a NaN in either vector fails too
-    if not (peak_f <= theta_bound and peak_g <= theta_bound):
-        raise ParameterBlowupError(
-            f"adaptation pushed max |theta_f| to {peak_f:.3e} and max |theta_g| to"
-            f" {peak_g:.3e}, beyond bound {theta_bound:.3e}"
-        )
-    return model._replace_thetas(theta_f, theta_g)
+    drive *= u
+    theta_g = model.theta_g - drive
+    # Every basis entry is at most 1 and rounding is monotone, so no entry
+    # of k * eps exceeds |k| and none of k * eps * u exceeds |k * u|, as
+    # rounded; then no rounded theta_f - k * eps exceeds the rounded sum of
+    # the old bound and |k|, and likewise for theta_g. The bounds need no
+    # allowance for rounding, and a NaN or inf in k or u reaches them.
+    bound_f = model._peak_bounds[0] + abs(k)
+    bound_g = model._peak_bounds[1] + abs(k * u)
+    # not <=, so that a NaN bound takes the exact peaks too; and < inf,
+    # since only finite bounds rule out the NaN that inf - inf makes
+    if not (bound_f <= theta_bound and bound_g <= theta_bound and bound_f + bound_g < math.inf):
+        bound_f = float(np.maximum.reduce(np.abs(theta_f)))
+        bound_g = float(np.maximum.reduce(np.abs(theta_g)))
+        # not <=, so that a NaN in either vector fails too
+        if not (bound_f <= theta_bound and bound_g <= theta_bound):
+            raise ParameterBlowupError(
+                f"adaptation pushed max |theta_f| to {bound_f:.3e} and max |theta_g| to"
+                f" {bound_g:.3e}, beyond bound {theta_bound:.3e}"
+            )
+    return model._replace_thetas(theta_f, theta_g, (bound_f, bound_g))
 
 
 def build_rule_grid(

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .plant import CoeffSet, DisturbanceSpec, IntegrationDivergenceError, disturbance_value, dynamics, rk4, step as plant_step
+from .plant import CoeffSet, DisturbanceSpec, IntegrationDivergenceError, disturbance_value, pendulum_field, rk4, step as plant_step
 from . import fuzzy as fz
 from .nlp_optimizer import NlpProblem, QpInfeasibleError, SolverSettings, minimize
 
@@ -96,21 +96,7 @@ class NominalPredictor:
         """The state one control period ahead from the 4 floats x, as 4
         floats; with tangents, also the tangents carried through the step
         (see plant.rk4)."""
-        c = self.coeffs
-        a1, a2, a3, a4, b1, b2 = c.a1, c.a2, c.a3, c.a4, c.b1, c.b2
-
-        def field_fn(s, dd: float, linearize: bool = False):
-            k = dynamics(s, u, c, dd)
-            if not linearize:
-                return k
-            r3 = a3 * math.cos(s[2])
-
-            def jvp(t1, t2, t3, t4, tu):
-                return (t2, a1 * t2 + b1 * tu, t4, a2 * t2 + r3 * t3 + a4 * t4 + b2 * tu)
-
-            return k, jvp
-
-        return rk4(field_fn, x, self.dt, (d, d, d), tangents)
+        return rk4(pendulum_field(self.coeffs, u), x, self.dt, (d, d, d), tangents)
 
 
 @dataclass(frozen=True)
@@ -487,9 +473,11 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
         raise ValueError("steps must be at least 1")
     cfg = loop.config
     n_sub = round(cfg.dt / loop.plant_dt)
-    x = np.asarray(x0, dtype=float).copy()
+    # the state between solves, as the 4 floats plant_step takes and returns
+    x = tuple(np.asarray(x0, dtype=float).tolist())
     warm = np.zeros(cfg.control_horizon)
-    true_b2 = loop.true_coeffs.b2
+    plant_dt, true_coeffs = loop.plant_dt, loop.true_coeffs
+    disturbance, x_ref_fn = loop.disturbance, loop.x_ref_fn
     ad = loop.adaptation
     fuzzy = None if ad is None else loop.model.fuzzy
     # P e4, copied: a strided column would change fz.adapt's dot product in
@@ -501,50 +489,38 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
 
     for k in range(steps):
         t = k * cfg.dt
+        x_k = np.array(x)  # the period's one ndarray, for the solve and the log
         model = loop.model if ad is None else replace(loop.model, fuzzy=fuzzy)
         x_ref_seq = np.stack(
-            [loop.x_ref_fn(t + (p + 1) * cfg.dt) for p in range(cfg.prediction_horizon)]
+            [x_ref_fn(t + (p + 1) * cfg.dt) for p in range(cfg.prediction_horizon)]
         )
-        d_seq = _predicted_disturbances(loop.disturbance, t, cfg.prediction_horizon, cfg.dt)
-        ctrl = solve_step(model, x, x_ref_seq, cfg, warm, d_seq)
+        d_seq = _predicted_disturbances(disturbance, t, cfg.prediction_horizon, cfg.dt)
+        ctrl = solve_step(model, x_k, x_ref_seq, cfg, warm, d_seq)
         u = ctrl.applied_input
 
-        xr_now = loop.x_ref_fn(t)
-        err = xr_now - x
+        xr_now = x_ref_fn(t)
+        err = xr_now - x_k
         v_val = 0.5 * float(err @ (loop.lyapunov_p @ err))
         if ad is not None:
-            f_true = (
-                loop.true_coeffs.a2 * x[1]
-                + loop.true_coeffs.a3 * np.sin(x[2])
-                + loop.true_coeffs.a4 * x[3]
-            )
-            w_val = (f_true - fz.f_hat(fuzzy, x)) + (true_b2 - fz.g_hat(fuzzy, x)) * u
+            f_true = true_coeffs.a2 * x[1] + true_coeffs.a3 * np.sin(x[2]) + true_coeffs.a4 * x[3]
+            w_val = (f_true - fz.f_hat(fuzzy, x)) + (true_coeffs.b2 - fz.g_hat(fuzzy, x)) * u
         else:
             w_val = 0.0
 
         rows.append((
-            t, x.copy(), u, float(xr_now[2]), float(xr_now[2] - x[2]), v_val, float(w_val),
+            t, x_k, u, float(xr_now[2]), float(xr_now[2] - x[2]), v_val, float(w_val),
             ctrl.predicted_cost, ctrl.solver_status, ctrl.evaluations,
         ))
 
         try:
             for i in range(n_sub):
-                t_sub = t + i * loop.plant_dt
-                x = plant_step(
-                    x, u, loop.plant_dt, loop.true_coeffs, loop.disturbance, t_sub
-                )
+                t_sub = t + i * plant_dt
+                x = plant_step(x, u, plant_dt, true_coeffs, disturbance, t_sub)
                 if ad is not None:
                     # parameter update from the freshest measurement
-                    e_sub = loop.x_ref_fn(t_sub + loop.plant_dt) - x
+                    e_sub = x_ref_fn(t_sub + plant_dt) - x
                     fuzzy = fz.adapt(
-                        fuzzy,
-                        e_sub,
-                        pb,
-                        x,
-                        u,
-                        loop.plant_dt,
-                        gain=ad.gain,
-                        theta_bound=ad.theta_bound,
+                        fuzzy, e_sub, pb, x, u, plant_dt, gain=ad.gain, theta_bound=ad.theta_bound
                     )
         except (IntegrationDivergenceError, fz.ParameterBlowupError, fz.DegenerateFiringError):
             diverged = True

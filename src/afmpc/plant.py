@@ -22,6 +22,7 @@ __all__ = [
     "derive_coefficients",
     "disturbance_value",
     "dynamics",
+    "pendulum_field",
     "rk4",
     "step",
 ]
@@ -134,15 +135,38 @@ def disturbance_value(spec: DisturbanceSpec, t: float) -> float:
     return spec.amplitude * s / math.sqrt(_NOISE_TONES / 2.0)
 
 
+def pendulum_field(coeffs: CoeffSet, u: float):
+    """The pendulum model's field at the held input u, as rk4 takes it: a
+    function of the 4 floats x and the disturbance d that returns x' as 4
+    floats, and, called with linearize true, also jvp, the field's
+    Jacobian-vector product at x (see rk4).
+
+    This is the model's one definition: the plant step, the nominal
+    predictor and dynamics all evaluate it. The coefficients and u are
+    bound as locals once per call, so that an RK4 step evaluates the field
+    four times without an attribute lookup.
+    """
+    a1, a2, a3, a4, b1, b2 = coeffs.a1, coeffs.a2, coeffs.a3, coeffs.a4, coeffs.b1, coeffs.b2
+    b1u = b1 * u
+
+    def field(state, d: float, linearize: bool = False):
+        _, x2, x3, x4 = state
+        k = (x2, a1 * x2 + b1u, x4, a2 * x2 + a3 * math.sin(x3) + a4 * x4 + b2 * (u + d))
+        if not linearize:
+            return k
+        r3 = a3 * math.cos(x3)
+
+        def jvp(t1, t2, t3, t4, tu):
+            return (t2, a1 * t2 + b1 * tu, t4, a2 * t2 + r3 * t3 + a4 * t4 + b2 * tu)
+
+        return k, jvp
+
+    return field
+
+
 def dynamics(state, u: float, coeffs: CoeffSet, d: float = 0.0) -> tuple[float, float, float, float]:
     """State derivative of the pendulum model, as 4 floats."""
-    _, x2, x3, x4 = state
-    return (
-        x2,
-        coeffs.a1 * x2 + coeffs.b1 * u,
-        x4,
-        coeffs.a2 * x2 + coeffs.a3 * math.sin(x3) + coeffs.a4 * x4 + coeffs.b2 * (u + d),
-    )
+    return pendulum_field(coeffs, u)(state, d)
 
 
 def rk4(field_fn, x, dt: float, d=(0.0, 0.0, 0.0), tangents=None):
@@ -213,27 +237,33 @@ def rk4(field_fn, x, dt: float, d=(0.0, 0.0, 0.0), tangents=None):
 
 
 def step(
-    state: np.ndarray,
+    state,
     u: float,
     dt: float,
     coeffs: CoeffSet,
     disturbance: DisturbanceSpec = DisturbanceSpec(),
     t: float = 0.0,
-) -> np.ndarray:
-    """Advance the state one RK4 step with the input held constant; returns
-    an ndarray."""
+) -> tuple[float, float, float, float]:
+    """Advance the state one RK4 step of pendulum_field with the input held
+    constant.
+
+    state is any 4-sequence of floats; an ndarray's entries are taken as
+    Python floats. Returns the new state as a tuple of 4 floats, which the
+    next step takes as it is.
+    """
     # not > 0, so that a NaN dt fails here, not as a divergence
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     d = (0.0, 0.0, 0.0)
     if disturbance.kind != "none":
         d = tuple(disturbance_value(disturbance, ti) for ti in (t, t + 0.5 * dt, t + dt))
-    x = np.asarray(state, dtype=float).tolist()
+    if isinstance(state, np.ndarray):
+        state = state.tolist()
     try:
         # sin() of an overflowed angle raises; fold that into divergence
-        out = rk4(lambda s, dd: dynamics(s, u, coeffs, dd), x, dt, d)
+        out = rk4(pendulum_field(coeffs, u), state, dt, d)
     except (ValueError, OverflowError) as exc:
         raise IntegrationDivergenceError(f"integration diverged at t={t}") from exc
     if not all(map(math.isfinite, out)):
         raise IntegrationDivergenceError(f"integration diverged at t={t}")
-    return np.array(out)
+    return out

@@ -385,6 +385,79 @@ def test_adapt_rejects_nan_dt():
         )
 
 
+def reference_adapt(model, theta_f, theta_g, e, pb, X, u, dt, gain, theta_bound):
+    """The adaptation step from theta_f and theta_g with the exact peaks
+    taken on every step: the new thetas, or the ParameterBlowupError's
+    message."""
+    drive = dt * gain * float(e @ pb) * basis(model, X)
+    theta_f = theta_f - drive
+    theta_g = theta_g - drive * u
+    peak_f = float(np.max(np.abs(theta_f)))
+    peak_g = float(np.max(np.abs(theta_g)))
+    if not (peak_f <= theta_bound and peak_g <= theta_bound):
+        return (
+            f"adaptation pushed max |theta_f| to {peak_f:.3e} and max |theta_g| to"
+            f" {peak_g:.3e}, beyond bound {theta_bound:.3e}"
+        )
+    return theta_f, theta_g
+
+
+SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 0.0])
+# P e4 of the default scenario
+PB = np.array([0.0, 0.0, 27.77777777777778, 57.870370370370374])
+
+
+@hyp_settings(max_examples=300, deadline=None)
+@given(
+    # on one rule the basis is exactly 1, where the carried bound is tight
+    model=st.one_of(st.just(build_rule_grid((1, 1, 1, 1), UNIT_RANGES)), rule_grids()),
+    theta_bound=st.one_of(st.floats(1e-3, 1e6), st.just(math.inf)),
+    start=st.one_of(st.floats(0.0, 1.0), st.just(1.0)),
+    flat=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(
+        st.tuples(
+            st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),
+            st.lists(st.one_of(st.floats(-1e3, 1e3), SPECIAL), min_size=4, max_size=4).map(np.array),
+            st.one_of(st.floats(-10.0, 10.0), SPECIAL),
+            st.one_of(st.floats(0.0, 1e4), st.sampled_from([1e300, math.inf, math.nan])),
+            st.floats(1e-5, 0.1),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+)
+def test_adapt_carried_bound_acts_as_the_exact_peaks(model, theta_bound, start, flat, seed, steps):
+    # the thetas start with their peak at start times the bound, so that
+    # the chain's steps cross it, or end at it, from either side; flat,
+    # every entry is at the peak, one sign or the other
+    rng = np.random.default_rng(seed)
+    scale = start * (theta_bound if theta_bound < math.inf else 1e6)
+    v = rng.choice([-1.0, 1.0], size=(2, model.n_rules)) if flat else rng.normal(size=(2, model.n_rules))
+    theta_f, theta_g = v * (scale / np.max(np.abs(v), axis=1, keepdims=True))
+    fuzzy = model._replace_thetas(theta_f, theta_g)
+    for X, e, u, gain, dt in steps:
+        # the carried bound rests on every basis entry being at most 1
+        assert np.max(basis(model, X)) <= 1.0
+        with np.errstate(all="ignore"):
+            want = reference_adapt(model, theta_f, theta_g, e, PB, X, u, dt, gain, theta_bound)
+            try:
+                got = adapt(fuzzy, e, PB, X, u, dt, gain=gain, theta_bound=theta_bound)
+            except ParameterBlowupError as exc:
+                got = str(exc)
+        if isinstance(want, str):
+            assert got == want
+            break
+        theta_f, theta_g = want
+        assert got.theta_f.tobytes() == theta_f.tobytes()
+        assert got.theta_g.tobytes() == theta_g.tobytes()
+        # and the bound it carries holds
+        assert got._peak_bounds[0] >= np.max(np.abs(theta_f))
+        assert got._peak_bounds[1] >= np.max(np.abs(theta_g))
+        fuzzy = got
+    assert np.max(basis_matrix(model, np.array([X for X, *_ in steps]))) <= 1.0
+
+
 def test_build_rule_grid_sizes():
     assert build_rule_grid((1, 1, 1, 1), UNIT_RANGES).n_rules == 1
     assert build_rule_grid((3, 3, 3, 3), UNIT_RANGES).n_rules == 81

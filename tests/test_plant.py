@@ -14,6 +14,7 @@ from afmpc.plant import (
     derive_coefficients,
     disturbance_value,
     dynamics,
+    pendulum_field,
     rk4,
     step,
 )
@@ -121,6 +122,35 @@ def test_rk4_equals_ndarray_formula_bit_for_bit(x, u, dt, d):
     assert np.array_equal(np.array(got), reference_rk4(x, u, dt, d, c))
     # any 4-sequence gives the same step, an ndarray's numpy scalars too
     assert np.array_equal(np.array(rk4(lambda s, dd: dynamics(s, u, c, dd), x, dt, d)), np.array(got))
+
+
+disturbances = st.builds(
+    DisturbanceSpec,
+    kind=st.sampled_from(["none", "constant", "sinusoid", "band_limited_noise"]),
+    amplitude=st.floats(0.0, 2.0),
+    frequency=st.floats(0.05, 5.0),
+    seed=st.integers(0, 5),
+)
+
+
+@hyp_settings(max_examples=300, deadline=None)
+@given(
+    x=st.lists(finite(50.0), min_size=4, max_size=4),
+    u=finite(10.0),
+    dt=st.floats(1e-5, 0.1),
+    t=st.floats(0.0, 20.0),
+    spec=disturbances,
+)
+def test_step_is_rk4_over_the_field_as_4_floats(x, u, dt, t, spec):
+    c = default_coeffs()
+    d = tuple(disturbance_value(spec, ti) for ti in (t, t + 0.5 * dt, t + dt))
+    want = rk4(pendulum_field(c, u), tuple(x), dt, d)
+    assert np.array_equal(np.array(want), reference_rk4(np.array(x), u, dt, d, c))
+    for state in (tuple(x), np.array(x)):
+        got = step(state, u, dt, c, spec, t)
+        assert type(got) is tuple and len(got) == 4 and all(type(v) is float for v in got)
+        # bit for bit: hex tells -0.0 from 0.0
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_step_keeps_equilibrium():

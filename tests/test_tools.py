@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under tools/."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,7 +53,37 @@ def test_interleave_solves_compares_the_tree_with_itself():
     ratios = re.fullmatch(r"B/A: p50 (\S+), sum (\S+)", lines[3])
     assert ratios and all(float(r) > 0.0 for r in ratios.groups())
     # one tree, loaded twice under two names, solves every period alike
-    assert lines[4:] == ["same results: yes"]
+    assert lines[4] == "same results: yes"
+    # then each tree's whole run, its solves answered from its own record
+    loop = re.fullmatch(
+        r"period loop with recorded solves, minima: A (\S+) ms, B (\S+) ms, B/A (\S+)", lines[5]
+    )
+    assert loop and all(float(v) > 0.0 for v in loop.groups())
+    assert abs(float(loop.group(2)) / float(loop.group(1)) - float(loop.group(3))) <= 1e-3
+    assert lines[6:] == ["same logs: yes"]
+
+
+def test_interleave_solves_replays_a_run_and_tells_logs_apart_by_one_bit(tool):
+    interleave = tool("interleave_solves")
+    pkg = interleave.load_tree(str(ROOT), "afmpc_tool_test")
+    calls, run = interleave.record_solves(pkg, "afmpc")
+    _, log = interleave.replay_run(pkg, run)
+    # the replayed solves give back the recorded run: each solve's state,
+    # the applied inputs, and a full log
+    assert len(calls) == len(run[3]) == len(log) == run[2]
+    assert all(np.array_equal(args[1], x) for (args, _), x in zip(calls, log.states))
+    assert list(log.u) == [step.applied_input for step in run[3]]
+    _, again = interleave.replay_run(pkg, run)
+    assert interleave.same_logs(log, again)
+    # one bit in one record, or in the final fuzzy parameters, tells them apart
+    moved = dataclasses.replace(log, w_diag=log.w_diag.copy())
+    moved.w_diag[-1] = np.nextafter(moved.w_diag[-1], np.inf)
+    assert not interleave.same_logs(log, moved)
+    fuzzy = log.final_fuzzy
+    theta_g = fuzzy.theta_g.copy()
+    theta_g[0] = np.nextafter(theta_g[0], np.inf)
+    bumped = fuzzy._replace_thetas(fuzzy.theta_f, theta_g)
+    assert not interleave.same_logs(log, dataclasses.replace(log, final_fuzzy=bumped))
 
 
 def test_interleave_solves_reports_the_largest_difference(tool):

@@ -1,4 +1,5 @@
-"""Time the default run's solves of two afmpc source trees in one process.
+"""Time the default run's solves, and its period loop, of two afmpc source
+trees in one process.
 
     python3 tools/interleave_solves.py SRC_A SRC_B --controller classical --reps 30
 
@@ -17,6 +18,14 @@ each over the paired solves, so that a rounding-level change can be told
 from a larger one. Every replay gets a fresh
 copy of its predictor, so caches the predictor builds on first use are
 paid as in the closed-loop run.
+
+Then each repetition runs each tree's whole default run once more, A and
+B in turn in the same alternating order, with every solve_step call
+answered by that tree's own recorded ControlStep in place of a solve. Its
+time is thus the period loop alone: the plant sub-steps, the adaptation,
+the reference and the log. The script prints each tree's minimum over the
+repetitions, the ratio B/A, and whether the two trees' logs are the same,
+bit for bit.
 
 BLAS is pinned to one thread unless the environment sets it, as perfbench
 does for its workers.
@@ -53,24 +62,26 @@ def load_tree(src: str, name: str):
     return module
 
 
-def record_solves(pkg, controller: str) -> list:
-    """Run the default scenario once; returns the (args, kwargs) of each solve."""
+def record_solves(pkg, controller: str) -> tuple[list, tuple]:
+    """Run the default scenario once; returns the (args, kwargs) of each
+    solve and the run, (x0, loop, steps, ControlStep of each solve)."""
     harness, mpc = pkg.harness, pkg.mpc
     config = dataclasses.replace(harness.default_config(), controller=controller)
     loop, x0, steps = harness.build_closed_loop(config)
     solve_step = mpc.solve_step
-    calls = []
+    calls, steps_out = [], []
 
     def recording(*args, **kwargs):
         calls.append((args, kwargs))
-        return solve_step(*args, **kwargs)
+        steps_out.append(solve_step(*args, **kwargs))
+        return steps_out[-1]
 
     mpc.solve_step = recording
     try:
         mpc.run_receding_horizon(x0, loop, steps)
     finally:
         mpc.solve_step = solve_step
-    return calls
+    return calls, (x0, loop, steps, steps_out)
 
 
 def replay(pkg, call) -> tuple[int, tuple, int]:
@@ -83,6 +94,41 @@ def replay(pkg, call) -> tuple[int, tuple, int]:
     step = solve_step(*args, **kwargs)
     t1 = time.perf_counter_ns()
     return t1 - t0, (step.applied_input, step.predicted_cost), step.evaluations
+
+
+def replay_run(pkg, run) -> tuple[int, object]:
+    """One timed closed-loop run whose solves return the recorded
+    ControlSteps in order: (ns, log)."""
+    x0, loop, steps, steps_out = run
+    answers = iter(steps_out)
+    solve_step = pkg.mpc.solve_step
+    pkg.mpc.solve_step = lambda *args, **kwargs: next(answers)
+    try:
+        t0 = time.perf_counter_ns()
+        log = pkg.mpc.run_receding_horizon(x0, loop, steps)
+        t1 = time.perf_counter_ns()
+    finally:
+        pkg.mpc.solve_step = solve_step
+    return t1 - t0, log
+
+
+def same_logs(log_a, log_b) -> bool:
+    """Whether two TrajectoryLogs hold the same records, bit for bit, and end
+    alike, with the same final fuzzy parameters."""
+    fields = [f.name for f in dataclasses.fields(log_a) if f.name != "final_fuzzy"]
+    for name in fields:
+        a, b = getattr(log_a, name), getattr(log_b, name)
+        if hasattr(a, "dtype"):
+            if a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes():
+                return False
+        elif a != b:
+            return False
+    fa, fb = log_a.final_fuzzy, log_b.final_fuzzy
+    if (fa is None) != (fb is None):
+        return False
+    return fa is None or (
+        fa.theta_f.tobytes() == fb.theta_f.tobytes() and fa.theta_g.tobytes() == fb.theta_g.tobytes()
+    )
 
 
 def result_lines(results_a: list, results_b: list) -> list[str]:
@@ -107,7 +153,7 @@ def main(argv=None) -> int:
         parser.error("--reps must be at least 1")
 
     trees = [load_tree(args.src_a, "afmpc_a"), load_tree(args.src_b, "afmpc_b")]
-    calls = [record_solves(pkg, args.controller) for pkg in trees]
+    calls, runs = zip(*(record_solves(pkg, args.controller) for pkg in trees))
     if len(calls[0]) != len(calls[1]):
         print(f"note: A made {len(calls[0])} solves, B {len(calls[1])}; timing the first "
               f"{min(map(len, calls))} of each")
@@ -132,6 +178,17 @@ def main(argv=None) -> int:
     print(f"B/A: p50 {stats[1][0] / stats[0][0]:.4f}, sum {stats[1][1] / stats[0][1]:.4f}")
     for line in result_lines(*results):
         print(line)
+
+    loop_best = [float("inf"), float("inf")]
+    logs = [None, None]
+    for rep in range(args.reps):
+        for t in ((0, 1) if rep % 2 == 0 else (1, 0)):
+            ns, logs[t] = replay_run(trees[t], runs[t])
+            loop_best[t] = min(loop_best[t], ns)
+    ms = [ns / 1e6 for ns in loop_best]
+    print(f"period loop with recorded solves, minima: A {ms[0]:.2f} ms, B {ms[1]:.2f} ms, "
+          f"B/A {ms[1] / ms[0]:.4f}")
+    print(f"same logs: {'yes' if same_logs(*logs) else 'no'}")
     return 0
 
 
