@@ -20,7 +20,6 @@ __all__ = [
     "FuzzyModel",
     "DegenerateFiringError",
     "ParameterBlowupError",
-    "membership",
     "basis",
     "basis_matrix",
     "f_hat",
@@ -42,6 +41,9 @@ class ParameterBlowupError(RuntimeError):
 
 @dataclass(frozen=True)
 class GaussianMF:
+    """Gaussian membership with degree exp(-((x - center) / width)^2 / 2),
+    in (0, 1]."""
+
     center: float
     width: float
 
@@ -51,16 +53,12 @@ class GaussianMF:
             raise ValueError("membership width must be positive")
 
 
-def membership(mf: GaussianMF, x: float) -> float:
-    """Gaussian membership degree exp(-((x - c) / w)^2 / 2), in (0, 1]."""
-    z = (x - mf.center) / mf.width
-    return float(np.exp(-0.5 * z * z))
-
-
-@dataclass
+@dataclass(eq=False)
 class FuzzyModel:
     """Rule grid over the 4 states plus the two adaptable consequent vectors;
     evaluating a model writes none of its fields, so models interleave freely.
+    Models compare and hash by identity: == on the ndarray fields would
+    have no single truth value.
 
     The grid is also held as one coefficient matrix [M | c] (n_rules x 9):
     the log firing strength of each rule is M @ [x*x, x] + c, which basis,
@@ -79,7 +77,7 @@ class FuzzyModel:
     _s_coef: np.ndarray = field(init=False, repr=False)
     # upper bounds on max |theta_f| and max |theta_g| that adapt carries
     # from a model it made to the next; NaN, so unknown, on any other model
-    _peak_bounds: tuple[float, float] = field(default=(math.nan, math.nan), init=False, repr=False, compare=False)
+    _peak_bounds: tuple[float, float] = field(default=(math.nan, math.nan), init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.g_floor > 0.0:
@@ -148,12 +146,14 @@ def basis(model: FuzzyModel, X) -> np.ndarray:
     """
     x1, x2, x3, x4 = X
     v = np.array([x1 * x1, x2 * x2, x3 * x3, x4 * x4, x1, x2, x3, x4, 1.0])
-    w = model._s_coef @ v
+    # ndarray.dot, here and on the other per-stage and per-iteration paths:
+    # the same BLAS routine as @, bit for bit, without matmul's dispatch
+    w = model._s_coef.dot(v)
     np.exp(w, out=w)
     total = float(np.add.reduce(w))
     # not >=, so that a NaN sum takes the shifted form too
     if not total >= _SHIFT_BELOW:
-        w = model._s_coef @ v
+        w = model._s_coef.dot(v)
         # the element at argmax is the max, NaN included, and costs less
         w -= w[w.argmax()]
         np.exp(w, out=w)
@@ -197,12 +197,12 @@ def basis_matrix(model: FuzzyModel, X: np.ndarray) -> np.ndarray:
 
 def f_hat(model: FuzzyModel, X) -> float:
     """Drift estimate theta_f . eps(X)."""
-    return float(model.theta_f @ basis(model, X))
+    return float(model.theta_f.dot(basis(model, X)))
 
 
 def g_hat(model: FuzzyModel, X) -> float:
     """Input-gain estimate theta_g . eps(X), clamped below at g_floor."""
-    return max(float(model.theta_g @ basis(model, X)), model.g_floor)
+    return max(float(model.theta_g.dot(basis(model, X))), model.g_floor)
 
 
 def adapt(
@@ -236,8 +236,8 @@ def adapt(
     # not > 0, so that a NaN dt fails here, not as a parameter blowup
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    # e @ pb, not a Python sum of the 4 products: the two round differently
-    k = dt * gain * float(e @ pb)
+    # e.dot(pb), not a Python sum of the 4 products: the two round differently
+    k = dt * gain * float(e.dot(pb))
     drive = basis(model, X)
     drive *= k
     theta_f = model.theta_f - drive

@@ -146,7 +146,7 @@ class AdaptiveFuzzyPredictor:
         def field_fn(s, dd: float, linearize: bool = False):
             # v holds f_hat, the raw g_hat, then (theta_f o eps)' M,
             # (theta_g o eps)' M and eps' M
-            v = (fz.basis(fuz, s) @ sums).tolist()
+            v = fz.basis(fuz, s).dot(sums).tolist()
             f_est, g_raw = v[0], v[1]
             clamped = g_raw < g_floor
             g_est = g_floor if clamped else g_raw
@@ -251,7 +251,7 @@ def _error_cost(err: np.ndarray, u: np.ndarray, config: MpcConfig) -> float:
     """horizon_cost from the state errors err = states - x_ref and the
     input vector u."""
     state_term = float(np.einsum("pi,i,pi->", err, config.state_weight, err))
-    return state_term + config.input_weight * float(u @ u)
+    return state_term + config.input_weight * float(u.dot(u))
 
 
 def shift_warm_start(sequence: np.ndarray) -> np.ndarray:
@@ -337,14 +337,14 @@ def solve_step(
         qs = (w2[:, None] * sens).reshape(-1, kc)
         # an overflow here is caught by the finiteness test below, not warned
         with np.errstate(over="ignore"):
-            hess = s.T @ qs + r2_eye
+            hess = s.T.dot(qs) + r2_eye
         err = states - x_ref
         f = _error_cost(err, U, config)
         if not np.isfinite(hess).all():
             # finite sensitivities whose squares overflow: as useless to the
             # solver as a diverged rollout, though the cost itself stands
             return f, (_DIVERGED_COST, np.zeros(kc), r2_eye)
-        return f, (f, err.ravel() @ qs + r2 * U, hess)
+        return f, (f, err.ravel().dot(qs) + r2 * U, hess)
 
     def cost_and_gradient(U: np.ndarray):
         return rollout(U)[1]
@@ -500,7 +500,7 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
 
         xr_now = x_ref_fn(t)
         err = xr_now - x_k
-        v_val = 0.5 * float(err @ (loop.lyapunov_p @ err))
+        v_val = 0.5 * float(err.dot(loop.lyapunov_p.dot(err)))
         if ad is not None:
             f_true = true_coeffs.a2 * x[1] + true_coeffs.a3 * np.sin(x[2]) + true_coeffs.a4 * x[3]
             w_val = (f_true - fz.f_hat(fuzzy, x)) + (true_coeffs.b2 - fz.g_hat(fuzzy, x)) * u

@@ -155,7 +155,7 @@ def _active_set_qp(H, g, A, b):
     cap = 5 * (m + n) + 25
     for _ in range(cap):
         if j is None:
-            viol = A @ p - b
+            viol = A.dot(p) - b
             if not m or float(np.maximum.reduce(viol)) <= feas_tol:
                 out = np.zeros(m)
                 if work:
@@ -171,8 +171,8 @@ def _active_set_qp(H, g, A, b):
         kkt[n:, :n] = A[work]
         sol = np.linalg.solve(kkt, np.concatenate([-A[j], np.zeros(k)]))
         dp, dlam = sol[:n], sol[n:]
-        curv = -float(A[j] @ dp)
-        slack = float(A[j] @ p - b[j])
+        curv = -float(A[j].dot(dp))
+        slack = float(A[j].dot(p) - b[j])
         # a row dependent on the working rows leaves dp at rounding level
         dependent = curv <= 0.0 or float(np.maximum.reduce(np.abs(dp))) <= 1e-12 * float(
             np.maximum.reduce(np.abs(sol))
@@ -193,7 +193,7 @@ def _active_set_qp(H, g, A, b):
         lam_j += t
         if t_full <= t_part:
             # a huge p rounds j's bound away in p + t dp: step on by j's slack left
-            rest = float(A[j] @ p - b[j]) / curv
+            rest = float(A[j].dot(p) - b[j]) / curv
             p = p + rest * dp
             work.append(j)
             lam = np.append(lam + rest * dlam, lam_j + rest)
@@ -246,7 +246,7 @@ def _qp_hessian(H):
 def _kkt_residual(g, A, b, lam):
     """Largest KKT violation at p = 0 of the rows A p <= b with multipliers
     lam: stationarity, or a row's infeasibility -b or complementarity |lam b|."""
-    res = float(np.maximum.reduce(np.abs(g + A.T @ lam)))
+    res = float(np.maximum.reduce(np.abs(g + A.T.dot(lam))))
     if b.size:
         res = max(res, float(np.maximum.reduce(np.maximum(-b, np.abs(lam * b)))))
     return res
@@ -338,7 +338,7 @@ def minimize(
     def rows(z, c0, Jc):
         """The QP's rows A p <= b around z: the linearized constraints, then
         the box."""
-        gaps = bnd_c - bnd_A @ z
+        gaps = bnd_c - bnd_A.dot(z)
         if not m:
             return bnd_A, gaps
         return np.vstack([Jc, bnd_A]), np.concatenate([-c0, gaps])
@@ -373,7 +373,7 @@ def minimize(
         mu = max(mu, 2.0 * float(np.maximum.reduce(np.abs(lam_new[:m])) if m else 0.0) + 1.0)
         phi0 = _merit(f0, c0, mu)
         # directional derivative of the l1 merit along p
-        d = float(g @ p) - mu * float(np.add.reduce(np.maximum(c0, 0.0)) if m else 0.0)
+        d = float(g.dot(p)) - mu * float(np.add.reduce(np.maximum(c0, 0.0)) if m else 0.0)
         # near a solution the merit decrease ~res**2/curvature that a
         # central-difference gradient still resolves can sink below the
         # rounding noise of J; an exact model Hessian's steps do not need

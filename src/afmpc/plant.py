@@ -21,7 +21,6 @@ __all__ = [
     "IntegrationDivergenceError",
     "derive_coefficients",
     "disturbance_value",
-    "dynamics",
     "pendulum_field",
     "rk4",
     "step",
@@ -141,10 +140,10 @@ def pendulum_field(coeffs: CoeffSet, u: float):
     floats, and, called with linearize true, also jvp, the field's
     Jacobian-vector product at x (see rk4).
 
-    This is the model's one definition: the plant step, the nominal
-    predictor and dynamics all evaluate it. The coefficients and u are
-    bound as locals once per call, so that an RK4 step evaluates the field
-    four times without an attribute lookup.
+    This is the model's one definition: the plant step and the nominal
+    predictor both evaluate it. The coefficients and u are bound as locals
+    once per call, so that an RK4 step evaluates the field four times
+    without an attribute lookup.
     """
     a1, a2, a3, a4, b1, b2 = coeffs.a1, coeffs.a2, coeffs.a3, coeffs.a4, coeffs.b1, coeffs.b2
     b1u = b1 * u
@@ -162,11 +161,6 @@ def pendulum_field(coeffs: CoeffSet, u: float):
         return k, jvp
 
     return field
-
-
-def dynamics(state, u: float, coeffs: CoeffSet, d: float = 0.0) -> tuple[float, float, float, float]:
-    """State derivative of the pendulum model, as 4 floats."""
-    return pendulum_field(coeffs, u)(state, d)
 
 
 def rk4(field_fn, x, dt: float, d=(0.0, 0.0, 0.0), tangents=None):

@@ -1,11 +1,11 @@
-"""Tests for the fuzzy approximator: membership, basis, and adaptation."""
+"""Tests for the fuzzy approximator: memberships, basis, and adaptation."""
 
 import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from afmpc.fuzzy import (
     DegenerateFiringError,
@@ -19,24 +19,20 @@ from afmpc.fuzzy import (
     f_hat,
     fit_consequents_lsq,
     g_hat,
-    membership,
 )
 
 UNIT_RANGES = ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0))
 
 
+def degree(mf: GaussianMF, x: float) -> float:
+    """Reference Gaussian membership degree exp(-((x - c) / w)^2 / 2)."""
+    z = (x - mf.center) / mf.width
+    return math.exp(-0.5 * z * z)
+
+
 def two_rule_model() -> FuzzyModel:
     # two MFs on the first state, singletons elsewhere
     return build_rule_grid((2, 1, 1, 1), UNIT_RANGES)
-
-
-def test_membership_basic_values():
-    mf = GaussianMF(center=0.3, width=0.7)
-    assert membership(mf, 0.3) == 1.0
-    got = membership(mf, 0.3 + 0.7)
-    assert got == pytest.approx(math.exp(-0.5), rel=1e-12)
-    assert got == pytest.approx(0.6065306597126334, rel=1e-12)
-    assert membership(mf, 0.3 - 0.7) == pytest.approx(got, rel=1e-12)
 
 
 def test_membership_width_validation():
@@ -123,7 +119,7 @@ def direct_basis(model, x):
 def test_direct_basis_is_the_product_of_the_memberships():
     model = build_rule_grid((3, 2, 3, 2), WIDE)
     for x in np.random.default_rng(7).uniform(-4.0, 4.0, size=(20, 4)):
-        degrees = [[membership(m, xi) for m in group] for group, xi in zip(model.mfs, x)]
+        degrees = [[degree(m, xi) for m in group] for group, xi in zip(model.mfs, x)]
         raw = functools.reduce(np.multiply.outer, degrees).ravel()
         np.testing.assert_allclose(direct_basis(model, x), raw / raw.sum(), rtol=1e-12, atol=0.0)
 
@@ -200,6 +196,41 @@ def test_basis_matches_the_direct_form_on_both_sides_of_the_shift(model, directi
             basis_matrix(model, mixed)
 
 
+def matmul_basis(model, x):
+    """Reference: basis spelled with @ in place of ndarray.dot, both
+    branches; the same BLAS routine gives the same bits."""
+    x1, x2, x3, x4 = x
+    v = np.array([x1 * x1, x2 * x2, x3 * x3, x4 * x4, x1, x2, x3, x4, 1.0])
+    w = np.exp(model._s_coef @ v)
+    total = np.add.reduce(w)
+    if not total >= 1e-150:
+        s = model._s_coef @ v
+        w = np.exp(s - s[s.argmax()])
+        total = np.add.reduce(w)
+    return w / total
+
+
+GRID81 = build_rule_grid((3, 3, 3, 3), WIDE)
+GRID625 = build_rule_grid((5, 5, 5, 5), WIDE)
+DIAGONAL = np.full(4, 0.5)
+
+
+@hyp_settings(max_examples=200, deadline=None)
+@given(
+    model=st.one_of(st.sampled_from([GRID81, GRID625]), rule_grids()),
+    direction=directions,
+    at=st.integers(0, len(SCALES) - 1),
+)
+@example(model=GRID81, direction=DIAGONAL, at=0)
+@example(model=GRID81, direction=DIAGONAL, at=len(SCALES) - 1)
+@example(model=GRID625, direction=DIAGONAL, at=0)
+@example(model=GRID625, direction=DIAGONAL, at=len(SCALES) - 1)
+def test_basis_same_bits_as_the_matmul_spelling(model, direction, at):
+    # the first scale is inside the ranges and the last past the shift
+    x = SCALES[at] * direction * np.array([hi for _, hi in model.state_ranges])
+    assert np.array_equal(basis(model, x), matmul_basis(model, x))
+
+
 def test_basis_same_bits_for_list_tuple_and_array_input():
     model = build_rule_grid((3, 3, 3, 3), WIDE)
     rng = np.random.default_rng(41)
@@ -252,9 +283,9 @@ def test_rule_order_is_lexicographic_with_last_state_fastest():
     mf1 = model.mfs[0]
     mf4 = model.mfs[3]
     X = np.array([-0.3, 0.0, 0.0, 0.6])
-    m1 = [membership(m, X[0]) for m in mf1]
-    m4 = [membership(m, X[3]) for m in mf4]
-    mid = membership(model.mfs[1][0], 0.0) * membership(model.mfs[2][0], 0.0)
+    m1 = [degree(m, X[0]) for m in mf1]
+    m4 = [degree(m, X[3]) for m in mf4]
+    mid = degree(model.mfs[1][0], 0.0) * degree(model.mfs[2][0], 0.0)
     raw = np.array([m1[0] * m4[0], m1[0] * m4[1], m1[1] * m4[0], m1[1] * m4[1]]) * mid
     np.testing.assert_allclose(basis(model, X), raw / raw.sum(), rtol=1e-12)
 
@@ -472,7 +503,7 @@ def test_build_rule_grid_geometry():
     assert model.mfs[0][0].width == pytest.approx(2.0 / math.sqrt(2.0))
     # adjacent memberships cross at exp(-1/4)
     mid = 0.5 * (centers[0] + centers[1])
-    assert membership(model.mfs[0][0], mid) == pytest.approx(math.exp(-0.25), rel=1e-12)
+    assert degree(model.mfs[0][0], mid) == pytest.approx(math.exp(-0.25), rel=1e-12)
     # single-MF state: center at midrange, width covering the half-range
     assert model.mfs[1][0].center == pytest.approx(1.0)
     assert model.mfs[1][0].width == pytest.approx(2.0)
@@ -497,6 +528,16 @@ def test_g_floor_rejects_nan():
             theta_g=np.zeros(1),
             g_floor=math.nan,
         )
+
+
+def test_models_compare_and_hash_by_identity():
+    a = build_rule_grid((3, 3, 3, 3), UNIT_RANGES)
+    b = build_rule_grid((3, 3, 3, 3), UNIT_RANGES)
+    assert a == a
+    # equal values, two models: unequal, and no ValueError from the arrays
+    assert a != b
+    assert a._replace_thetas(a.theta_f, a.theta_g) != a
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
 def test_theta_length_validation():

@@ -13,7 +13,6 @@ from afmpc.plant import (
     PlantParams,
     derive_coefficients,
     disturbance_value,
-    dynamics,
     pendulum_field,
     rk4,
     step,
@@ -62,22 +61,23 @@ def test_param_validation_rejects_nan(name):
 
 def test_dynamics_equilibria():
     c = default_coeffs()
-    np.testing.assert_allclose(dynamics(np.zeros(4), 0.0, c), np.zeros(4))
+    np.testing.assert_allclose(pendulum_field(c, 0.0)(np.zeros(4), 0.0), np.zeros(4))
     # hanging-down position is also an equilibrium of the model
     down = np.array([0.0, 0.0, math.pi, 0.0])
-    np.testing.assert_allclose(dynamics(down, 0.0, c), np.zeros(4), atol=1e-13)
+    np.testing.assert_allclose(pendulum_field(c, 0.0)(down, 0.0), np.zeros(4), atol=1e-13)
 
 
 def test_dynamics_direct_substitution():
     c = default_coeffs()
-    dx = dynamics(np.array([0.0, 1.0, 0.0, 0.0]), 0.0, c)
+    dx = pendulum_field(c, 0.0)(np.array([0.0, 1.0, 0.0, 0.0]), 0.0)
     np.testing.assert_allclose(dx, [1.0, -33.04, 0.0, -62.776], rtol=1e-12)
 
 
 def test_dynamics_disturbance_enters_pendulum_channel_only():
     c = default_coeffs()
-    base = np.asarray(dynamics(np.zeros(4), 0.0, c, d=0.0))
-    with_d = np.asarray(dynamics(np.zeros(4), 0.0, c, d=0.5))
+    field = pendulum_field(c, 0.0)
+    base = np.asarray(field(np.zeros(4), 0.0))
+    with_d = np.asarray(field(np.zeros(4), 0.5))
     diff = with_d - base
     np.testing.assert_allclose(diff[:3], 0.0)
     assert diff[3] == pytest.approx(0.5 * c.b2, rel=1e-12)
@@ -117,11 +117,11 @@ def finite(bound):
 def test_rk4_equals_ndarray_formula_bit_for_bit(x, u, dt, d):
     # the float stages keep the ndarray form's operations and their order
     c = default_coeffs()
-    got = rk4(lambda s, dd: dynamics(s, u, c, dd), tuple(x.tolist()), dt, d)
+    got = rk4(pendulum_field(c, u), tuple(x.tolist()), dt, d)
     assert isinstance(got, tuple) and all(type(v) is float for v in got) and len(got) == 4
     assert np.array_equal(np.array(got), reference_rk4(x, u, dt, d, c))
     # any 4-sequence gives the same step, an ndarray's numpy scalars too
-    assert np.array_equal(np.array(rk4(lambda s, dd: dynamics(s, u, c, dd), x, dt, d)), np.array(got))
+    assert np.array_equal(np.array(rk4(pendulum_field(c, u), x, dt, d)), np.array(got))
 
 
 disturbances = st.builds(

@@ -135,3 +135,25 @@ def test_robustness_seed_sets_run_afmpc_over_their_seeds(tool):
     assert [label for label, _ in grid] == [f"grid625 seed {s}" for s in range(30)]
     assert all(o["fuzzy.counts"] == "5 5 5 5" and o["controller"] == "afmpc" for _, o in grid)
     assert [label for label, _ in runs(["default"])] == ["default classical", "default afmpc"]
+
+
+def test_robustness_single_runs_audit_criterion_6(tool):
+    robustness = tool("robustness")
+    runs = robustness.runs
+    assert runs(["oracle"]) == [
+        ("oracle classical a3-1.0", {"controller": "classical", "mismatch.a3": "1.0"}),
+        ("oracle afmpc gain-0", {"controller": "afmpc", "adapt.gain": "0.0"}),
+        ("oracle classical q3-10", {"controller": "classical", "mpc.q_diag": "0.1 0.1 10 0.1"}),
+    ]
+    samples = runs(["samples"])
+    assert [label for label, _ in samples] == [
+        f"samples {n} seed {s}" for n in (4000, 20000, 100000) for s in range(4)
+    ]
+    assert [overrides for _, overrides in samples] == [
+        {"controller": "afmpc", "fuzzy.init_samples": str(n), "run.seed": str(s)}
+        for n in (4000, 20000, 100000)
+        for s in range(4)
+    ]
+    # every override is a key the config accepts
+    for _, overrides in runs(["oracle", "samples"]):
+        robustness.harness.load_config(os.devnull, overrides)

@@ -6,7 +6,12 @@ Each scenario is the default one plus the config overrides listed in
 MATRIX, run once with the classical and once with the afmpc controller.
 SEED_SETS adds afmpc alone over a range of run.seed values: grid625 on the
 625-rule grid (fuzzy.counts = 5 5 5 5) with seeds 0 to 29, and seeds81 on
-the default scenario (81 rules) with seeds 0 to 9. Without --scenario
+the default scenario (81 rules) with seeds 0 to 9. SINGLE_RUNS adds two
+sets of single runs that audit criterion 6 (afmpc's steady-state error at
+most 0.25 times classical's): oracle, classical with the exact gravity
+coefficient, afmpc without adaptation and classical with a 100 times
+heavier pendulum-angle weight; and samples, afmpc with its prior fitted on
+4000, 20000 and 100000 samples, seeds 0 to 3 each. Without --scenario
 every run is made.
 
 A run stops at the end of the first plant step after which |x3| >= pi/2:
@@ -72,13 +77,28 @@ SEED_SETS = {
     "grid625": ({"fuzzy.counts": "5 5 5 5"}, range(30)),
     "seeds81": ({}, range(10)),
 }
+SINGLE_RUNS = {
+    "oracle": [
+        ("oracle classical a3-1.0", {"controller": "classical", "mismatch.a3": "1.0"}),
+        ("oracle afmpc gain-0", {"controller": "afmpc", "adapt.gain": "0.0"}),
+        ("oracle classical q3-10", {"controller": "classical", "mpc.q_diag": "0.1 0.1 10 0.1"}),
+    ],
+    "samples": [
+        (f"samples {n} seed {seed}",
+         {"controller": "afmpc", "fuzzy.init_samples": str(n), "run.seed": str(seed)})
+        for n in (4000, 20000, 100000)
+        for seed in range(4)
+    ],
+}
 
 
 def runs(scenarios: list[str]) -> list[tuple[str, dict]]:
     """(label, overrides) of every run of the named scenarios, in order."""
     out = []
     for name in scenarios:
-        if name in SEED_SETS:
+        if name in SINGLE_RUNS:
+            out += SINGLE_RUNS[name]
+        elif name in SEED_SETS:
             overrides, seeds = SEED_SETS[name]
             out += [
                 (f"{name} seed {seed}", dict(overrides, controller="afmpc", **{"run.seed": str(seed)}))
@@ -151,14 +171,14 @@ def line(record: dict) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--scenario", action="append", choices=[*MATRIX, *SEED_SETS],
+    parser.add_argument("--scenario", action="append", choices=[*MATRIX, *SEED_SETS, *SINGLE_RUNS],
                         help="run only this scenario (repeatable)")
     parser.add_argument("--duration", type=float, default=None,
                         help="override run.duration, in seconds")
     parser.add_argument("--out", help="write the records as JSON to this file")
     args = parser.parse_args(argv)
 
-    todo = runs(args.scenario or [*MATRIX, *SEED_SETS])
+    todo = runs(args.scenario or [*MATRIX, *SEED_SETS, *SINGLE_RUNS])
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=min(2, len(todo)), mp_context=spawn) as pool:
         records = []
