@@ -320,11 +320,14 @@ def fit_consequents_lsq(
     81 rules, 2.3e3 at 625). The pseudo-inverse of E^T E comes from one
     symmetric eigen-decomposition, dropping eigenvalues below lstsq's
     default cut-off, and is applied twice: the second pass refines theta_f
-    against the residual, which brings the residual back to the SVD
-    solution's where E is ill conditioned, as when n_samples is near
-    n_rules. When E is rank-deficient (n_samples < n_rules) both passes
-    stay in the kept eigenspace, so theta_f is the minimum-norm
-    least-squares solution.
+    against the residual. Each pass shrinks the error by about cond(E)^2
+    times the machine epsilon, so two passes reach the SVD solution's
+    accuracy only while that factor is below the square root of epsilon
+    (cond(E) below about 8e3). Beyond it, as when n_samples is near
+    n_rules (cond(E) 3e6 at 96 samples of 96 rules), theta_f is the SVD
+    least-squares solution of E instead. When E is rank-deficient
+    (n_samples < n_rules) both passes stay in the kept eigenspace, so
+    theta_f is the minimum-norm least-squares solution either way.
     """
     if not model.state_ranges:
         raise ValueError("model carries no state ranges to sample")
@@ -338,11 +341,16 @@ def fit_consequents_lsq(
     E = basis_matrix(model, X)
     targets = np.asarray(f_target(X), dtype=float)
     w, V = np.linalg.eigh(E.T @ E)
-    keep = w > model.n_rules * np.finfo(float).eps * w[-1]
-    V, inv_w = V[:, keep], 1.0 / w[keep]
-    # matrix-vector products only: forming V diag(inv_w) V^T takes a matrix
-    # product that rounds differently under another BLAS thread count
-    theta_f = V @ (((E.T @ targets) @ V) * inv_w)
-    theta_f += V @ (((E.T @ (targets - E @ theta_f)) @ V) * inv_w)
+    eps = np.finfo(float).eps
+    keep = w > model.n_rules * eps * w[-1]
+    # w ascends, so the smallest kept eigenvalue is the first kept one
+    if w[keep.argmax()] < math.sqrt(eps) * w[-1]:
+        theta_f = np.linalg.lstsq(E, targets, rcond=None)[0]
+    else:
+        V, inv_w = V[:, keep], 1.0 / w[keep]
+        # matrix-vector products only: forming V diag(inv_w) V^T takes a matrix
+        # product that rounds differently under another BLAS thread count
+        theta_f = V @ (((E.T @ targets) @ V) * inv_w)
+        theta_f += V @ (((E.T @ (targets - E @ theta_f)) @ V) * inv_w)
     theta_g = model.theta_g if g_value is None else np.full(model.n_rules, float(g_value))
     return model._replace_thetas(theta_f, theta_g)

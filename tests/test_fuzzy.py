@@ -592,6 +592,9 @@ def fit_problems(draw):
 
 @hyp_settings(max_examples=150, deadline=None)
 @given(problem=fit_problems())
+# as many samples as rules: cond(E) about 3e6, where two normal-equation
+# passes left a residual 160 times the SVD solution's
+@example(problem=(build_rule_grid((3, 2, 4, 4), UNIT_RANGES), 96, 163, np.zeros(4)))
 def test_fit_consequents_matches_svd_least_squares(problem):
     model, n_samples, seed, weights = problem
     batches = []
