@@ -301,7 +301,7 @@ def build_rule_grid(
 def fit_consequents_lsq(
     model: FuzzyModel,
     f_target,
-    g_value: float | None = None,
+    g_value: float,
     *,
     n_samples: int,
     seed: int,
@@ -309,8 +309,8 @@ def fit_consequents_lsq(
     """Least-squares fit of theta_f to a target drift over the state ranges.
 
     f_target maps an (n, 4) state batch to n drift values. theta_g is set
-    uniformly to g_value when given (the basis sums to 1, so g_hat is then
-    exactly g_value everywhere above the floor); otherwise left unchanged.
+    uniformly to g_value (the basis sums to 1, so g_hat is then exactly
+    g_value everywhere above the floor).
 
     theta_f solves the normal equations E^T E theta = E^T t of the
     n_samples x n_rules basis matrix E, in about a quarter of the time of
@@ -352,5 +352,4 @@ def fit_consequents_lsq(
         # product that rounds differently under another BLAS thread count
         theta_f = V @ (((E.T @ targets) @ V) * inv_w)
         theta_f += V @ (((E.T @ (targets - E @ theta_f)) @ V) * inv_w)
-    theta_g = model.theta_g if g_value is None else np.full(model.n_rules, float(g_value))
-    return model._replace_thetas(theta_f, theta_g)
+    return model._replace_thetas(theta_f, np.full(model.n_rules, float(g_value)))

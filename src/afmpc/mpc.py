@@ -240,16 +240,9 @@ def predict_trajectory(model, x0: np.ndarray, U: np.ndarray, d: np.ndarray, sens
     return states, sens
 
 
-def horizon_cost(states: np.ndarray, inputs: np.ndarray, x_ref: np.ndarray, config: MpcConfig) -> float:
-    """Sum of Q-weighted squared state errors plus R-weighted squared inputs,
-    Q the diagonal config.state_weight."""
-    err = np.asarray(states, dtype=float) - np.asarray(x_ref, dtype=float)
-    return _error_cost(err, np.atleast_1d(np.asarray(inputs, dtype=float)), config)
-
-
-def _error_cost(err: np.ndarray, u: np.ndarray, config: MpcConfig) -> float:
-    """horizon_cost from the state errors err = states - x_ref and the
-    input vector u."""
+def horizon_cost(err: np.ndarray, u: np.ndarray, config: MpcConfig) -> float:
+    """Sum of Q-weighted squared state errors err = states - x_ref plus
+    R-weighted squared inputs u, Q the diagonal config.state_weight."""
     state_term = float(np.einsum("pi,i,pi->", err, config.state_weight, err))
     return state_term + config.input_weight * float(u.dot(u))
 
@@ -321,7 +314,7 @@ def solve_step(
             states = predict_trajectory(model, x_k, U, d)
         except PredictionDivergenceError:
             return _DIVERGED_COST
-        return horizon_cost(states, U, x_ref, config)
+        return horizon_cost(states - x_ref, U, config)
 
     def rollout(U: np.ndarray):
         """The horizon cost at U and the objective's (f, gradient, Hessian)
@@ -339,7 +332,7 @@ def solve_step(
         with np.errstate(over="ignore"):
             hess = s.T.dot(qs) + r2_eye
         err = states - x_ref
-        f = _error_cost(err, U, config)
+        f = horizon_cost(err, U, config)
         if not np.isfinite(hess).all():
             # finite sensitivities whose squares overflow: as useless to the
             # solver as a diverged rollout, though the cost itself stands

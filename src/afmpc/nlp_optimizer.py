@@ -29,7 +29,7 @@ randomness, no wall-clock dependence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -101,14 +101,10 @@ class SolverSettings:
 @dataclass
 class Solution:
     minimizer: np.ndarray
-    multipliers: np.ndarray
-    objective_value: float
     kkt_residual: float
     iterations: int
     status: str  # converged | max_iter | stalled | infeasible, see minimize
-    objective_evaluations: int = 0
-    # (merit_before, merit_after) per accepted line-search step
-    merit_decreases: tuple = field(default_factory=tuple)
+    objective_evaluations: int
 
 
 def _differences(fun, z):
@@ -348,16 +344,15 @@ def minimize(
     lam = np.zeros(A.shape[0])
     mu = 10.0
     iters = 0
-    merit_pairs: list[tuple[float, float]] = []
-    # (residual, z, lam, f) of the lowest residual seen
-    best = (float("inf"), z, lam, f0)
+    # (residual, z) of the lowest residual seen
+    best = (float("inf"), z)
     stall = 0
     stop = "stalled"  # two failed line searches in a row
 
     while True:
         res = _kkt_residual(g, A, b, lam)
         if res < best[0]:
-            best = (res, z, lam, f0)
+            best = (res, z)
         if res <= tol:
             break
         if iters == settings.max_iterations:
@@ -400,7 +395,6 @@ def minimize(
                 break
             continue
         stall = 0
-        merit_pairs.append((phi0, phi_try))
         g_new, Jc_new = _fd_derivatives(fun, confun, z_try, c_try, g_try)
         if exact:
             H = H_try
@@ -427,7 +421,7 @@ def minimize(
         z, f0, c0, g, Jc = z_try, f_try, c_try, g_new, Jc_new
         A, b = rows(z, c0, Jc)
 
-    res_final, z_best, lam_best, f_best = best
+    res_final, z_best = best
     feas_final = float(np.maximum.reduce(np.maximum(confun(z_best), 0.0))) if m else 0.0
     if res_final <= tol:
         status = "converged"
@@ -437,11 +431,8 @@ def minimize(
         status = stop
     return Solution(
         minimizer=z_best,
-        multipliers=lam_best[:m],
-        objective_value=float(f_best),
         kkt_residual=float(res_final),
         iterations=iters,
         status=status,
         objective_evaluations=evals,
-        merit_decreases=tuple(merit_pairs),
     )

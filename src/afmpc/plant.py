@@ -46,10 +46,11 @@ class PlantParams:
 
     def __post_init__(self) -> None:
         # not > 0 and not >= 0, so that NaN fails too
-        for name in ("m1", "J1", "g", "l1", "k_p"):
+        # k1 = 0 leaves the pendulum no input at all: b2 = k1 k_p / J1 = 0
+        for name in ("m1", "k1", "J1", "g", "l1", "k_p"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("c1", "k1"):
+        for name in ("a_p", "c1"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 

@@ -134,6 +134,15 @@ def test_run_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_run_zero_k1_is_a_config_error(tmp_path, capsys):
+    # b2 = 0 made the run die in a ZeroDivisionError traceback
+    path = write_config(tmp_path, SHORT_RUN + "plant.k1 = 0.0\n")
+    out = str(tmp_path / "log.csv")
+    code = cli.main(["run", "--config", path, "--controller", "afmpc", "--out", out])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error:\nplant: k1 must be positive, got 0.0\n"
+
+
 def test_run_negative_seed_is_a_config_error(tmp_path, capsys):
     path = write_config(tmp_path, SHORT_RUN)
     out = str(tmp_path / "log.csv")

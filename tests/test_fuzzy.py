@@ -556,7 +556,7 @@ def test_fit_consequents_rejects_no_samples():
     # returned theta_f = 0 from an all-zero E^T E, as if that were the fit
     model = build_rule_grid((2, 1, 1, 1), UNIT_RANGES)
     with pytest.raises(ValueError, match="n_samples must be at least 1, got 0"):
-        fit_consequents_lsq(model, lambda X: X[:, 0], n_samples=0, seed=0)
+        fit_consequents_lsq(model, lambda X: X[:, 0], g_value=1.0, n_samples=0, seed=0)
 
 
 def test_fit_consequents_recovers_representable_target():
@@ -603,7 +603,7 @@ def test_fit_consequents_matches_svd_least_squares(problem):
         batches.append(batch)
         return np.sin(batch @ weights) + batch[:, 0] * batch[:, 3]
 
-    theta = fit_consequents_lsq(model, target, n_samples=n_samples, seed=seed).theta_f
+    theta = fit_consequents_lsq(model, target, g_value=1.0, n_samples=n_samples, seed=seed).theta_f
     (X,) = batches
     E = basis_matrix(model, X)
     t = target(X)

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings as hyp_settings, strategies as st
+from hypothesis import assume, example, given, settings as hyp_settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from afmpc import harness, mpc
@@ -202,6 +202,9 @@ def test_build_validation_reports_all_problems(tmp_path):
         ("adapt.lyapunov_q_diag = 0.0", "adapt.lyapunov_q_diag: must be positive"),
         ("reference.step_time = -1.0", "reference.step_time: must be non-negative"),
         ("run.dt = 0.0", "run.dt: must be positive"),
+        # b2 = k1 k_p / J1 = 0 leaves the pendulum no input, and the
+        # consistent arm reference's b1 / b2 raised ZeroDivisionError
+        ("plant.k1 = 0.0", "plant: k1 must be positive, got 0.0"),
     ],
 )
 def test_build_rule_reports_its_one_message(tmp_path, line, message):
@@ -565,6 +568,48 @@ def test_dump_load_round_trips_every_key(tmp_path_factory, flat):
     for key, value in flat.items():
         # repr tells 1 from 1.0 and keeps every float digit
         assert repr(loaded[key]) == repr(value), key
+
+
+@st.composite
+def small_flats(draw):
+    """valid_flats, kept small enough to run: at most 3 rules per axis,
+    300 fit samples, 8 prediction slots and 2 control periods; plant.k1,
+    a_p and c1 also draw their boundary value 0.0."""
+    flat = draw(valid_flats())
+    kp = draw(st.integers(1, 8))
+    flat["mpc.kp"] = kp
+    flat["mpc.kc"] = draw(st.integers(1, kp))
+    flat["fuzzy.counts"] = tuple(draw(st.integers(1, 3)) for _ in range(4))
+    flat["fuzzy.init_samples"] = draw(st.integers(1, 300))
+    flat["run.duration"] = 2.0 * flat["mpc.dt"]
+    for name in ("k1", "a_p", "c1"):
+        key = f"plant.{name}"
+        flat[key] = draw(st.sampled_from((0.0, flat[key])))
+    return flat
+
+
+ZERO_K1 = dict(
+    config_values(harness.default_config()), **{"plant.k1": 0.0, "run.duration": 0.1}
+)
+
+
+@hyp_settings(max_examples=200, deadline=None)
+@given(flat=small_flats())
+@example(flat=ZERO_K1)
+def test_a_config_that_load_config_accepts_runs(tmp_path_factory, flat):
+    path = tmp_path_factory.mktemp("runs") / "scenario.cfg"
+    path.write_text(harness.dump_config(flat), encoding="utf-8")
+    # as in test_runtime_divergence_ends_the_log_without_raising: a run that
+    # diverges passes through huge finite states whose products overflow
+    # before the state itself does and the log ends
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            log, _ = harness.run_scenario(harness.load_config(str(path)))
+    except harness.ConfigError:
+        # load_config's checks, or build_closed_loop's own
+        return
+    # two control periods, the second cut short only by a divergence
+    assert len(log) == 2 or log.diverged
 
 
 def test_sinusoid_disturbance_bound_solve_converges(tmp_path, monkeypatch):

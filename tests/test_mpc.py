@@ -314,7 +314,7 @@ def test_objective_value_is_horizon_cost_of_the_plain_rollout(case, ref):
     except mpc.PredictionDivergenceError:
         assert f == mpc._DIVERGED_COST
         return
-    assert f == mpc.horizon_cost(states, U, x_ref, cfg)
+    assert f == mpc.horizon_cost(states - x_ref, U, cfg)
 
 
 @hyp_settings(max_examples=60, deadline=None)
@@ -358,14 +358,14 @@ def test_horizon_cost_hand_example():
     states = np.array([[2.0, 0.0, 0.0, 0.0]])
     x_ref = np.zeros((1, 4))
     # 0.1*2^2 state term plus 0.3*1^2 input term
-    assert mpc.horizon_cost(states, np.array([1.0]), x_ref, cfg) == pytest.approx(0.7)
+    assert mpc.horizon_cost(states - x_ref, np.array([1.0]), cfg) == pytest.approx(0.7)
 
 
 def test_horizon_cost_accumulates_slots():
     cfg = mpc.MpcConfig()
     states = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]])
     x_ref = np.zeros((2, 4))
-    got = mpc.horizon_cost(states, np.array([0.5, -0.5]), x_ref, cfg)
+    got = mpc.horizon_cost(states - x_ref, np.array([0.5, -0.5]), cfg)
     assert got == pytest.approx(0.1 * 1.0 + 0.1 * 4.0 + 0.3 * 0.5)
 
 
@@ -374,8 +374,8 @@ def test_horizon_cost_input_term_scales_quadratically():
     states = np.zeros((3, 4))
     x_ref = np.zeros((3, 4))
     u = np.array([1.0, -2.0, 0.5])
-    base = mpc.horizon_cost(states, u, x_ref, cfg)
-    assert mpc.horizon_cost(states, 2.0 * u, x_ref, cfg) == pytest.approx(4.0 * base)
+    base = mpc.horizon_cost(states - x_ref, u, cfg)
+    assert mpc.horizon_cost(states - x_ref, 2.0 * u, cfg) == pytest.approx(4.0 * base)
 
 
 def test_shift_warm_start_repeats_last():
@@ -432,7 +432,7 @@ def test_solve_step_never_worse_than_warm_start():
         warm = rng.uniform(-5.0, 5.0, size=3)
         d = np.zeros(cfg.prediction_horizon)
         warm_cost = mpc.horizon_cost(
-            mpc.predict_trajectory(model, x, warm, d), warm, x_ref, cfg
+            mpc.predict_trajectory(model, x, warm, d) - x_ref, warm, cfg
         )
         ctrl = mpc.solve_step(model, x, x_ref, cfg, warm)
         assert np.isfinite(ctrl.predicted_cost)
@@ -459,7 +459,7 @@ def test_solve_step_never_above_warm_start_cost(case):
     model = mpc.NominalPredictor(COEFFS, cfg.dt)
     clipped = np.clip(warm, -cfg.input_bound, cfg.input_bound)
     d = np.zeros(cfg.prediction_horizon)
-    warm_cost = mpc.horizon_cost(mpc.predict_trajectory(model, x, clipped, d), clipped, x_ref, cfg)
+    warm_cost = mpc.horizon_cost(mpc.predict_trajectory(model, x, clipped, d) - x_ref, clipped, cfg)
     ctrl = mpc.solve_step(model, x, x_ref, cfg, warm)
     assert ctrl.predicted_cost <= warm_cost
     assert abs(ctrl.applied_input) <= cfg.input_bound
@@ -489,7 +489,7 @@ def test_solve_step_falls_back_on_qp_infeasibility(monkeypatch):
     x_ref = np.zeros((cfg.prediction_horizon, 4))
     warm = np.array([0.7, -0.2, 0.1])
     d = np.zeros(cfg.prediction_horizon)
-    warm_cost = mpc.horizon_cost(mpc.predict_trajectory(model, x, warm, d), warm, x_ref, cfg)
+    warm_cost = mpc.horizon_cost(mpc.predict_trajectory(model, x, warm, d) - x_ref, warm, cfg)
     ctrl = mpc.solve_step(model, x, x_ref, cfg, warm)
     assert ctrl.solver_status == "fallback"
     assert ctrl.applied_input == 0.7
@@ -547,7 +547,7 @@ def test_solve_step_keeps_the_warm_start_cost_when_its_hessian_overflows(monkeyp
     x_ref = np.zeros((cfg.prediction_horizon, 4))
     warm = np.array([0.7, -0.2, 0.1])
     d = np.zeros(cfg.prediction_horizon)
-    warm_cost = mpc.horizon_cost(mpc.predict_trajectory(model, x, warm, d), warm, x_ref, cfg)
+    warm_cost = mpc.horizon_cost(mpc.predict_trajectory(model, x, warm, d) - x_ref, warm, cfg)
     # the Hessian's product overflows; the objective detects its non-finite
     # entries and numpy does not warn, which pytest would turn into an error
     ctrl = mpc.solve_step(model, x, x_ref, cfg, warm)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 
-from afmpc import harness, mpc
+from afmpc import harness, mpc, nlp_optimizer
 from afmpc.nlp_optimizer import (
+    _MAX_BACKTRACKS,
     NlpProblem,
     QpInfeasibleError,
     SolverSettings,
@@ -28,13 +29,17 @@ def settings(**kw) -> SolverSettings:
 
 
 def assert_kkt(problem: NlpProblem, sol) -> None:
+    # the KKT residual covers stationarity and the complementarity of the
+    # solver's own multipliers
     assert sol.status == "converged"
     assert sol.kkt_residual <= TOL
     if problem.inequality_constraints is not None:
-        c = problem.inequality_constraints(sol.minimizer)
-        assert np.all(sol.multipliers >= -1e-12)
-        assert np.all(c <= TOL)
-        assert np.max(np.abs(sol.multipliers * c)) <= TOL
+        assert np.all(problem.inequality_constraints(sol.minimizer) <= TOL)
+
+
+def qp_at_solution(H, g, A, b):
+    """_active_set_qp's (p, multipliers) for the rows A p <= b, given as lists."""
+    return _active_set_qp(*(np.array(v, dtype=float) for v in (H, g, A, b)))
 
 
 def test_active_constraint_problem():
@@ -43,15 +48,19 @@ def test_active_constraint_problem():
     sol = minimize(p, np.array([0.0]), settings())
     assert_kkt(p, sol)
     assert sol.minimizer[0] == pytest.approx(2.0, abs=1e-6)
-    assert sol.multipliers[0] == pytest.approx(2.0, abs=1e-4)
+    # the QP at u* (H = 2, g = 2(u* - 3), the row u - 2 <= 0 met) takes no
+    # step and returns the hand multiplier
+    step, lam = qp_at_solution([[2.0]], [-2.0], [[1.0]], [0.0])
+    assert step.tolist() == [0.0] and lam.tolist() == [2.0]
 
 
 def test_unconstrained_quadratic():
-    p = NlpProblem(2, lambda z: float(z @ z))
+    f = lambda z: float(z @ z)
+    p = NlpProblem(2, f)
     sol = minimize(p, np.array([5.0, -5.0]), settings())
     assert_kkt(p, sol)
     np.testing.assert_allclose(sol.minimizer, [0.0, 0.0], atol=1e-6)
-    assert sol.objective_value <= 1e-12
+    assert f(sol.minimizer) <= 1e-12
 
 
 def test_rosenbrock():
@@ -68,7 +77,10 @@ def test_inactive_constraint_zero_multiplier():
     sol = minimize(p, np.array([0.5]), settings())
     assert_kkt(p, sol)
     assert sol.minimizer[0] == pytest.approx(0.0, abs=1e-6)
-    assert sol.multipliers[0] == pytest.approx(0.0, abs=1e-6)
+    # the QP at u* = 0 (H = 2, g = 0, the row u - 1 <= 0 one away) leaves
+    # the row inactive
+    step, lam = qp_at_solution([[2.0]], [0.0], [[1.0]], [1.0])
+    assert step.tolist() == [0.0] and lam.tolist() == [0.0]
 
 
 def test_active_box_bound():
@@ -87,7 +99,10 @@ def test_objective_scaling_argmin_invariance():
     s2 = minimize(p2, np.array([0.0]), settings())
     assert s1.status == "converged" and s2.status == "converged"
     assert abs(s1.minimizer[0] - s2.minimizer[0]) <= 10.0 * TOL
-    assert s2.multipliers[0] == pytest.approx(100.0 * s1.multipliers[0], rel=1e-3)
+    # at u* = 2 the QP of the scaled objective scales the multiplier alike
+    _, lam1 = qp_at_solution([[2.0]], [-2.0], [[1.0]], [0.0])
+    step, lam2 = qp_at_solution([[200.0]], [-200.0], [[1.0]], [0.0])
+    assert step.tolist() == [0.0] and lam2.tolist() == [200.0] == (100.0 * lam1).tolist()
 
 
 def test_convex_qp_matches_closed_form():
@@ -138,13 +153,32 @@ def test_exact_initial_hessian_converges_in_one_iteration(tol):
     assert minimize(NlpProblem(2, f), z0, settings(kkt_tolerance=tol)).iterations > 1
 
 
-def test_merit_non_increasing_over_accepted_steps():
+def test_merit_non_increasing_over_accepted_steps(monkeypatch):
+    # each QP call is followed by the merit of the current point, phi0, and
+    # then one merit per line-search trial; fewer than _MAX_BACKTRACKS
+    # trials means the last one was accepted
+    events = []
+    merit, qp = nlp_optimizer._merit, nlp_optimizer._active_set_qp
+
+    def recording_merit(*args):
+        value = merit(*args)
+        events[-1].append(value)
+        return value
+
+    def recording_qp(*args):
+        events.append([])
+        return qp(*args)
+
+    monkeypatch.setattr(nlp_optimizer, "_merit", recording_merit)
+    monkeypatch.setattr(nlp_optimizer, "_active_set_qp", recording_qp)
     p = NlpProblem(
         2, lambda z: (1.0 - z[0]) ** 2 + 100.0 * (z[1] - z[0] ** 2) ** 2
     )
     sol = minimize(p, np.array([-1.2, 1.0]), settings())
-    assert len(sol.merit_decreases) > 0
-    for before, after in sol.merit_decreases:
+    assert len(events) == sol.iterations
+    accepted = [(m[0], m[-1]) for m in events if 1 < len(m) <= _MAX_BACKTRACKS]
+    assert len(accepted) > 0
+    for before, after in accepted:
         assert after <= before + 1e-12 * (1.0 + abs(before))
 
 
@@ -399,7 +433,7 @@ def test_box_qp_with_exact_gradient_converges_to_enumerated_minimizer(tol, qp):
     assert sol.kkt_residual <= tol
     assert sol.objective_evaluations == len(calls)
     # no line search accepts a cost rise on the exact path
-    assert sol.objective_value <= f(z0)
+    assert f(sol.minimizer) <= f(z0)
     # no difference bias: strong convexity turns the residual alone into a
     # distance to the minimizer
     lam_min = np.linalg.eigvalsh(Q)[0]
@@ -436,6 +470,18 @@ def stopping_rule_case(case, exact):
     return NlpProblem(len(q), objective, lower_bounds=lb, upper_bounds=ub, exact_gradient=exact), z0
 
 
+def recording(problem: NlpProblem):
+    """problem with its objective recording each point it is called at,
+    as bytes, and that record."""
+    calls = []
+
+    def objective(z):
+        calls.append(z.tobytes())
+        return problem.objective(z)
+
+    return dataclasses.replace(problem, objective=objective), calls
+
+
 @pytest.mark.parametrize("exact", [False, True])
 @hyp_settings(max_examples=100, deadline=None)
 @given(case=st.one_of(st.sampled_from(["rosenbrock", "criterion_4"]), box_qps()))
@@ -444,12 +490,14 @@ def stopping_rule_case(case, exact):
 @example(case=STIFF_QP)
 def test_kkt_tolerance_is_only_a_stopping_rule(exact, case):
     # the tolerance picks no derivative scheme, so a looser one stops the
-    # same iteration sooner: its accepted steps are the first ones of the
-    # tighter run, bit for bit
+    # same iteration sooner: the points it evaluates are the first ones of
+    # the tighter run, bit for bit
     problem, z0 = stopping_rule_case(case, exact)
-    loose = minimize(problem, z0, SolverSettings(kkt_tolerance=1e-4))
-    tight = minimize(problem, z0, SolverSettings(kkt_tolerance=1e-6))
-    assert loose.merit_decreases == tight.merit_decreases[: len(loose.merit_decreases)]
+    loose_problem, loose_calls = recording(problem)
+    tight_problem, tight_calls = recording(problem)
+    loose = minimize(loose_problem, z0, SolverSettings(kkt_tolerance=1e-4))
+    tight = minimize(tight_problem, z0, SolverSettings(kkt_tolerance=1e-6))
+    assert loose_calls == tight_calls[: len(loose_calls)]
     assert loose.iterations <= tight.iterations
 
 
@@ -577,7 +625,6 @@ def test_two_failed_line_searches_end_the_run_stalled():
     assert sol.status == "stalled"
     assert sol.iterations == 2
     assert sol.minimizer[0] == 1.0
-    assert sol.merit_decreases == ()
 
 
 @functools.cache
@@ -618,12 +665,9 @@ def solution_fields(sol) -> tuple:
     """Every field of a Solution but objective_evaluations, bit for bit."""
     return (
         sol.minimizer.tobytes(),
-        sol.multipliers.tobytes(),
-        repr(sol.objective_value),
         repr(sol.kkt_residual),
         sol.iterations,
         sol.status,
-        repr(sol.merit_decreases),
     )
 
 
@@ -642,10 +686,14 @@ def test_start_stands_in_for_the_first_evaluation(case):
     # the run without it, one evaluation fewer
     problem, z0 = case
     settings = SolverSettings(kkt_tolerance=1e-4)
-    plain = minimize(problem, z0, settings)
+    plain_problem, plain_calls = recording(problem)
+    started_problem, started_calls = recording(problem)
+    plain = minimize(plain_problem, z0, settings)
     z = np.minimum(np.maximum(z0, problem.lower_bounds), problem.upper_bounds)
-    started = minimize(problem, z0, settings, start=problem.objective(z))
+    started = minimize(started_problem, z0, settings, start=problem.objective(z))
     assert solution_fields(started) == solution_fields(plain)
+    assert plain_calls[0] == z.tobytes()
+    assert started_calls == plain_calls[1:]
     assert started.objective_evaluations == plain.objective_evaluations - 1
 
 

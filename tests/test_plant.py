@@ -52,7 +52,7 @@ def test_param_validation():
         PlantParams(c1=-0.1)
 
 
-@pytest.mark.parametrize("name", ["m1", "J1", "g", "l1", "k_p", "c1", "k1"])
+@pytest.mark.parametrize("name", ["m1", "J1", "g", "l1", "k_p", "c1", "k1", "a_p"])
 def test_param_validation_rejects_nan(name):
     # NaN fails every comparison; it passed the old <= 0 and < 0 guards
     with pytest.raises(ValueError, match=f"{name} must be"):

@@ -123,6 +123,23 @@ def test_robustness_stops_each_run_at_the_fall(tmp_path):
     assert lo <= hi and lines[1].endswith(f"theta_g {lo:.4g} .. {hi:.4g}")
 
 
+def test_robustness_rejects_a_duration_the_config_rejects(tool, monkeypatch, capsys):
+    # each worker raised the ConfigError in a traceback, and the script
+    # exited 1
+    robustness = tool("robustness")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(robustness, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(SystemExit) as excinfo:
+        robustness.main(["--scenario", "default", "--duration", "0.33"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: run.duration: must be a whole number of control periods\n"
+    )
+
+
 def test_robustness_seed_sets_run_afmpc_over_their_seeds(tool):
     runs = tool("robustness").runs
     seeds81 = runs(["seeds81"])

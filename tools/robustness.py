@@ -177,6 +177,12 @@ def main(argv=None) -> int:
                         help="override run.duration, in seconds")
     parser.add_argument("--out", help="write the records as JSON to this file")
     args = parser.parse_args(argv)
+    if args.duration is not None:
+        # once here, not once per worker in a traceback
+        try:
+            harness.load_config(os.devnull, {"run.duration": repr(args.duration)})
+        except harness.ConfigError as exc:
+            parser.error(str(exc))
 
     todo = runs(args.scenario or [*MATRIX, *SEED_SETS, *SINGLE_RUNS])
     spawn = multiprocessing.get_context("spawn")
