@@ -20,7 +20,6 @@ from .dense_linalg import NotPositiveDefiniteWarning, SingularLyapunovError, sol
 from .plant import _DISTURBANCE_KINDS, CoeffSet, DisturbanceSpec, PlantParams, derive_coefficients
 from . import fuzzy as fz
 from .mpc import (
-    AdaptationLoop,
     AdaptiveFuzzyPredictor,
     ClosedLoop,
     MpcConfig,
@@ -439,7 +438,6 @@ def build_closed_loop(config: ScenarioConfig):
     def x_ref_fn(t: float) -> np.ndarray:
         return state_reference(config.reference, true_coeffs, t)
 
-    adaptation = None
     if config.controller == "afmpc":
         ranges = (config.fuzzy_range_x1, config.fuzzy_range_x2, config.fuzzy_range_x3, config.fuzzy_range_x4)
         model_fz = fz.build_rule_grid(config.fuzzy_counts, ranges, config.fuzzy_g_floor)
@@ -460,10 +458,8 @@ def build_closed_loop(config: ScenarioConfig):
                 n_samples=config.fuzzy_init_samples,
                 seed=config.seed,
             )
-        predictor = AdaptiveFuzzyPredictor(model_fz, nominal, config.mpc.dt)
-        adaptation = AdaptationLoop(
-            gain=config.adapt_gain,
-            theta_bound=config.fuzzy_theta_bound,
+        predictor = AdaptiveFuzzyPredictor(
+            model_fz, nominal, config.mpc.dt, gain=config.adapt_gain, theta_bound=config.fuzzy_theta_bound
         )
     elif config.controller == "classical":
         predictor = NominalPredictor(nominal, config.mpc.dt)
@@ -478,7 +474,6 @@ def build_closed_loop(config: ScenarioConfig):
         lyapunov_p=p_mat,
         disturbance=config.disturbance,
         plant_dt=config.plant_dt,
-        adaptation=adaptation,
     )
     x0 = x_ref_fn(0.0) + np.array([0.0, 0.0, config.alpha0, 0.0])
     steps = int(round(config.duration / config.mpc.dt))

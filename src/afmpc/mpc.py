@@ -32,7 +32,6 @@ __all__ = [
     "AdaptiveFuzzyPredictor",
     "ControlStep",
     "TrajectoryLog",
-    "AdaptationLoop",
     "ClosedLoop",
     "PredictionDivergenceError",
     "predict_trajectory",
@@ -106,7 +105,8 @@ class AdaptiveFuzzyPredictor:
     Arm channels keep the nominal linear model; the x4 derivative becomes
     f_hat(X) + g_hat(X) * (u + d). The closed loop builds one predictor per
     control period around the current fuzzy model, so a single solve sees
-    frozen parameters.
+    frozen parameters; between solves it adapts them (fz.adapt) with gain
+    and theta_bound, exactly when its model is this predictor.
 
     Every stage, plain or linearized, makes one product of the basis eps
     with _jacobian_sums (n_rules x 26), which gives f_hat, the raw g_hat and
@@ -124,6 +124,15 @@ class AdaptiveFuzzyPredictor:
     fuzzy: fz.FuzzyModel
     coeffs: CoeffSet
     dt: float
+    gain: float
+    theta_bound: float
+
+    def __post_init__(self) -> None:
+        # not >= 0 and not > 0, so that NaN fails too
+        if not self.gain >= 0.0:
+            raise ValueError(f"gain must be non-negative, got {self.gain}")
+        if not self.theta_bound > 0.0:
+            raise ValueError(f"theta_bound must be positive, got {self.theta_bound}")
 
     @functools.cached_property
     def _jacobian_sums(self) -> np.ndarray:
@@ -193,7 +202,8 @@ def predict_trajectory(model, x0: np.ndarray, U: np.ndarray, d: np.ndarray, sens
     """Rollout of the one-step predictor over len(d) slots.
 
     Inputs beyond the control horizon hold the last entry of U. Raises
-    PredictionDivergenceError when any predicted state is non-finite.
+    PredictionDivergenceError when any predicted state is non-finite, and
+    ValueError when x0 or a predicted state is not 4 floats.
 
     With sensitivities, returns (states, S) with S[p] = dx_p/dU, shape
     (len(d), 4, len(U)): each predictor call also carries one tangent per
@@ -207,27 +217,34 @@ def predict_trajectory(model, x0: np.ndarray, U: np.ndarray, d: np.ndarray, sens
     # Python floats, so that no slot makes a numpy scalar; each predictor
     # call takes the 4 floats the one before returned
     x = np.asarray(x0, dtype=float).tolist()
+    if len(x) != 4:
+        raise ValueError(f"x0 has {len(x)} states, not 4")
     u_seq, d_seq = U.tolist(), d.tolist()
     states = []
+    tangents = None
     if sensitivities:
         moved = []  # state tangents of U_0 .. U_j, j the last input applied so far
         unmoved = [(0.0, 0.0, 0.0, 0.0)] * kc
         rows = []  # per slot, the tangents of every input
     for p in range(kp):
         u = u_seq[p] if p < kc else u_seq[-1]
+        if sensitivities:
+            j_in = min(p, kc - 1)  # the input this slot applies
+            if len(moved) == j_in:
+                moved.append((0.0, 0.0, 0.0, 0.0))
+            tangents = [t + (1.0 if j == j_in else 0.0,) for j, t in enumerate(moved)]
         try:
-            # sin() of an overflowed state raises; fold that into divergence
-            if sensitivities:
-                j_in = min(p, kc - 1)  # the input this slot applies
-                if len(moved) == j_in:
-                    moved.append((0.0, 0.0, 0.0, 0.0))
-                tangents = [t + (1.0 if j == j_in else 0.0,) for j, t in enumerate(moved)]
-                x, moved = model.predict(x, u, d_seq[p], tangents)
-                rows.append(moved + unmoved[len(moved) :])
-            else:
-                x = model.predict(x, u, d_seq[p])
+            # sin() of an overflowed stage state raises; fold that into divergence
+            out = model.predict(x, u, d_seq[p], tangents)
         except (ValueError, OverflowError, fz.DegenerateFiringError) as exc:
             raise PredictionDivergenceError(f"prediction divergence at slot {p + 1}") from exc
+        if sensitivities:
+            x, moved = out
+            rows.append(moved + unmoved[len(moved) :])
+        else:
+            x = out
+        if len(x) != 4:
+            raise ValueError(f"the predictor returned {len(x)} states at slot {p + 1}, not 4")
         if not all(map(math.isfinite, x)):
             raise PredictionDivergenceError(f"prediction divergence at slot {p + 1}")
         states.append(x)
@@ -267,15 +284,15 @@ def solve_step(
     iterate inside the input box. Never returns a worse sequence than the
     warm start: if the solver's point does not improve the horizon cost,
     the warm start is applied and the status flags the fallback. So does a
-    point whose rollout diverged or whose Hessian overflowed: the objective
-    returns _DIVERGED_COST with a zero gradient there, which the solver
-    reports as converged. Solver trouble means a QpInfeasibleError or
-    LinAlgError out of minimize; any other exception propagates. The
-    program has box bounds only, so p = 0 is always feasible for its QPs:
-    QpInfeasibleError here means numerical trouble, such as a non-finite
-    gradient, not an empty QP. Any other period takes minimize's status:
-    converged, max_iter (its iteration budget ran out) or stalled (it
-    stopped short of both, see minimize).
+    point whose rollout diverged or whose cost, gradient or Hessian
+    overflowed: the objective returns _DIVERGED_COST with a zero gradient
+    there, which the solver reports as converged. Solver trouble means a
+    QpInfeasibleError or LinAlgError out of minimize; any other exception
+    propagates. The program has box bounds only, so p = 0 is always
+    feasible for its QPs: QpInfeasibleError here means numerical trouble,
+    such as a non-finite gradient, not an empty QP. Any other period takes
+    minimize's status: converged, max_iter (its iteration budget ran out)
+    or stalled (it stopped short of both, see minimize).
 
     minimize's objective returns the horizon cost, its exact gradient
     2 sum_p S_p' Q (x_p - x_ref,p) + 2 R U and its Gauss-Newton Hessian
@@ -328,16 +345,18 @@ def solve_step(
         # S and 2 Q S, each flattened to (kp * 4, kc)
         s = sens.reshape(-1, kc)
         qs = (w2[:, None] * sens).reshape(-1, kc)
-        # an overflow here is caught by the finiteness test below, not warned
-        with np.errstate(over="ignore"):
-            hess = s.T.dot(qs) + r2_eye
         err = states - x_ref
-        f = horizon_cost(err, U, config)
-        if not np.isfinite(hess).all():
-            # finite sensitivities whose squares overflow: as useless to the
-            # solver as a diverged rollout, though the cost itself stands
+        # an overflow here, or the NaN of overflows of both signs, is caught by
+        # the one finiteness test below (on Python floats, cheaper at this size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = horizon_cost(err, U, config)
+            grad = err.ravel().dot(qs) + r2 * U
+            hess = s.T.dot(qs) + r2_eye
+        if not all(map(math.isfinite, [f, *grad.tolist(), *hess.ravel().tolist()])):
+            # finite states and sensitivities whose products overflow: as
+            # useless to the solver as a diverged rollout; the cost stands
             return f, (_DIVERGED_COST, np.zeros(kc), r2_eye)
-        return f, (f, err.ravel().dot(qs) + r2 * U, hess)
+        return f, (f, grad, hess)
 
     def cost_and_gradient(U: np.ndarray):
         return rollout(U)[1]
@@ -370,24 +389,6 @@ def solve_step(
     )
 
 
-@dataclass(frozen=True)
-class AdaptationLoop:
-    """Settings of the online parameter update; the adapting fuzzy model
-    starts from the closed loop's AdaptiveFuzzyPredictor, and the update is
-    driven by P b with P the closed loop's lyapunov_p and b = e4, the
-    channel the input enters."""
-
-    gain: float
-    theta_bound: float
-
-    def __post_init__(self) -> None:
-        # not >= 0 and not > 0, so that NaN fails too
-        if not self.gain >= 0.0:
-            raise ValueError(f"gain must be non-negative, got {self.gain}")
-        if not self.theta_bound > 0.0:
-            raise ValueError(f"theta_bound must be positive, got {self.theta_bound}")
-
-
 def _whole_multiple(total: float, step: float) -> bool:
     """Whether total / step is finite and within 1e-9 of a positive integer."""
     ratio = total / step
@@ -405,7 +406,6 @@ class ClosedLoop:
     lyapunov_p: np.ndarray
     disturbance: DisturbanceSpec = DisturbanceSpec()
     plant_dt: float = 1e-3
-    adaptation: Optional[AdaptationLoop] = None
 
     def __post_init__(self) -> None:
         # not > 0, so that NaN fails too; the multiple test divides by it
@@ -416,8 +416,6 @@ class ClosedLoop:
             raise ValueError(f"model.dt {self.model.dt} differs from config.dt {self.config.dt}")
         if not _whole_multiple(self.config.dt, self.plant_dt):
             raise ValueError("config.dt must be a positive multiple of plant_dt")
-        if self.adaptation is not None and not isinstance(self.model, AdaptiveFuzzyPredictor):
-            raise ValueError("adaptation needs an AdaptiveFuzzyPredictor model")
 
 
 @dataclass
@@ -454,13 +452,13 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
     """Simulate the closed loop for `steps` control periods.
 
     Each period: solve with the current (frozen) model, apply the first
-    input across the fast plant sub-steps, and, for the adaptive variant,
-    update the fuzzy parameters once per sub-step from the latest
-    measurement. Terminates early on plant divergence, parameter blow-up or
-    a degenerate rule firing, with the log collected so far preserved. The
-    adapting model is local to the run, which starts from loop.model.fuzzy
-    and returns the last model as final_fuzzy; the loop itself is never
-    written.
+    input across the fast plant sub-steps, and, when loop.model is an
+    AdaptiveFuzzyPredictor, update the fuzzy parameters with its gain and
+    theta_bound once per sub-step from the latest measurement. Terminates
+    early on plant divergence, parameter blow-up or a degenerate rule
+    firing, with the log collected so far preserved. The adapting model is
+    local to the run, which starts from loop.model.fuzzy and returns the
+    last model as final_fuzzy; the loop itself is never written.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -471,8 +469,9 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
     warm = np.zeros(cfg.control_horizon)
     plant_dt, true_coeffs = loop.plant_dt, loop.true_coeffs
     disturbance, x_ref_fn = loop.disturbance, loop.x_ref_fn
-    ad = loop.adaptation
-    fuzzy = None if ad is None else loop.model.fuzzy
+    # the adaptive predictor, whose fuzzy model the run adapts, or None
+    ad = loop.model if isinstance(loop.model, AdaptiveFuzzyPredictor) else None
+    fuzzy = None if ad is None else ad.fuzzy
     # P e4, copied: a strided column would change fz.adapt's dot product in
     # the last bits
     pb = None if ad is None else loop.lyapunov_p[:, 3].copy()
@@ -483,7 +482,7 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
     for k in range(steps):
         t = k * cfg.dt
         x_k = np.array(x)  # the period's one ndarray, for the solve and the log
-        model = loop.model if ad is None else replace(loop.model, fuzzy=fuzzy)
+        model = loop.model if ad is None else replace(ad, fuzzy=fuzzy)
         x_ref_seq = np.stack(
             [x_ref_fn(t + (p + 1) * cfg.dt) for p in range(cfg.prediction_horizon)]
         )

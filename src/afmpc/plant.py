@@ -244,7 +244,8 @@ def step(
 
     state is any 4-sequence of floats; an ndarray's entries are taken as
     Python floats. Returns the new state as a tuple of 4 floats, which the
-    next step takes as it is.
+    next step takes as it is. Raises ValueError when state is not 4 floats
+    and IntegrationDivergenceError when the step leaves the finite range.
     """
     # not > 0, so that a NaN dt fails here, not as a divergence
     if not dt > 0.0:
@@ -254,6 +255,8 @@ def step(
         d = tuple(disturbance_value(disturbance, ti) for ti in (t, t + 0.5 * dt, t + dt))
     if isinstance(state, np.ndarray):
         state = state.tolist()
+    if len(state) != 4:
+        raise ValueError(f"state has {len(state)} entries, not 4")
     try:
         # sin() of an overflowed angle raises; fold that into divergence
         out = rk4(pendulum_field(coeffs, u), state, dt, d)

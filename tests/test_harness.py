@@ -913,7 +913,7 @@ def test_build_closed_loop_wires_mismatch_and_lyapunov(tmp_path):
     cfg = harness.load_config(path)
     loop, x0, steps = harness.build_closed_loop(cfg)
     assert steps == 200
-    assert loop.adaptation is None
+    assert isinstance(loop.model, mpc.NominalPredictor)
     # plant uses the true coefficients, the prediction model the mismatched
     assert loop.true_coeffs == TRUE_COEFFS
     assert loop.model.coeffs.a3 == pytest.approx(1.2 * TRUE_COEFFS.a3, rel=1e-12)
@@ -934,10 +934,9 @@ def test_build_closed_loop_afmpc_pieces(tmp_path):
     path = write_config(tmp_path, "controller = afmpc\nfuzzy.init_samples = 500\n")
     cfg = harness.load_config(path)
     loop, _, _ = harness.build_closed_loop(cfg)
-    ad = loop.adaptation
-    assert ad is not None
-    assert ad.gain == 32.0
-    assert ad.theta_bound == 1e6
+    assert isinstance(loop.model, mpc.AdaptiveFuzzyPredictor)
+    assert loop.model.gain == 32.0
+    assert loop.model.theta_bound == 1e6
     # nominal_fit primes the consequents from the mismatched model
     assert np.any(loop.model.fuzzy.theta_f != 0.0)
     assert np.all(loop.model.fuzzy.theta_g == loop.model.coeffs.b2)

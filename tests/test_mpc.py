@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -235,7 +236,9 @@ def fuzzy_predictors(draw):
     noise = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=fuzzy_model.n_rules, max_size=fuzzy_model.n_rules)))
     theta_f = fuzzy_model.theta_f + 10.0 * noise
     theta_g = level + 0.4 * noise[::-1]
-    return mpc.AdaptiveFuzzyPredictor(fuzzy_model._replace_thetas(theta_f, theta_g), COEFFS, 0.05)
+    return mpc.AdaptiveFuzzyPredictor(
+        fuzzy_model._replace_thetas(theta_f, theta_g), COEFFS, 0.05, gain=0.0, theta_bound=1e6
+    )
 
 
 @st.composite
@@ -344,7 +347,9 @@ def test_fuzzy_sensitivities_ignore_theta_g_while_clamped():
     U, d = np.array([1.0, -0.5, 0.2]), np.full(5, 0.1)
     out = [
         mpc.predict_trajectory(
-            mpc.AdaptiveFuzzyPredictor(base._replace_thetas(base.theta_f, theta_g), COEFFS, 0.05),
+            mpc.AdaptiveFuzzyPredictor(
+                base._replace_thetas(base.theta_f, theta_g), COEFFS, 0.05, gain=0.0, theta_bound=1e6
+            ),
             x0, U, d, sensitivities=True,
         )
         for theta_g in (np.zeros(base.n_rules), np.linspace(-3.0, 0.5, base.n_rules))
@@ -522,16 +527,18 @@ def test_solve_step_rolls_out_the_warm_start_once(monkeypatch):
 
 
 class OverflowingSensitivitiesPredictor:
-    """Nominal predictor whose input tangents are scaled by 1e200: the
-    states and sensitivities stay finite, the Gauss-Newton Hessian overflows."""
+    """Nominal predictor whose input tangents are scaled by `scale`: at
+    1e200 the states and sensitivities stay finite, the Gauss-Newton
+    Hessian overflows."""
 
-    def __init__(self, dt: float):
+    def __init__(self, dt: float, scale: float = 1e200):
         self.inner = mpc.NominalPredictor(COEFFS, dt)
+        self.scale = scale
 
     def predict(self, x, u, d=0.0, tangents=None):
         if tangents is None:
             return self.inner.predict(x, u, d)
-        return self.inner.predict(x, u, d, [tuple(t[:4]) + (1e200 * t[4],) for t in tangents])
+        return self.inner.predict(x, u, d, [tuple(t[:4]) + (self.scale * t[4],) for t in tangents])
 
 
 def test_solve_step_keeps_the_warm_start_cost_when_its_hessian_overflows(monkeypatch):
@@ -553,6 +560,47 @@ def test_solve_step_keeps_the_warm_start_cost_when_its_hessian_overflows(monkeyp
     ctrl = mpc.solve_step(model, x, x_ref, cfg, warm)
     assert ctrl.solver_status == "fallback"
     assert ctrl.predicted_cost == warm_cost < mpc._DIVERGED_COST
+
+
+@pytest.mark.parametrize("signs", [(1.0, 1.0, 1.0, 1.0), (1.0, -1.0, 1.0, -1.0)])
+def test_solve_step_falls_back_without_warning_when_its_gradient_overflows(signs):
+    # tangents scaled by 1e110 keep the Hessian finite (about 1e220), but a
+    # reference 1e200 away overflows the cost to inf and the gradient's
+    # product to inf, or to NaN with overflows of both signs; the gradient
+    # was computed outside the errstate that guards the Hessian, and its
+    # RuntimeWarning escaped the solve
+    cfg = mpc.MpcConfig()
+    model = OverflowingSensitivitiesPredictor(cfg.dt, scale=1e110)
+    x_ref = np.tile(1e200 * np.array(signs), (cfg.prediction_horizon, 1))
+    warm = np.array([0.7, -0.2, 0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ctrl = mpc.solve_step(model, np.array([0.2, -0.5, 0.3, 1.0]), x_ref, cfg, warm)
+    assert ctrl.solver_status == "fallback"
+    np.testing.assert_array_equal(ctrl.optimized_sequence, warm)
+    assert ctrl.predicted_cost == math.inf
+
+
+class ThreeStatePredictor:
+    """Nominal predictor that drops the last state of its output."""
+
+    def __init__(self, dt: float):
+        self.inner = mpc.NominalPredictor(COEFFS, dt)
+
+    def predict(self, x, u, d=0.0, tangents=None):
+        out = self.inner.predict(x, u, d, tangents)
+        return out[:3] if tangents is None else (out[0][:3], out[1])
+
+
+def test_a_state_of_the_wrong_length_is_a_programming_error():
+    # the next slot's unpacking raised ValueError, which the rollout folded
+    # into divergence: the solve reported a fallback period with cost 1e30
+    cfg = mpc.MpcConfig()
+    x_ref = np.zeros((cfg.prediction_horizon, 4))
+    with pytest.raises(ValueError, match="the predictor returned 3 states at slot 1, not 4"):
+        mpc.solve_step(ThreeStatePredictor(cfg.dt), np.zeros(4), x_ref, cfg, np.zeros(3))
+    with pytest.raises(ValueError, match="x0 has 3 states, not 4"):
+        mpc.predict_trajectory(mpc.NominalPredictor(COEFFS, cfg.dt), np.zeros(3), np.zeros(3), np.zeros(5))
 
 
 def test_solve_step_falls_back_when_every_rollout_diverges():
@@ -693,7 +741,7 @@ def test_fuzzy_predictor_consistent_with_nominal_when_fitted():
     model = fz.fit_consequents_lsq(grid, true_drift, g_value=COEFFS.b2, n_samples=8000, seed=0)
 
     nominal = mpc.NominalPredictor(COEFFS, h)
-    fitted = mpc.AdaptiveFuzzyPredictor(model, COEFFS, h)
+    fitted = mpc.AdaptiveFuzzyPredictor(model, COEFFS, h, gain=0.0, theta_bound=1e6)
     rng = np.random.default_rng(7)
     lo = np.array([-math.pi, -10.0, -math.pi, -10.0])
     X = rng.uniform(lo, -lo, size=(400, 4))
@@ -758,8 +806,9 @@ def test_closed_loop_rejects_nan_plant_dt():
 def test_adaptation_loop_rejects_bad_settings(gain, theta_bound, match):
     # was accepted: a negative gain drives theta up the Lyapunov gradient,
     # and a NaN gain or bound raised ParameterBlowupError on the first step
+    grid = fz.build_rule_grid((3, 3, 3, 3), WIDE_RANGES)
     with pytest.raises(ValueError, match=match):
-        mpc.AdaptationLoop(gain=gain, theta_bound=theta_bound)
+        mpc.AdaptiveFuzzyPredictor(grid, COEFFS, 0.05, gain=gain, theta_bound=theta_bound)
 
 
 def test_closed_loop_rejects_predictor_of_another_period():
@@ -837,14 +886,12 @@ def test_closed_loop_flags_plant_divergence():
 def test_closed_loop_flags_parameter_blowup():
     cfg = mpc.MpcConfig()
     grid = fz.build_rule_grid((3, 3, 3, 3), WIDE_RANGES)
-    adaptation = mpc.AdaptationLoop(gain=1.0, theta_bound=1e-12)
     loop = mpc.ClosedLoop(
-        model=mpc.AdaptiveFuzzyPredictor(grid, COEFFS, cfg.dt),
+        model=mpc.AdaptiveFuzzyPredictor(grid, COEFFS, cfg.dt, gain=1.0, theta_bound=1e-12),
         config=cfg,
         true_coeffs=COEFFS,
         x_ref_fn=zero_ref,
         lyapunov_p=np.eye(4),
-        adaptation=adaptation,
     )
     log = mpc.run_receding_horizon(np.array([0.0, 0.0, 0.5, 0.0]), loop, 5)
     assert log.diverged
@@ -856,13 +903,12 @@ def adaptive_loop(cfg: mpc.MpcConfig, gain: float, plant_dt: float = 1e-3) -> mp
     grid = fz.build_rule_grid((3, 3, 3, 3), WIDE_RANGES)
     model = fz.fit_consequents_lsq(grid, true_drift, g_value=COEFFS.b2, n_samples=2000, seed=0)
     return mpc.ClosedLoop(
-        model=mpc.AdaptiveFuzzyPredictor(model, COEFFS, cfg.dt),
+        model=mpc.AdaptiveFuzzyPredictor(model, COEFFS, cfg.dt, gain=gain, theta_bound=1e6),
         config=cfg,
         true_coeffs=COEFFS,
         x_ref_fn=zero_ref,
         lyapunov_p=np.eye(4),
         plant_dt=plant_dt,
-        adaptation=mpc.AdaptationLoop(gain=gain, theta_bound=1e6),
     )
 
 
@@ -911,18 +957,6 @@ def test_adaptive_loop_runs_twice_identically():
     assert first.solver_status == second.solver_status
     assert np.array_equal(first.final_fuzzy.theta_f, second.final_fuzzy.theta_f)
     assert np.array_equal(first.final_fuzzy.theta_g, second.final_fuzzy.theta_g)
-
-
-def test_closed_loop_adaptation_needs_fuzzy_predictor():
-    with pytest.raises(ValueError, match="AdaptiveFuzzyPredictor"):
-        mpc.ClosedLoop(
-            model=mpc.NominalPredictor(COEFFS, 0.05),
-            config=mpc.MpcConfig(),
-            true_coeffs=COEFFS,
-            x_ref_fn=zero_ref,
-            lyapunov_p=np.eye(4),
-            adaptation=mpc.AdaptationLoop(gain=1.0, theta_bound=1e6),
-        )
 
 
 def test_adaptation_disabled_at_zero_gain():

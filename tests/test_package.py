@@ -1,6 +1,10 @@
-"""The package layer: each public name has one import path, its module."""
+"""The package layer: each public name has one import path, its module,
+and the package imports only the standard library and numpy."""
 
+import ast
+import sys
 import types
+from pathlib import Path
 
 import afmpc
 
@@ -15,3 +19,19 @@ def test_package_re_exports_no_name():
         assert isinstance(value, types.ModuleType) and value.__name__ == f"afmpc.{name}", name
     assert MODULES <= public
     assert isinstance(afmpc.__version__, str)
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    sources = sorted(Path(afmpc.__file__).parent.glob("*.py"))
+    assert {path.stem for path in sources} >= MODULES
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "numpy", f"{path.name} imports {name}"

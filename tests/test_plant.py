@@ -229,6 +229,12 @@ def test_step_rejects_nan_dt():
         step(np.zeros(4), 0.0, math.nan, default_coeffs())
 
 
+def test_step_rejects_a_state_of_the_wrong_length():
+    # raised IntegrationDivergenceError, caused by "not enough values to unpack"
+    with pytest.raises(ValueError, match="state has 3 entries, not 4"):
+        step((0.0, 0.0, 0.0), 0.0, 1e-3, default_coeffs())
+
+
 def test_step_divergence_detection():
     c = default_coeffs()
     x = np.array([0.0, 1e308, 0.0, 0.0])
