@@ -317,17 +317,19 @@ def fit_consequents_lsq(
     an SVD of E itself at 81 rules. Their solution's relative error is
     about cond(E)^2 times the machine epsilon, not cond(E) times it; E
     over the sampled state box is well conditioned (cond(E) about 7e2 at
-    81 rules, 2.3e3 at 625). The pseudo-inverse of E^T E comes from one
-    symmetric eigen-decomposition, dropping eigenvalues below lstsq's
-    default cut-off, and is applied twice: the second pass refines theta_f
-    against the residual. Each pass shrinks the error by about cond(E)^2
-    times the machine epsilon, so two passes reach the SVD solution's
-    accuracy only while that factor is below the square root of epsilon
-    (cond(E) below about 8e3). Beyond it, as when n_samples is near
-    n_rules (cond(E) 3e6 at 96 samples of 96 rules), theta_f is the SVD
-    least-squares solution of E instead. When E is rank-deficient
-    (n_samples < n_rules) both passes stay in the kept eigenspace, so
-    theta_f is the minimum-norm least-squares solution either way.
+    81 rules, 2.3e3 at 625). The inverse of E^T E comes from one symmetric
+    eigen-decomposition and is applied twice: the second pass refines
+    theta_f against the residual. Each pass shrinks the error by about
+    cond(E)^2 times the machine epsilon, so two passes reach the SVD
+    solution's accuracy only while that factor is below the square root of
+    epsilon (cond(E) below about 8e3). Beyond it, as when n_samples is near
+    n_rules (cond(E) 3e6 at 96 samples of 96 rules) or below it (E
+    rank-deficient), theta_f is the minimum-norm SVD least-squares
+    solution of E instead. That test is on the smallest eigenvalue, so the
+    normal equations never drop a direction the SVD keeps: a cut-off at
+    n_rules * eps * max on the eigenvalues of E^T E sits at
+    sqrt(n_rules * eps) * max on the singular values of E, far above
+    lstsq's max(n_samples, n_rules) * eps * max.
     """
     if not model.state_ranges:
         raise ValueError("model carries no state ranges to sample")
@@ -341,13 +343,13 @@ def fit_consequents_lsq(
     E = basis_matrix(model, X)
     targets = np.asarray(f_target(X), dtype=float)
     w, V = np.linalg.eigh(E.T @ E)
-    eps = np.finfo(float).eps
-    keep = w > model.n_rules * eps * w[-1]
-    # w ascends, so the smallest kept eigenvalue is the first kept one
-    if w[keep.argmax()] < math.sqrt(eps) * w[-1]:
+    # w ascends
+    if w[0] < math.sqrt(np.finfo(float).eps) * w[-1]:
         theta_f = np.linalg.lstsq(E, targets, rcond=None)[0]
     else:
-        V, inv_w = V[:, keep], 1.0 / w[keep]
+        # column-major V: its layout sets the products' summation order,
+        # and the recorded trajectories were fitted with this one
+        V, inv_w = np.asfortranarray(V), 1.0 / w
         # matrix-vector products only: forming V diag(inv_w) V^T takes a matrix
         # product that rounds differently under another BLAS thread count
         theta_f = V @ (((E.T @ targets) @ V) * inv_w)
