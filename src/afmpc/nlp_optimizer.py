@@ -275,12 +275,16 @@ def minimize(
     searches on a difference gradient accept a merit rise of 1e-12
     relative, the objective's rounding noise, so they can close the last
     digits of the residual. A QP step of at most 1e-14 that changes the
-    multipliers only takes them; max_iter means the iteration budget ran
-    out. The returned point is the best one seen by KKT residual. Every
-    iterate lies inside the box bounds: the QP accepts a bound row within
-    its feasibility tolerance, so each line-search trial point is clipped
-    to the box. QpInfeasibleError from the QP subproblem propagates to the
-    caller.
+    multipliers only takes them. When the iteration budget runs out, the
+    run returns its latest iterate, as a real-time iteration applies it;
+    its residual takes the better of the last multipliers and those of a
+    QP at that iterate (no evaluation), and the status is converged if
+    that meets the tolerance, max_iter if not. Otherwise the returned
+    point is the best one seen by KKT residual. Every iterate lies inside
+    the box bounds: the QP accepts a bound row within its feasibility
+    tolerance, so each line-search trial point is clipped to the box.
+    QpInfeasibleError from a QP subproblem propagates to the caller, but
+    for that last QP, which only measures.
     """
     if settings is None:
         settings = SolverSettings()
@@ -356,6 +360,13 @@ def minimize(
         if res <= tol:
             break
         if iters == settings.max_iterations:
+            # res took the multipliers of the previous iterate's QP, which
+            # miss a bound the last step reached; z's own QP gives its own
+            try:
+                lam_z = _active_set_qp(_qp_hessian(H), g, A, b)[1]
+            except QpInfeasibleError:
+                lam_z = lam
+            best = (min(res, _kkt_residual(g, A, b, lam_z)), z)
             stop = "max_iter"
             break
         H = _qp_hessian(H)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from afmpc import harness, mpc
 from afmpc.dense_linalg import is_positive_definite
 from afmpc.mpc import TrajectoryLog
+from afmpc.nlp_optimizer import _MAX_BACKTRACKS
 from afmpc.plant import DisturbanceSpec, PlantParams, derive_coefficients
 
 TRUE_COEFFS = derive_coefficients(PlantParams())
@@ -613,11 +615,13 @@ def test_a_config_that_load_config_accepts_runs(tmp_path_factory, flat):
 
 
 def test_sinusoid_disturbance_bound_solve_converges(tmp_path, monkeypatch):
-    # after the pendulum falls (period 40) the inputs sit on the +-5 V
-    # bound; a solve that ended a rounding step outside the box cost more
-    # than the warm start once clipped, and period 58 (t = 2.9 s) fell back
-    # to it. Every solve whose whole sequence lies on the box must converge;
-    # solves elsewhere after the fall may end max_iter or stalled
+    # after the pendulum falls (period 90) the inputs reach the +-5 V bound;
+    # a solve that ended a rounding step outside the box cost more than the
+    # warm start once clipped, and fell back to it. Every solve whose whole
+    # sequence lies on the box must converge, also under the two-iteration
+    # budget: the solve applies its latest iterate, and the multipliers of
+    # that iterate's own QP show it a KKT point. Solves elsewhere after the
+    # fall may end max_iter
     steps = []
     inner = mpc.solve_step
 
@@ -632,17 +636,19 @@ def test_sinusoid_disturbance_bound_solve_converges(tmp_path, monkeypatch):
         "controller = afmpc\n"
         "disturbance.kind = sinusoid\n"
         "disturbance.amplitude = 0.3\n"
-        "run.duration = 2.95\n",
+        "run.duration = 10.0\n",
     )
     log, _ = harness.run_scenario(harness.load_config(path))
-    assert len(log) == 59
-    assert log.t[58] == pytest.approx(2.9)
+    assert len(log) == 200
+    assert log.t[199] == pytest.approx(9.95)
+    fall = next(k for k in range(len(log)) if abs(log.states[k, 2]) >= math.pi / 2)
     on_box = [
         k
         for k, ctrl in enumerate(steps)
         if np.all(np.abs(np.abs(ctrl.optimized_sequence) - 5.0) <= 1e-9)
     ]
     assert on_box
+    assert on_box[-1] > fall
     assert all(log.solver_status[k] == "converged" for k in on_box)
     assert "fallback" not in log.solver_status
 
@@ -651,7 +657,9 @@ def test_tight_input_bound_solves_stay_cheap_after_the_fall(tmp_path):
     # with u_max = 0.5 the pendulum falls, and the solves after it sit on
     # large rollout sensitivities; a Hessian reset on entry size alone sent
     # them down steepest descent at about 20 halvings a step, 43.58 rollouts
-    # per solve on average, where the scale-free condition test gives 19.15
+    # per solve on average; the scale-free condition test gave 18.50 (max
+    # 836) with solves run to their tolerance, and 3.10 (max 12) with the
+    # two-iteration budget
     path = write_config(
         tmp_path,
         "controller = afmpc\n"
@@ -661,6 +669,52 @@ def test_tight_input_bound_solves_stay_cheap_after_the_fall(tmp_path):
     log, _ = harness.run_scenario(harness.load_config(path))
     assert np.mean(log.evaluations) <= 30.0
     assert "fallback" not in log.solver_status
+
+
+def test_noise_run_keeps_every_solve_within_the_rollout_budget(tmp_path):
+    # band-limited noise 0.3 throws the pendulum at about 1.4 s; solved to
+    # their tolerance, the periods after the fall took up to 1,134 rollouts.
+    # Two SQP iterations of at most _MAX_BACKTRACKS line-search trials each,
+    # plus the warm start's and the final cost's rollouts, bound every period
+    path = write_config(
+        tmp_path,
+        "controller = afmpc\n"
+        "disturbance.kind = band_limited_noise\n"
+        "disturbance.amplitude = 0.3\n"
+        "run.duration = 3.0\n",
+    )
+    log, _ = harness.run_scenario(harness.load_config(path))
+    assert len(log) == 60
+    assert np.max(np.abs(log.states[:, 2])) >= math.pi / 2
+    assert np.max(log.evaluations) <= 2 * _MAX_BACKTRACKS + 2
+
+
+def test_logged_lyapunov_value_overflows_without_warning(tmp_path):
+    # plant.c1 / plant.j1 = 2416 makes the plant's RK4 step at run.dt unstable:
+    # x4 reaches about 2e153 in one period, so err' P err overflows. V logs
+    # inf, as the rollouts' costs do, and the run ends diverged; the product
+    # warned "overflow encountered in dot" (an error under this suite)
+    path = write_config(
+        tmp_path,
+        "controller = classical\n"
+        "plant.c1 = 302\n"
+        "plant.j1 = 0.125\n"
+        "run.dt = 0.0078125\n"
+        "mpc.dt = 0.328125\n"
+        "mpc.kp = 1\n"
+        "mpc.kc = 1\n"
+        "mpc.u_max = 0\n"
+        "reference.kind = sinusoid\n"
+        "reference.amplitude = 1\n"
+        "reference.consistent_arm = false\n"
+        "run.duration = 0.65625\n",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log, _ = harness.run_scenario(harness.load_config(path))
+    assert log.diverged
+    assert len(log) == 2
+    assert np.isfinite(log.V[0]) and log.V[1] == math.inf
 
 
 def test_reference_trajectory_sinusoid_derivatives():

@@ -197,6 +197,36 @@ def test_iteration_cap():
     assert sol.iterations <= 2
 
 
+def test_iteration_cap_returns_the_latest_iterate():
+    # the step from 0 lowers f but steepens the slope, |f'| 0.16 -> 0.191:
+    # the start has the lower residual, yet the run returns the point it
+    # reached, as a real-time iteration applies it
+    def objective(z):
+        d = z[0] - 2.0
+        return -1.0 / (1.0 + d * d), np.array([2.0 * d / (1.0 + d * d) ** 2]), np.eye(1)
+
+    p = NlpProblem(1, objective, exact_gradient=True)
+    sol = minimize(p, np.zeros(1), settings(max_iterations=1))
+    assert sol.status == "max_iter" and sol.iterations == 1
+    assert sol.minimizer[0] == pytest.approx(0.16)
+    assert sol.kkt_residual == pytest.approx(abs(objective(sol.minimizer)[1][0]))
+
+
+def test_iteration_cap_measures_the_last_iterate_with_its_own_multipliers():
+    # the first QP step ends on the upper bound 0.5 with multiplier 54 from
+    # the model at 0; at 0.5 the slope is -62.5, so those multipliers leave
+    # a residual of 8.5, though 0.5 is the constrained minimizer
+    def objective(z):
+        d = z[0] - 3.0
+        return d**4, np.array([4.0 * d**3]), np.array([[12.0 * d * d]])
+
+    p = NlpProblem(1, objective, upper_bounds=np.array([0.5]), exact_gradient=True)
+    sol = minimize(p, np.zeros(1), settings(max_iterations=1))
+    assert sol.status == "converged" and sol.iterations == 1
+    assert sol.minimizer[0] == 0.5
+    assert sol.kkt_residual <= TOL
+
+
 def test_start_point_clamped_to_bounds():
     p = NlpProblem(
         1,

@@ -115,6 +115,8 @@ def test_robustness_stops_each_run_at_the_fall(tmp_path):
         assert 0.0 < record["t"] < 1.0
         assert record["overrides"]["mpc.u_max"] == "0.5"
         assert record["rollouts_per_solve"] >= 1.0
+        assert record["max_rollouts_per_solve"] >= record["rollouts_per_solve"]
+        assert f"rollouts {record['rollouts_per_solve']:.2f} max {record['max_rollouts_per_solve']} " in line
         assert line.startswith(f"{record['run']} ")
         assert f"falls {record['t']:.2f} s" in line
     # theta_g is the adaptive controller's alone

@@ -22,10 +22,10 @@ wrapper changes no state, so the run is the unwrapped one up to the fall.
 Per run, the script prints whether the controller holds (the run reaches
 run.duration), falls (with the time) or diverged for another cause (with
 the time of the last logged period), then the steady-state error of the
-logged periods (harness.compute_metrics), the mean rollouts per solve and,
-for afmpc, the smallest and largest theta_g entry over the fuzzy models of
-every period's solve and the run's final model. --out writes the same
-records as JSON. Runs are spread over at most 2 worker processes.
+logged periods (harness.compute_metrics), the mean and maximum rollouts per
+solve and, for afmpc, the smallest and largest theta_g entry over the fuzzy
+models of every period's solve and the run's final model. --out writes the
+same records as JSON. Runs are spread over at most 2 worker processes.
 
 BLAS is pinned to one thread unless the environment sets it.
 """
@@ -155,6 +155,7 @@ def run_one(label: str, overrides: dict, duration: float | None) -> dict:
         "t": t_end,
         "ss": metrics.steady_state_error,
         "rollouts_per_solve": metrics.mean_evaluations,
+        "max_rollouts_per_solve": metrics.max_evaluations,
         "theta_g": [float(np.min(thetas)), float(np.max(thetas))] if thetas else None,
     }
 
@@ -166,7 +167,8 @@ def line(record: dict) -> str:
     theta = record["theta_g"]
     theta = "-" if theta is None else f"{theta[0]:.4g} .. {theta[1]:.4g}"
     return (f"{record['run']:<26} {outcome:<16} ss {record['ss']:.4f}  "
-            f"rollouts {record['rollouts_per_solve']:.2f}  theta_g {theta}")
+            f"rollouts {record['rollouts_per_solve']:.2f} max {record['max_rollouts_per_solve']}  "
+            f"theta_g {theta}")
 
 
 def main(argv=None) -> int:
