@@ -153,12 +153,15 @@ def basis(model: FuzzyModel, X) -> np.ndarray:
     total = float(np.add.reduce(w))
     # not >=, so that a NaN sum takes the shifted form too
     if not total >= _SHIFT_BELOW:
-        w = model._s_coef.dot(v)
-        # the element at argmax is the max, NaN included, and costs less
-        w -= w[w.argmax()]
-        np.exp(w, out=w)
-        # the shift puts one strength at exp(0) = 1, so total >= 1 unless NaN
-        total = float(np.add.reduce(w))
+        # a huge or non-finite X makes inf and NaN here, which the test below
+        # reports as DegenerateFiringError, so numpy need not warn of them
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = model._s_coef.dot(v)
+            # the element at argmax is the max, NaN included, and costs less
+            w -= w[w.argmax()]
+            np.exp(w, out=w)
+            # the shift puts one strength at exp(0) = 1, so total >= 1 unless NaN
+            total = float(np.add.reduce(w))
         if not math.isfinite(total):
             raise DegenerateFiringError(f"rule firing strengths are not finite at state ({x1}, {x2}, {x3}, {x4})")
     w /= total
@@ -205,27 +208,17 @@ def g_hat(model: FuzzyModel, X) -> float:
     return max(float(model.theta_g.dot(basis(model, X))), model.g_floor)
 
 
-def adapt(
-    model: FuzzyModel,
-    e: np.ndarray,
-    pb: np.ndarray,
-    X,
-    u: float,
-    dt: float,
-    *,
-    gain: float,
-    theta_bound: float,
-) -> FuzzyModel:
-    """One forward-Euler step of the Lyapunov-gradient adaptation laws.
+def adapt(model: FuzzyModel, k: float, X, v: float, *, theta_bound: float) -> FuzzyModel:
+    """One gradient step of the adaptation laws at the state X:
 
-    theta_f' = -gain * (e.P b) * eps(X)
-    theta_g' = -gain * (e.P b) * eps(X) * u
+    theta_f -= k * eps(X)
+    theta_g -= k * v * eps(X)
 
-    pb is the product P @ b of the Lyapunov matrix and the input vector,
-    fixed over a run, so its caller forms it once; X is any 4-sequence.
-    Returns a new model; the rule grid is shared with the input model.
-    Raises ParameterBlowupError when an updated theta is NaN or beyond
-    theta_bound in magnitude.
+    k is the step's drive, such as dt * gain * (e . P b) for the Lyapunov
+    tracking-error law, and v the input the g channel multiplies; X is any
+    4-sequence. Returns a new model; the rule grid is shared with the input
+    model. Raises ParameterBlowupError when an updated theta is NaN or
+    beyond theta_bound in magnitude.
 
     The step carries upper bounds on max |theta_f| and max |theta_g| to the
     model it returns, and takes the exact peaks only when a bound is not
@@ -233,23 +226,18 @@ def adapt(
     on a NaN or an overflow. The bounds hold only while no theta is written
     after the model is made.
     """
-    # not > 0, so that a NaN dt fails here, not as a parameter blowup
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    # e.dot(pb), not a Python sum of the 4 products: the two round differently
-    k = dt * gain * float(e.dot(pb))
     drive = basis(model, X)
     drive *= k
     theta_f = model.theta_f - drive
-    drive *= u
+    drive *= v
     theta_g = model.theta_g - drive
     # Every basis entry is at most 1 and rounding is monotone, so no entry
-    # of k * eps exceeds |k| and none of k * eps * u exceeds |k * u|, as
+    # of k * eps exceeds |k| and none of k * eps * v exceeds |k * v|, as
     # rounded; then no rounded theta_f - k * eps exceeds the rounded sum of
     # the old bound and |k|, and likewise for theta_g. The bounds need no
-    # allowance for rounding, and a NaN or inf in k or u reaches them.
+    # allowance for rounding, and a NaN or inf in k or v reaches them.
     bound_f = model._peak_bounds[0] + abs(k)
-    bound_g = model._peak_bounds[1] + abs(k * u)
+    bound_g = model._peak_bounds[1] + abs(k * v)
     # not <=, so that a NaN bound takes the exact peaks too; and < inf,
     # since only finite bounds rule out the NaN that inf - inf makes
     if not (bound_f <= theta_bound and bound_g <= theta_bound and bound_f + bound_g < math.inf):

@@ -376,28 +376,36 @@ def dump_config(flat: Optional[dict] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reference_trajectory(spec: ReferenceSpec, t: float):
-    """Reference output y and its time derivative at time t, as (y, y')."""
+def reference_trajectory(spec: ReferenceSpec, t):
+    """Reference output y and its time derivative at the times t, as (y, y').
+
+    t is a float or an array of times; y and y' take its shape. The formulas
+    are those of the scalar math module, bit for bit: np.sin and np.cos
+    round as math.sin and math.cos, np.float_power as Python's ** on floats
+    (numpy's own ** does not), and np.where keeps the exact 0.0 and
+    amplitude of the step's flat parts, signs of zero included.
+    """
+    t = np.asarray(t, dtype=float)
     if spec.kind == "zero":
-        return (0.0, 0.0)
+        zero = np.zeros_like(t)
+        return (zero, zero)
+    a = spec.amplitude
     if spec.kind == "sinusoid":
         w = 2.0 * math.pi * spec.frequency
-        a = spec.amplitude
-        return (a * math.sin(w * t), a * w * math.cos(w * t))
-    # step: quintic ramp over a fixed smoothing window, then flat
-    if t < spec.step_time:
-        return (0.0, 0.0)
+        return (a * np.sin(w * t), a * w * np.cos(w * t))
+    # step: quintic ramp over a fixed smoothing window, flat before and after
     tau = (t - spec.step_time) / _STEP_SMOOTH_WINDOW
-    if tau >= 1.0:
-        return (spec.amplitude, 0.0)
-    a = spec.amplitude
+    before, after = t < spec.step_time, tau >= 1.0
     s = tau * tau * tau * (10.0 - 15.0 * tau + 6.0 * tau * tau)
-    s1 = 30.0 * tau * tau - 60.0 * tau ** 3 + 30.0 * tau ** 4
-    return (a * s, a * s1 / _STEP_SMOOTH_WINDOW)
+    s1 = 30.0 * tau * tau - 60.0 * np.float_power(tau, 3) + 30.0 * np.float_power(tau, 4)
+    y = np.where(before, 0.0, np.where(after, a, a * s))
+    yd = np.where(before | after, 0.0, a * s1 / _STEP_SMOOTH_WINDOW)
+    return (y, yd)
 
 
-def state_reference(spec: ReferenceSpec, coeffs: CoeffSet, t: float) -> np.ndarray:
-    """Four-state reference for the tracking error.
+def state_reference(spec: ReferenceSpec, coeffs: CoeffSet, t) -> np.ndarray:
+    """Four-state reference for the tracking error at the times t: shape
+    (4,) for a float t, (n, 4) for n times.
 
     The pendulum channels follow the reference output and its derivative.
     For a sinusoid with consistent_arm, the arm channels carry the
@@ -415,13 +423,14 @@ def state_reference(spec: ReferenceSpec, coeffs: CoeffSet, t: float) -> np.ndarr
         w = 2.0 * math.pi * spec.frequency
         a = spec.amplitude
         ratio = coeffs.b1 / coeffs.b2
-        x2r = ratio * (a * (w * w + coeffs.a3) / w * math.cos(w * t) - coeffs.a4 * a * math.sin(w * t))
-        x1r = ratio * (
-            a * (w * w + coeffs.a3) / (w * w) * math.sin(w * t)
-            + coeffs.a4 * a / w * math.cos(w * t)
-        )
-        return np.array([x1r, x2r, y, yd])
-    return np.array([0.0, 0.0, y, yd])
+        wt = w * np.asarray(t, dtype=float)
+        sin_wt, cos_wt = np.sin(wt), np.cos(wt)
+        x2r = ratio * (a * (w * w + coeffs.a3) / w * cos_wt - coeffs.a4 * a * sin_wt)
+        x1r = ratio * (a * (w * w + coeffs.a3) / (w * w) * sin_wt + coeffs.a4 * a / w * cos_wt)
+    else:
+        x1r = x2r = np.zeros_like(y)
+    # rows in C order, so that each time's reference is contiguous
+    return np.array([x1r, x2r, y, yd]).T.copy()
 
 
 def build_closed_loop(config: ScenarioConfig):
@@ -435,7 +444,7 @@ def build_closed_loop(config: ScenarioConfig):
     nominal = config.mismatch.apply(true_coeffs)
     p_mat = solve_lyapunov(np.reshape(config.lyapunov_a, (4, 4)), config.lyapunov_q_diag * np.eye(4))
 
-    def x_ref_fn(t: float) -> np.ndarray:
+    def x_ref_fn(t) -> np.ndarray:
         return state_reference(config.reference, true_coeffs, t)
 
     if config.controller == "afmpc":
@@ -494,13 +503,16 @@ def compute_metrics(log: TrajectoryLog, dt: float) -> RunMetrics:
         raise ValueError("cannot compute metrics of an empty log")
     abs_e = np.abs(log.e)
     tail = abs_e[int(math.floor(0.8 * n)):]
-    return RunMetrics(
-        rmse=float(np.sqrt(np.mean(log.e ** 2))),
-        iae=float(np.sum(abs_e) * dt),
-        steady_state_error=float(np.mean(tail)),
-        mean_evaluations=float(np.mean(log.evaluations)),
-        max_evaluations=int(np.max(log.evaluations)),
-    )
+    # a run that diverged may log huge errors, whose squares and sums
+    # overflow to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        return RunMetrics(
+            rmse=float(np.sqrt(np.mean(log.e ** 2))),
+            iae=float(np.sum(abs_e) * dt),
+            steady_state_error=float(np.mean(tail)),
+            mean_evaluations=float(np.mean(log.evaluations)),
+            max_evaluations=int(np.max(log.evaluations)),
+        )
 
 
 def export_csv(log: TrajectoryLog, path: str) -> None:

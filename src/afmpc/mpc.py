@@ -105,8 +105,10 @@ class AdaptiveFuzzyPredictor:
     Arm channels keep the nominal linear model; the x4 derivative becomes
     f_hat(X) + g_hat(X) * (u + d). The closed loop builds one predictor per
     control period around the current fuzzy model, so a single solve sees
-    frozen parameters; between solves it adapts them (fz.adapt) with gain
-    and theta_bound, exactly when its model is this predictor.
+    frozen parameters. Between solves, exactly when its model is this
+    predictor, it adapts them: after the period's plant sub-steps, one
+    fz.adapt step per sub-step with drive (plant_dt * gain) (e . P e4) and
+    theta_bound (see run_receding_horizon).
 
     Every stage, plain or linearized, makes one product of the basis eps
     with _jacobian_sums (n_rules x 26), which gives f_hat, the raw g_hat and
@@ -412,12 +414,20 @@ def _whole_multiple(total: float, step: float) -> bool:
 
 @dataclass(frozen=True)
 class ClosedLoop:
-    """Everything run_receding_horizon needs to simulate one controller."""
+    """Everything run_receding_horizon needs to simulate one controller.
+
+    plant_dt is also the adaptation's step: when model is an
+    AdaptiveFuzzyPredictor, each sub-step's fz.adapt drive is
+    (plant_dt * model.gain) times that sub-step's tracking error dotted
+    with P e4, P = lyapunov_p.
+    """
 
     model: object  # NominalPredictor | AdaptiveFuzzyPredictor
     config: MpcConfig
     true_coeffs: CoeffSet
-    x_ref_fn: Callable[[float], np.ndarray]  # 4-state reference at time t
+    # the 4-state reference at the times t: shape (4,) for a float t, (n, 4)
+    # for an array of n times
+    x_ref_fn: Callable[[float | np.ndarray], np.ndarray]
     lyapunov_p: np.ndarray
     disturbance: DisturbanceSpec = DisturbanceSpec()
     plant_dt: float = 1e-3
@@ -466,30 +476,48 @@ def _predicted_disturbances(spec: DisturbanceSpec, t: float, kp: int, dt: float)
 def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> TrajectoryLog:
     """Simulate the closed loop for `steps` control periods.
 
-    Each period: solve with the current (frozen) model, apply the first
-    input across the fast plant sub-steps, and, when loop.model is an
-    AdaptiveFuzzyPredictor, update the fuzzy parameters with its gain and
-    theta_bound once per sub-step from the latest measurement. Terminates
-    early on plant divergence, parameter blow-up or a degenerate rule
-    firing, with the log collected so far preserved. The adapting model is
-    local to the run, which starts from loop.model.fuzzy and returns the
-    last model as final_fuzzy; the loop itself is never written.
+    Each period has three parts. First what depends only on time: one
+    x_ref_fn call over the period's times, which are t, the horizon's
+    t + (p + 1) dt and, when the run adapts, the times (t + i plant_dt) +
+    plant_dt that end the plant sub-steps. Then the solve with the current
+    (frozen) model, and the plant: the first input applied across the fast
+    sub-steps, whose states do not depend on the model being adapted. Last,
+    when loop.model is an AdaptiveFuzzyPredictor, the adaptation: the
+    tracking errors E of all sub-steps at once, then one fz.adapt step per
+    sub-step, in order, at its measured state, with drive
+    k = (plant_dt gain) (E_i . P e4), input u and the predictor's
+    theta_bound. The result is that of adapting after every sub-step.
+
+    Terminates early on plant divergence, parameter blow-up or a degenerate
+    rule firing, with the log collected so far preserved. A plant
+    divergence at sub-step j ends the run after the adaptation over the
+    sub-steps before j; an adaptation failure ends it with the last good
+    model, and the period's sub-steps after that step are taken but
+    discarded. The adapting model is local to the run, which starts from
+    loop.model.fuzzy and returns the last model as final_fuzzy; the loop
+    itself is never written.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     cfg = loop.config
+    kp = cfg.prediction_horizon
     n_sub = round(cfg.dt / loop.plant_dt)
     # the state between solves, as the 4 floats plant_step takes and returns
     x = tuple(np.asarray(x0, dtype=float).tolist())
     warm = np.zeros(cfg.control_horizon)
     plant_dt, true_coeffs = loop.plant_dt, loop.true_coeffs
     disturbance, x_ref_fn = loop.disturbance, loop.x_ref_fn
+    # offsets of the reference times from t: 0, then (p + 1) dt, rounded as
+    # the scalar products are (t + 0.0 is t, as t >= 0); and i plant_dt
+    period_offsets = np.arange(kp + 1) * cfg.dt
+    sub_offsets = np.arange(n_sub) * plant_dt
     # the adaptive predictor, whose fuzzy model the run adapts, or None
     ad = loop.model if isinstance(loop.model, AdaptiveFuzzyPredictor) else None
     fuzzy = None if ad is None else ad.fuzzy
-    # P e4, copied: a strided column would change fz.adapt's dot product in
+    # P e4, copied: a strided column would change the drive's dot product in
     # the last bits
     pb = None if ad is None else loop.lyapunov_p[:, 3].copy()
+    drive_scale = None if ad is None else plant_dt * ad.gain
 
     rows: list[tuple] = []  # one record per period, in TrajectoryLog field order
     diverged = False
@@ -498,14 +526,15 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
         t = k * cfg.dt
         x_k = np.array(x)  # the period's one ndarray, for the solve and the log
         model = loop.model if ad is None else replace(ad, fuzzy=fuzzy)
-        x_ref_seq = np.stack(
-            [x_ref_fn(t + (p + 1) * cfg.dt) for p in range(cfg.prediction_horizon)]
-        )
-        d_seq = _predicted_disturbances(disturbance, t, cfg.prediction_horizon, cfg.dt)
-        ctrl = solve_step(model, x_k, x_ref_seq, cfg, warm, d_seq)
+        times = t + period_offsets
+        if ad is not None:
+            times = np.concatenate([times, (t + sub_offsets) + plant_dt])
+        refs = x_ref_fn(times)
+        d_seq = _predicted_disturbances(disturbance, t, kp, cfg.dt)
+        ctrl = solve_step(model, x_k, refs[1 : kp + 1], cfg, warm, d_seq)
         u = ctrl.applied_input
 
-        xr_now = x_ref_fn(t)
+        xr_now = refs[0]
         err = xr_now - x_k
         # a huge but finite state, as in a run about to diverge, overflows
         # here; V then logs inf (or NaN) and the run ends diverged
@@ -522,18 +551,26 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
             ctrl.predicted_cost, ctrl.solver_status, ctrl.evaluations,
         ))
 
+        measured = []  # the state after each plant sub-step
         try:
             for i in range(n_sub):
-                t_sub = t + i * plant_dt
-                x = plant_step(x, u, plant_dt, true_coeffs, disturbance, t_sub)
-                if ad is not None:
-                    # parameter update from the freshest measurement
-                    e_sub = x_ref_fn(t_sub + plant_dt) - x
-                    fuzzy = fz.adapt(
-                        fuzzy, e_sub, pb, x, u, plant_dt, gain=ad.gain, theta_bound=ad.theta_bound
-                    )
-        except (IntegrationDivergenceError, fz.ParameterBlowupError, fz.DegenerateFiringError):
+                x = plant_step(x, u, plant_dt, true_coeffs, disturbance, t + i * plant_dt)
+                measured.append(x)
+        except IntegrationDivergenceError:
             diverged = True
+        if ad is not None and measured:
+            # a state about to diverge overflows in the errors and the basis;
+            # the adaptation then fails by name, so numpy need not warn
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    errors = refs[kp + 1 : kp + 1 + len(measured)] - np.array(measured)
+                    # one dot per row, as per sub-step: E.dot(pb) rounds differently
+                    for e_i, x_i in zip(errors, measured):
+                        k_i = drive_scale * float(e_i.dot(pb))
+                        fuzzy = fz.adapt(fuzzy, k_i, x_i, u, theta_bound=ad.theta_bound)
+            except (fz.ParameterBlowupError, fz.DegenerateFiringError):
+                diverged = True
+        if diverged:
             break
         warm = shift_warm_start(ctrl.optimized_sequence)
 

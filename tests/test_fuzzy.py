@@ -332,7 +332,8 @@ def test_adapt_direct_formula():
     e = np.array([0.0, 0.0, 0.0, 2.0])
     P = np.eye(4)
     b = np.array([0.0, 0.0, 0.0, 1.0])
-    out = adapt(model, e, P @ b, X, u=1.0, dt=1.0, gain=1.0, theta_bound=1e6)
+    k = 1.0 * 1.0 * float(e @ (P @ b))  # dt * gain * (e . P b)
+    out = adapt(model, k, X, 1.0, theta_bound=1e6)
     np.testing.assert_allclose(out.theta_f, [-1.0, -1.0], rtol=1e-12)
     np.testing.assert_allclose(out.theta_g, [-1.0, -1.0], rtol=1e-12)
     # input model untouched (value semantics)
@@ -342,11 +343,12 @@ def test_adapt_direct_formula():
 def test_adapt_zero_error_and_zero_input():
     model = two_rule_model()
     X = np.array([0.3, 0.0, 0.0, 0.0])
-    same = adapt(model, np.zeros(4), np.array([0, 0, 0, 1.0]), X, u=1.0, dt=0.01, gain=1.0, theta_bound=1e6)
+    same = adapt(model, 0.0, X, 1.0, theta_bound=1e6)
     np.testing.assert_allclose(same.theta_f, model.theta_f)
     np.testing.assert_allclose(same.theta_g, model.theta_g)
     e = np.array([0.0, 0.0, 1.0, 1.0])
-    out = adapt(model, e, np.array([0, 0, 0, 1.0]), X, u=0.0, dt=0.01, gain=1.0, theta_bound=1e6)
+    k = 0.01 * 1.0 * float(e @ np.array([0, 0, 0, 1.0]))
+    out = adapt(model, k, X, 0.0, theta_bound=1e6)
     assert np.any(out.theta_f != model.theta_f)
     np.testing.assert_allclose(out.theta_g, model.theta_g)
 
@@ -366,8 +368,8 @@ def test_adapt_gradient_cancellation_property():
         X = rng.uniform(-1.5, 1.5, size=4)
         u = rng.normal()
         dt = 10 ** rng.uniform(-4, -1)
-        out = adapt(m, e, P @ b, X, u, dt, gain=1.0, theta_bound=1e6)
         s = float(e @ P @ b)
+        out = adapt(m, dt * 1.0 * s, X, u, theta_bound=1e6)
         eps = basis(m, X)
         theta_star = rng.normal(size=model.n_rules)
         residual_f = (theta - theta_star) @ ((out.theta_f - theta) / dt + s * eps)
@@ -380,47 +382,25 @@ def test_adapt_gradient_cancellation_property():
 def test_adapt_parameter_blowup_guard():
     model = two_rule_model()
     e = np.array([0.0, 0.0, 0.0, 1e5])
+    k = 1.0 * 1e3 * float(e @ np.array([0, 0, 0, 1.0]))
     with pytest.raises(ParameterBlowupError):
-        adapt(
-            model, e, np.array([0, 0, 0, 1.0]),
-            np.zeros(4), u=1.0, dt=1.0, gain=1e3, theta_bound=1e6,
-        )
+        adapt(model, k, np.zeros(4), 1.0, theta_bound=1e6)
 
 
-@pytest.mark.parametrize("e4, u", [(math.nan, 1.0), (1.0, math.nan)])
-def test_adapt_rejects_a_nan_step(e4, u):
-    # a NaN error makes every theta NaN, a NaN input every theta_g; NaN
+@pytest.mark.parametrize("k, v", [(math.nan, 1.0), (1.0, math.nan)])
+def test_adapt_rejects_a_nan_step(k, v):
+    # a NaN drive makes every theta NaN, a NaN input every theta_g; NaN
     # fails the bound test, so neither model may be returned
     model = two_rule_model()
     with pytest.raises(ParameterBlowupError, match="nan"):
-        adapt(
-            model, np.array([0.0, 0.0, 0.0, e4]), np.array([0, 0, 0, 1.0]),
-            np.zeros(4), u=u, dt=0.01, gain=1.0, theta_bound=1e6,
-        )
+        adapt(model, k, np.zeros(4), v, theta_bound=1e6)
 
 
-def test_adapt_validation():
-    model = two_rule_model()
-    with pytest.raises(ValueError):
-        adapt(model, np.zeros(4), np.zeros(4), np.zeros(4), 0.0, dt=0.0, gain=1.0, theta_bound=1e6)
-
-
-def test_adapt_rejects_nan_dt():
-    # a NaN dt made every theta NaN and raised ParameterBlowupError for a
-    # blow-up that never happened
-    model = two_rule_model()
-    with pytest.raises(ValueError, match="dt must be positive"):
-        adapt(
-            model, np.ones(4), np.ones(4), np.zeros(4), 1.0,
-            dt=math.nan, gain=1.0, theta_bound=1e6,
-        )
-
-
-def reference_adapt(model, theta_f, theta_g, e, pb, X, u, dt, gain, theta_bound):
+def reference_adapt(model, theta_f, theta_g, k, X, u, theta_bound):
     """The adaptation step from theta_f and theta_g with the exact peaks
     taken on every step: the new thetas, or the ParameterBlowupError's
     message."""
-    drive = dt * gain * float(e @ pb) * basis(model, X)
+    drive = k * basis(model, X)
     theta_f = theta_f - drive
     theta_g = theta_g - drive * u
     peak_f = float(np.max(np.abs(theta_f)))
@@ -471,9 +451,11 @@ def test_adapt_carried_bound_acts_as_the_exact_peaks(model, theta_bound, start, 
         # the carried bound rests on every basis entry being at most 1
         assert np.max(basis(model, X)) <= 1.0
         with np.errstate(all="ignore"):
-            want = reference_adapt(model, theta_f, theta_g, e, PB, X, u, dt, gain, theta_bound)
+            # the drive of the closed loop's tracking-error law
+            k = dt * gain * float(e @ PB)
+            want = reference_adapt(model, theta_f, theta_g, k, X, u, theta_bound)
             try:
-                got = adapt(fuzzy, e, PB, X, u, dt, gain=gain, theta_bound=theta_bound)
+                got = adapt(fuzzy, k, X, u, theta_bound=theta_bound)
             except ParameterBlowupError as exc:
                 got = str(exc)
         if isinstance(want, str):

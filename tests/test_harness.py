@@ -601,12 +601,11 @@ ZERO_K1 = dict(
 def test_a_config_that_load_config_accepts_runs(tmp_path_factory, flat):
     path = tmp_path_factory.mktemp("runs") / "scenario.cfg"
     path.write_text(harness.dump_config(flat), encoding="utf-8")
-    # as in test_runtime_divergence_ends_the_log_without_raising: a run that
-    # diverges passes through huge finite states whose products overflow
-    # before the state itself does and the log ends
+    # a run that diverges passes through huge finite states whose products
+    # overflow before the state itself does and the log ends; it must end
+    # diverged without a RuntimeWarning, which pytest's filters make an error
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            log, _ = harness.run_scenario(harness.load_config(str(path)))
+        log, _ = harness.run_scenario(harness.load_config(str(path)))
     except harness.ConfigError:
         # load_config's checks, or build_closed_loop's own
         return
@@ -796,6 +795,68 @@ def test_state_reference_consistent_arm_is_realizable():
         assert dxr[2] == pytest.approx(xr[3], abs=1e-6)
 
 
+def scalar_state_reference(spec, coeffs, t: float) -> list:
+    """state_reference at one time as the math module computes it: the
+    oracle of the array form."""
+    a = spec.amplitude
+    if spec.kind == "zero":
+        y, yd = 0.0, 0.0
+    elif spec.kind == "sinusoid":
+        w = 2.0 * math.pi * spec.frequency
+        y, yd = a * math.sin(w * t), a * w * math.cos(w * t)
+    elif t < spec.step_time:
+        y, yd = 0.0, 0.0
+    else:
+        tau = (t - spec.step_time) / harness._STEP_SMOOTH_WINDOW
+        if tau >= 1.0:
+            y, yd = a, 0.0
+        else:
+            s = tau * tau * tau * (10.0 - 15.0 * tau + 6.0 * tau * tau)
+            s1 = 30.0 * tau * tau - 60.0 * tau ** 3 + 30.0 * tau ** 4
+            y, yd = a * s, a * s1 / harness._STEP_SMOOTH_WINDOW
+    if spec.consistent_arm and spec.kind == "sinusoid" and spec.frequency > 0.0 and a != 0.0:
+        w = 2.0 * math.pi * spec.frequency
+        ratio = coeffs.b1 / coeffs.b2
+        x2r = ratio * (a * (w * w + coeffs.a3) / w * math.cos(w * t) - coeffs.a4 * a * math.sin(w * t))
+        x1r = ratio * (
+            a * (w * w + coeffs.a3) / (w * w) * math.sin(w * t) + coeffs.a4 * a / w * math.cos(w * t)
+        )
+        return [x1r, x2r, y, yd]
+    return [0.0, 0.0, y, yd]
+
+
+@hyp_settings(max_examples=300, deadline=None)
+@given(
+    spec=st.builds(
+        harness.ReferenceSpec,
+        kind=st.sampled_from(harness._REFERENCE_KINDS),
+        amplitude=st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, -0.2, 0.2])),
+        # below about 1e-154 Hz the consistent arm's a3 / w**2 overflows, in
+        # the scalar formula as well
+        frequency=st.one_of(st.floats(1e-100, 5.0), st.sampled_from([0.0, 0.65])),
+        step_time=st.floats(0.0, 5.0),
+        consistent_arm=st.booleans(),
+    ),
+    times=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=60),
+    # times before, on and inside the step's ramp, and at its end
+    offsets=st.lists(
+        st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, 0.5, -1e-12, 0.5 - 1e-12])), max_size=20
+    ),
+)
+def test_state_reference_over_times_is_the_scalar_formula_row_by_row(spec, times, offsets):
+    # one call over an array of times replaces one call per time in the
+    # closed loop, so each row must be the scalar formula's, bit for bit,
+    # signs of zero included
+    t = np.array(times + [spec.step_time + o for o in offsets])
+    got = harness.state_reference(spec, TRUE_COEFFS, t)
+    assert got.shape == (len(t), 4) and got.dtype == np.float64
+    for row, ti in zip(got, t.tolist()):
+        want = np.array(scalar_state_reference(spec, TRUE_COEFFS, ti))
+        assert row.tobytes() == want.tobytes(), ti
+        one = harness.state_reference(spec, TRUE_COEFFS, ti)
+        assert one.shape == (4,) and one.tobytes() == want.tobytes(), ti
+
+
 def test_compute_metrics_constant_error():
     log = synthetic_log(np.full(10, 0.1), dt=0.05, evaluations=np.full(10, 14))
     m = harness.compute_metrics(log, 0.05)
@@ -902,7 +963,7 @@ def test_first_period_divergence_gives_a_one_row_log(tmp_path):
         model=mpc.NominalPredictor(TRUE_COEFFS, cfg.dt),
         config=cfg,
         true_coeffs=TRUE_COEFFS,
-        x_ref_fn=lambda t: np.zeros(4),
+        x_ref_fn=lambda t: np.zeros(np.shape(t) + (4,)),
         lyapunov_p=np.eye(4),
     )
     x0 = np.array([0.0, 1e307, 0.0, 0.0])

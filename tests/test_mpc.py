@@ -26,8 +26,8 @@ COEFFS = derive_coefficients(PlantParams())
 WIDE_RANGES = ((-math.pi, math.pi), (-8.0, 8.0), (-math.pi / 2, math.pi / 2), (-8.0, 8.0))
 
 
-def zero_ref(t: float) -> np.ndarray:
-    return np.zeros(4)
+def zero_ref(t) -> np.ndarray:
+    return np.zeros(np.shape(t) + (4,))
 
 
 def true_drift(X: np.ndarray) -> np.ndarray:
@@ -796,7 +796,8 @@ def test_closed_loop_requires_dt_multiple():
 
 
 def test_closed_loop_rejects_zero_plant_dt():
-    # raised ZeroDivisionError in the period-ratio check
+    # raised ZeroDivisionError in the period-ratio check. plant_dt is also
+    # the adaptation's step, which fz.adapt no longer checks itself
     with pytest.raises(ValueError, match="plant_dt must be positive"):
         mpc.ClosedLoop(
             model=mpc.NominalPredictor(COEFFS, 0.05),
@@ -809,7 +810,8 @@ def test_closed_loop_rejects_zero_plant_dt():
 
 
 def test_closed_loop_rejects_nan_plant_dt():
-    # raised "cannot convert float NaN to integer" in round()
+    # raised "cannot convert float NaN to integer" in round(); a NaN
+    # adaptation step would have made every theta NaN
     with pytest.raises(ValueError, match="plant_dt must be positive"):
         mpc.ClosedLoop(
             model=mpc.NominalPredictor(COEFFS, 0.05),
@@ -963,11 +965,107 @@ def test_runtime_divergence_ends_the_log_without_raising(adaptive, dt, gain, arm
             plant_dt=dt,
         )
     steps = 60
-    with np.errstate(over="ignore", invalid="ignore"):
-        log = mpc.run_receding_horizon(np.array([0.0, arm_velocity, 0.0, 0.0]), loop, steps)
+    # the run passes through huge finite states, whose products overflow
+    # before the state does; it must end diverged without a RuntimeWarning,
+    # which pytest's filters make an error
+    log = mpc.run_receding_horizon(np.array([0.0, arm_velocity, 0.0, 0.0]), loop, steps)
     assert log.diverged
     assert 0 < len(log) < steps
     assert np.all(np.isfinite(log.t))
+
+
+def sequential_adaptation(loop, x0, inputs, n_steps):
+    """The fuzzy model after the first n_steps plant sub-steps of a run that
+    applies inputs, one per period, adapting after every sub-step as the
+    closed loop's law does: fz.adapt applied by hand."""
+    ad = loop.model
+    n_sub = round(loop.config.dt / loop.plant_dt)
+    pb = loop.lyapunov_p[:, 3].copy()
+    fuzzy, x = ad.fuzzy, tuple(x0.tolist())
+    for n in range(n_steps):
+        period, i = divmod(n, n_sub)
+        t = period * loop.config.dt
+        u = float(inputs[period])
+        x = plant_step(x, u, loop.plant_dt, loop.true_coeffs, loop.disturbance, t + i * loop.plant_dt)
+        e = loop.x_ref_fn((t + i * loop.plant_dt) + loop.plant_dt) - np.array(x)
+        k = (loop.plant_dt * ad.gain) * float(e.dot(pb))
+        fuzzy = fz.adapt(fuzzy, k, x, u, theta_bound=ad.theta_bound)
+    return fuzzy
+
+
+def tracking_loop() -> mpc.ClosedLoop:
+    """An adaptive loop tracking the default sinusoid with a dense P, so that
+    every entry of the tracking error and of P e4 enters the drive. Its
+    consequents start at zero, so that the last bit of each drive shows in
+    theta."""
+    cfg = mpc.MpcConfig()
+    w = np.random.default_rng(5).normal(size=(4, 4))
+    return mpc.ClosedLoop(
+        model=mpc.AdaptiveFuzzyPredictor(
+            fz.build_rule_grid((3, 3, 3, 3), WIDE_RANGES), COEFFS, cfg.dt, gain=32.0, theta_bound=1e6
+        ),
+        config=cfg,
+        true_coeffs=COEFFS,
+        x_ref_fn=functools.partial(harness.state_reference, harness.ReferenceSpec(), COEFFS),
+        lyapunov_p=w @ w.T + np.eye(4),
+    )
+
+
+@pytest.mark.parametrize("j", [0, 1, 37, 49, 50, 83])
+def test_plant_divergence_at_a_sub_step_adapts_over_the_steps_before_it(monkeypatch, j):
+    # the period runs the plant first and adapts after; a divergence at
+    # sub-step j must leave the model of adapting after each of the steps
+    # before it, bit for bit, as a run that interleaves the two would
+    loop = tracking_loop()
+    x0 = np.array([0.0, 0.0, 0.2, 0.0])
+    calls = []
+
+    def diverging_step(*args):
+        if len(calls) == j:
+            raise mpc.IntegrationDivergenceError("injected")
+        calls.append(args)
+        return plant_step(*args)
+
+    monkeypatch.setattr(mpc, "plant_step", diverging_step)
+    log = mpc.run_receding_horizon(x0, loop, 3)
+    assert log.diverged and len(log) == j // 50 + 1
+    want = sequential_adaptation(loop, x0, log.u, j)
+    assert log.final_fuzzy.theta_f.tobytes() == want.theta_f.tobytes()
+    assert log.final_fuzzy.theta_g.tobytes() == want.theta_g.tobytes()
+
+
+@pytest.mark.parametrize("i", [0, 22, 49, 71])
+def test_an_adaptation_blowup_at_a_sub_step_keeps_the_last_good_model(monkeypatch, i):
+    loop = tracking_loop()
+    models, steps_seen = [], []
+    adapt, step = fz.adapt, mpc.plant_step
+
+    def failing_adapt(model, *args, **kwargs):
+        models.append(model)
+        if len(models) == i + 1:
+            raise fz.ParameterBlowupError("injected")
+        return adapt(model, *args, **kwargs)
+
+    monkeypatch.setattr(fz, "adapt", failing_adapt)
+    monkeypatch.setattr(mpc, "plant_step", lambda *args: steps_seen.append(args) or step(*args))
+    log = mpc.run_receding_horizon(np.array([0.0, 0.0, 0.2, 0.0]), loop, 3)
+    assert log.diverged and len(log) == i // 50 + 1
+    assert log.final_fuzzy is models[i]
+    # the failed step's period took all its plant sub-steps before adapting
+    assert len(steps_seen) == 50 * len(log)
+
+
+@pytest.mark.parametrize("controller", ["afmpc", "classical"])
+def test_a_run_evaluates_the_reference_once_per_period(monkeypatch, controller):
+    # one call for x0, then one per period over all of that period's times
+    calls = []
+    state_reference = harness.state_reference
+    monkeypatch.setattr(
+        harness, "state_reference", lambda *args: calls.append(args) or state_reference(*args)
+    )
+    log, _ = harness.run_scenario(dataclasses.replace(harness.default_config(), controller=controller))
+    assert len(log) == 200 and not log.diverged
+    assert len(calls) == 201
 
 
 def test_adaptive_loop_runs_twice_identically():

@@ -18,6 +18,11 @@ A run stops at the end of the first plant step after which |x3| >= pi/2:
 a wrapper on mpc.plant_step records that time and raises
 IntegrationDivergenceError, which ends the run as a diverged one. The
 wrapper changes no state, so the run is the unwrapped one up to the fall.
+Each period runs all its plant steps before its adaptation, so the wrapper
+sees every plant step of a period, also those after an adaptation step
+that fails in it, which the run then discards. Those steps do not depend
+on the adaptation, so a fall among them is still the plant's, and the run
+reports it.
 
 Per run, the script prints whether the controller holds (the run reaches
 run.duration), falls (with the time) or diverged for another cause (with
