@@ -20,6 +20,8 @@ from afmpc.fuzzy import (
     fit_consequents_lsq,
     g_hat,
 )
+from afmpc.mpc import AdaptiveFuzzyPredictor, ClosedLoop, MpcConfig
+from afmpc.plant import PlantParams, derive_coefficients
 
 UNIT_RANGES = ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0))
 
@@ -394,6 +396,32 @@ def test_adapt_rejects_a_nan_step(k, v):
     model = two_rule_model()
     with pytest.raises(ParameterBlowupError, match="nan"):
         adapt(model, k, np.zeros(4), v, theta_bound=1e6)
+
+
+def adapting_loop(plant_dt: float):
+    """A closed loop that adapts two_rule_model at the step plant_dt:
+    fz.adapt takes no dt, so the closed loop checks the adaptation's step."""
+    coeffs = derive_coefficients(PlantParams())
+    return ClosedLoop(
+        model=AdaptiveFuzzyPredictor(two_rule_model(), coeffs, 0.05, gain=1.0, theta_bound=1e6),
+        config=MpcConfig(),
+        true_coeffs=coeffs,
+        x_ref_fn=lambda t: np.zeros(np.shape(t) + (4,)),
+        lyapunov_p=np.eye(4),
+        plant_dt=plant_dt,
+    )
+
+
+def test_adapt_validation():
+    with pytest.raises(ValueError):
+        adapting_loop(plant_dt=0.0)
+
+
+def test_adapt_rejects_nan_dt():
+    # a NaN step would make every theta NaN and raise ParameterBlowupError
+    # for a blow-up that never happened
+    with pytest.raises(ValueError, match="plant_dt must be positive"):
+        adapting_loop(plant_dt=math.nan)
 
 
 def reference_adapt(model, theta_f, theta_g, k, X, u, theta_bound):
