@@ -173,27 +173,23 @@ def basis_matrix(model: FuzzyModel, X: np.ndarray) -> np.ndarray:
 
     Each row is basis(model, X[i]) up to rounding, by the same quadratic
     expansion: one matrix product of the batch, with a ones column, and
-    the coefficients, then one exp. Only the rows whose sum underflows or
-    is NaN are recomputed in the max-shifted form, and the error for a
-    non-finite row names the first such row.
+    the coefficients, then one exp. A far row, whose sum underflows or is
+    NaN, is basis(model, X[i]) exactly, in row order, and basis's
+    DegenerateFiringError for a non-finite row is raised again with the
+    row's index appended.
     """
     X = np.asarray(X, dtype=float)
     V = np.hstack([X * X, X, np.ones((len(X), 1))])
     w = V @ model._s_coef.T
     np.exp(w, out=w)
     total = w.sum(axis=1)
-    shift = ~(total >= _SHIFT_BELOW)
-    if shift.any():
-        rows = np.flatnonzero(shift)
-        s = V[rows] @ model._s_coef.T
-        s -= s.max(axis=1, keepdims=True)
-        np.exp(s, out=s)
-        sub = s.sum(axis=1)
-        if not np.isfinite(sub).all():
-            row = int(rows[np.argmin(np.isfinite(sub))])
-            raise DegenerateFiringError(f"rule firing strengths are not finite at state {tuple(X[row].tolist())}, row {row}")
-        w[rows] = s
-        total[rows] = sub
+    # not >=, so that a NaN sum is a far row too
+    for row in np.flatnonzero(~(total >= _SHIFT_BELOW)).tolist():
+        try:
+            w[row] = basis(model, X[row].tolist())
+        except DegenerateFiringError as exc:
+            raise DegenerateFiringError(f"{exc}, row {row}") from None
+        total[row] = 1.0
     w /= total[:, None]
     return w
 

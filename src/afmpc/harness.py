@@ -239,7 +239,7 @@ def _build_config(flat: dict) -> ScenarioConfig:
             built[name] = None
         return built[name]
 
-    section("plant")
+    plant = section("plant")
     mpc_cfg = section("mpc")
     for i in (1, 2, 3, 4):
         lo, hi = flat[f"fuzzy.range_x{i}"]
@@ -269,9 +269,19 @@ def _build_config(flat: dict) -> ScenarioConfig:
                 solve_lyapunov(np.reshape(flat["adapt.lyapunov_a"], (4, 4)), q * np.eye(4))
             except (SingularLyapunovError, NotPositiveDefiniteWarning):
                 errors.append("adapt.lyapunov_a: must be Hurwitz")
-    section("reference")
+    reference = section("reference")
     if flat["reference.kind"] == "sinusoid" and flat["reference.frequency"] <= 0.0:
         errors.append("reference.frequency: must be positive for a sinusoid reference")
+    elif plant is not None:
+        # x0 is the state reference at t = 0, whose arm channels divide by w
+        # and w^2; w^2 may overflow them or underflow to a 0 that raises
+        with np.errstate(all="ignore"):
+            try:
+                x0_ok = np.isfinite(state_reference(reference, derive_coefficients(plant), 0.0)).all()
+            except ZeroDivisionError:
+                x0_ok = False
+        if not x0_ok:
+            errors.append("reference.frequency: too small for reference.amplitude, the state reference at t = 0 is not finite")
     if flat["reference.step_time"] < 0.0:
         errors.append("reference.step_time: must be non-negative")
     section("disturbance")

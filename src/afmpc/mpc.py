@@ -488,6 +488,9 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
     k = (plant_dt gain) (E_i . P e4), input u and the predictor's
     theta_bound. The result is that of adapting after every sub-step.
 
+    An adapting run logs w_diag = (f - f_hat(x)) + (b2 - g_hat(x)) u at the
+    period's x and u, with f the plant's pendulum_field x4' at u = d = 0.
+
     Terminates early on plant divergence, parameter blow-up or a degenerate
     rule firing, with the log collected so far preserved. A plant
     divergence at sub-step j ends the run after the adaptation over the
@@ -518,6 +521,7 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
     # the last bits
     pb = None if ad is None else loop.lyapunov_p[:, 3].copy()
     drive_scale = None if ad is None else plant_dt * ad.gain
+    true_drift = pendulum_field(true_coeffs, 0.0)  # x4' at u = d = 0, for w_diag
 
     rows: list[tuple] = []  # one record per period, in TrajectoryLog field order
     diverged = False
@@ -541,7 +545,7 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
         with np.errstate(over="ignore", invalid="ignore"):
             v_val = 0.5 * float(err.dot(loop.lyapunov_p.dot(err)))
         if ad is not None:
-            f_true = true_coeffs.a2 * x[1] + true_coeffs.a3 * np.sin(x[2]) + true_coeffs.a4 * x[3]
+            f_true = true_drift(x, 0.0)[3]
             w_val = (f_true - fz.f_hat(fuzzy, x)) + (true_coeffs.b2 - fz.g_hat(fuzzy, x)) * u
         else:
             w_val = 0.0

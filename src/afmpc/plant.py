@@ -141,8 +141,8 @@ def pendulum_field(coeffs: CoeffSet, u: float):
     floats, and, called with linearize true, also jvp, the field's
     Jacobian-vector product at x (see rk4).
 
-    This is the model's one definition: the plant step and the nominal
-    predictor both evaluate it. The coefficients and u are bound as locals
+    This is the model's one definition: the plant step, the nominal
+    predictor and the run's logged model error evaluate it. The coefficients and u are bound as locals
     once per call, so that an RK4 step evaluates the field four times
     without an attribute lookup.
     """

@@ -143,6 +143,23 @@ def test_run_zero_k1_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == "config error:\nplant: k1 must be positive, got 0.0\n"
 
 
+@pytest.mark.parametrize("controller", ["classical", "afmpc"])
+@pytest.mark.parametrize("frequency", ["1e-160", "1e-250"])
+def test_run_tiny_reference_frequency_is_a_config_error(tmp_path, capsys, controller, frequency):
+    # the arm reference at t = 0 overflowed to a NaN x0 (at 1e-160) or
+    # divided by a w^2 that underflows to 0 (at 1e-250): each ended in a
+    # traceback
+    path = write_config(tmp_path, f"run.duration = 0.1\nreference.frequency = {frequency}\n")
+    out = str(tmp_path / "log.csv")
+    code = cli.main(["run", "--config", path, "--controller", controller, "--out", out])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error:\nreference.frequency: too small for reference.amplitude,"
+        " the state reference at t = 0 is not finite\n"
+    )
+    assert not os.path.exists(out)
+
+
 def test_run_negative_seed_is_a_config_error(tmp_path, capsys):
     path = write_config(tmp_path, SHORT_RUN)
     out = str(tmp_path / "log.csv")

@@ -184,10 +184,14 @@ def test_basis_matches_the_direct_form_on_both_sides_of_the_shift(model, directi
     # the batch holds rows on both sides, so its far rows take the
     # row-wise shifted form while the rest stay unshifted
     E = basis_matrix(model, X)
-    for x, row in zip(X, E):
+    for x, row, total in zip(X, E, totals):
         ref = direct_basis(model, x)
         np.testing.assert_allclose(basis(model, x), ref, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(row, ref, rtol=0.0, atol=1e-12)
+        # a far row is basis's own result, bit for bit (the margin keeps
+        # rows whose sum rounds to either side of the shift out of it)
+        if total < LOG_SHIFT_BELOW - 1e-9:
+            assert np.array_equal(row, basis(model, x))
     # a non-finite row among in-range and far ones fails the batch, and
     # the error names the first such row
     mixed = X.copy()
@@ -271,13 +275,15 @@ def test_basis_non_finite_state_raises_degenerate_firing(bad, slot):
     batch = np.zeros((5, 4))
     batch[3] = x
     with np.errstate(invalid="ignore", over="ignore"):
-        with pytest.raises(DegenerateFiringError, match=message):
+        with pytest.raises(DegenerateFiringError, match=message) as single:
             basis(model, x)
         with pytest.raises(DegenerateFiringError, match=message):
             basis(model, np.array(x))
-        # one non-finite row fails the whole batch, and the error names it
-        with pytest.raises(DegenerateFiringError, match=f"{message} .*, row 3$"):
+        # one non-finite row fails the whole batch, and the error is
+        # basis's own with the row named
+        with pytest.raises(DegenerateFiringError, match=f"{message} .*, row 3$") as batched:
             basis_matrix(model, batch)
+    assert str(batched.value) == f"{single.value}, row 3"
 
 
 def test_rule_order_is_lexicographic_with_last_state_fastest():

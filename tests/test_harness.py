@@ -207,6 +207,12 @@ def test_build_validation_reports_all_problems(tmp_path):
         # b2 = k1 k_p / J1 = 0 leaves the pendulum no input, and the
         # consistent arm reference's b1 / b2 raised ZeroDivisionError
         ("plant.k1 = 0.0", "plant: k1 must be positive, got 0.0"),
+        # x0's consistent arm reference at t = 0 overflows at the largest
+        # amplitudes as it does at the tiniest frequencies (tests/test_cli.py)
+        (
+            "reference.amplitude = 1e308",
+            "reference.frequency: too small for reference.amplitude, the state reference at t = 0 is not finite",
+        ),
     ],
 )
 def test_build_rule_reports_its_one_message(tmp_path, line, message):

@@ -1057,13 +1057,16 @@ def test_an_adaptation_blowup_at_a_sub_step_keeps_the_last_good_model(monkeypatc
 
 @pytest.mark.parametrize("controller", ["afmpc", "classical"])
 def test_a_run_evaluates_the_reference_once_per_period(monkeypatch, controller):
-    # one call for x0, then one per period over all of that period's times
+    # one call for x0, then one per period over all of that period's times;
+    # the config, whose check evaluates the reference at t = 0, is built
+    # before the count starts
+    config = dataclasses.replace(harness.default_config(), controller=controller)
     calls = []
     state_reference = harness.state_reference
     monkeypatch.setattr(
         harness, "state_reference", lambda *args: calls.append(args) or state_reference(*args)
     )
-    log, _ = harness.run_scenario(dataclasses.replace(harness.default_config(), controller=controller))
+    log, _ = harness.run_scenario(config)
     assert len(log) == 200 and not log.diverged
     assert len(calls) == 201
 
@@ -1095,6 +1098,23 @@ def test_adaptation_disabled_at_zero_gain():
     assert np.array_equal(log.final_fuzzy.theta_g, model.theta_g)
     # the model-mismatch diagnostic still reports the residual fit error
     assert np.any(log.w_diag != 0.0)
+
+
+def test_w_diag_is_the_true_model_minus_the_fuzzy_estimate():
+    # at zero gain every period's model is the loop's initial one, so each
+    # logged w_diag can be recomputed by hand from the logged state and input
+    config = dataclasses.replace(harness.default_config(), controller="afmpc", adapt_gain=0.0, duration=0.5)
+    loop, x0, steps = harness.build_closed_loop(config)
+    log = mpc.run_receding_horizon(x0, loop, steps)
+    assert len(log) == 10 and not log.diverged
+    model, c = loop.model.fuzzy, loop.true_coeffs
+    expected = []
+    for x, u in zip(log.states.tolist(), log.u.tolist()):
+        _, x2, x3, x4 = x
+        f_true = c.a2 * x2 + c.a3 * math.sin(x3) + c.a4 * x4
+        expected.append((f_true - fz.f_hat(model, x)) + (c.b2 - fz.g_hat(model, x)) * u)
+    assert log.w_diag.tolist() == expected
+    assert all(w != 0.0 for w in expected)
 
 
 def test_predicted_disturbances_feed_forward_known_kinds():
