@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -46,6 +46,18 @@ _DIVERGED_COST = 1e30
 
 class PredictionDivergenceError(RuntimeError):
     """A horizon rollout produced a non-finite state."""
+
+
+class _SolveConstants(NamedTuple):
+    """What a solve takes from its MpcConfig alone; every array read-only."""
+
+    weights: np.ndarray  # Q's diagonal, config.state_weight
+    w2: np.ndarray  # 2 Q's diagonal as a (4, 1) column, which scales S to 2 Q S
+    r2_eye: np.ndarray  # 2 R I, the input term of the Hessian
+    lower: np.ndarray  # the input box, -input_bound per input
+    upper: np.ndarray
+    r2: float  # 2 R
+    settings: SolverSettings
 
 
 @dataclass(frozen=True)
@@ -82,6 +94,22 @@ class MpcConfig:
             raise ValueError("input_bound must be non-negative")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
+
+    @functools.cached_property
+    def _solve_constants(self) -> _SolveConstants:
+        # built once per instance, not per equal config: input_bound 0.0 and
+        # -0.0 compare equal, but their boxes differ in the sign of zero
+        kc = self.control_horizon
+        weights = np.asarray(self.state_weight, dtype=float)
+        r2 = 2.0 * self.input_weight
+        arrays = (weights, 2.0 * weights[:, None], r2 * np.eye(kc), np.full(kc, -self.input_bound),
+                  np.full(kc, self.input_bound))
+        for array in arrays:
+            array.setflags(write=False)
+        # control-grade accuracy: inputs are O(1), so 1e-4 KKT residual is far
+        # below actuator resolution; solve_step explains the budget of two
+        # iterations
+        return _SolveConstants(*arrays, r2, SolverSettings(kkt_tolerance=1e-4, max_iterations=2))
 
 
 @dataclass(frozen=True)
@@ -164,24 +192,21 @@ class AdaptiveFuzzyPredictor:
             k = (s[1], a1 * s[1] + b1 * u, s[3], f_est + g_est * (u + dd))
             if not linearize:
                 return k
-            # gradient of the x4 derivative, d f_hat/dx_j + (u + d) d g_hat/dx_j
+            # gradient of the x4 derivative, d f_hat/dx_j + (u + d) d g_hat/dx_j,
+            # de the j-th entry of eps' D
             ud = 0.0 if clamped else u + dd
             tx = 2.0 * s[0]
-            r1 = (tx * v[2] + v[6]) - f_est * (tx * v[18] + v[22]) + ud * (
-                (tx * v[10] + v[14]) - g_raw * (tx * v[18] + v[22])
-            )
+            de = tx * v[18] + v[22]
+            r1 = (tx * v[2] + v[6]) - f_est * de + ud * ((tx * v[10] + v[14]) - g_raw * de)
             tx = 2.0 * s[1]
-            r2 = (tx * v[3] + v[7]) - f_est * (tx * v[19] + v[23]) + ud * (
-                (tx * v[11] + v[15]) - g_raw * (tx * v[19] + v[23])
-            )
+            de = tx * v[19] + v[23]
+            r2 = (tx * v[3] + v[7]) - f_est * de + ud * ((tx * v[11] + v[15]) - g_raw * de)
             tx = 2.0 * s[2]
-            r3 = (tx * v[4] + v[8]) - f_est * (tx * v[20] + v[24]) + ud * (
-                (tx * v[12] + v[16]) - g_raw * (tx * v[20] + v[24])
-            )
+            de = tx * v[20] + v[24]
+            r3 = (tx * v[4] + v[8]) - f_est * de + ud * ((tx * v[12] + v[16]) - g_raw * de)
             tx = 2.0 * s[3]
-            r4 = (tx * v[5] + v[9]) - f_est * (tx * v[21] + v[25]) + ud * (
-                (tx * v[13] + v[17]) - g_raw * (tx * v[21] + v[25])
-            )
+            de = tx * v[21] + v[25]
+            r4 = (tx * v[5] + v[9]) - f_est * de + ud * ((tx * v[13] + v[17]) - g_raw * de)
 
             def jvp(t1, t2, t3, t4, tu):
                 return (t2, a1 * t2 + b1 * tu, t4, r1 * t1 + r2 * t2 + r3 * t3 + r4 * t4 + g_est * tu)
@@ -226,15 +251,15 @@ def predict_trajectory(model, x0: np.ndarray, U: np.ndarray, d: np.ndarray, sens
     tangents = None
     if sensitivities:
         moved = []  # state tangents of U_0 .. U_j, j the last input applied so far
-        unmoved = [(0.0, 0.0, 0.0, 0.0)] * kc
-        rows = []  # per slot, the tangents of every input
+        flat = []  # per slot, per input, its 4 state tangents, the later inputs' zero
     for p in range(kp):
         u = u_seq[p] if p < kc else u_seq[-1]
         if sensitivities:
-            j_in = min(p, kc - 1)  # the input this slot applies
-            if len(moved) == j_in:
-                moved.append((0.0, 0.0, 0.0, 0.0))
-            tangents = [t + (1.0 if j == j_in else 0.0,) for j, t in enumerate(moved)]
+            if p < kc:
+                moved.append((0.0, 0.0, 0.0, 0.0))  # U_p enters at slot p
+            # the slot applies the last input, du = 1; the earlier ones hold
+            tangents = [t + (0.0,) for t in moved[:-1]]
+            tangents.append(moved[-1] + (1.0,))
         try:
             # sin() of an overflowed stage state raises; fold that into divergence
             out = model.predict(x, u, d_seq[p], tangents)
@@ -242,7 +267,9 @@ def predict_trajectory(model, x0: np.ndarray, U: np.ndarray, d: np.ndarray, sens
             raise PredictionDivergenceError(f"prediction divergence at slot {p + 1}") from exc
         if sensitivities:
             x, moved = out
-            rows.append(moved + unmoved[len(moved) :])
+            for t in moved:
+                flat += t
+            flat += (0.0, 0.0, 0.0, 0.0) * (kc - len(moved))
         else:
             x = out
         if len(x) != 4:
@@ -253,16 +280,15 @@ def predict_trajectory(model, x0: np.ndarray, U: np.ndarray, d: np.ndarray, sens
     states = np.array(states)
     if not sensitivities:
         return states
-    sens = np.array(rows).transpose(0, 2, 1)
-    if not np.isfinite(sens).all():
+    if not all(map(math.isfinite, flat)):
         raise PredictionDivergenceError("prediction sensitivities diverged")
-    return states, sens
+    return states, np.array(flat).reshape(kp, kc, 4).transpose(0, 2, 1)
 
 
 def horizon_cost(err: np.ndarray, u: np.ndarray, config: MpcConfig) -> float:
     """Sum of Q-weighted squared state errors err = states - x_ref plus
     R-weighted squared inputs u, Q the diagonal config.state_weight."""
-    state_term = float(np.einsum("pi,i,pi->", err, config.state_weight, err))
+    state_term = float(np.einsum("pi,i,pi->", err, config._solve_constants.weights, err))
     return state_term + config.input_weight * float(u.dot(u))
 
 
@@ -281,6 +307,14 @@ def solve_step(
     d: Optional[np.ndarray] = None,
 ) -> ControlStep:
     """One receding-horizon solve; fail-operational on solver trouble.
+
+    x_ref holds the reference of each predicted slot, shape
+    (prediction_horizon, 4), and d the predicted disturbance of each,
+    shape (prediction_horizon,), zeros when None; the warm start has
+    control_horizon entries. Another shape raises a ValueError that names
+    the input. What depends on the config alone (the weights, the input box
+    and the solver settings) is built on the config's first solve and kept
+    on it, read-only.
 
     The solver's point is applied as returned: minimize keeps every
     iterate inside the input box. Never returns a worse sequence than the
@@ -324,8 +358,12 @@ def solve_step(
     """
     kp = config.prediction_horizon
     kc = config.control_horizon
-    if d is None:
-        d = np.zeros(kp)
+    d = np.zeros(kp) if d is None else np.asarray(d, dtype=float)
+    if d.shape != (kp,):
+        raise ValueError(f"d must have shape (prediction_horizon,) = ({kp},), got {d.shape}")
+    x_ref = np.asarray(x_ref, dtype=float)
+    if x_ref.shape != (kp, 4):
+        raise ValueError(f"x_ref must have shape (prediction_horizon, 4) = ({kp}, 4), got {x_ref.shape}")
     warm = np.minimum(
         np.maximum(np.atleast_1d(np.asarray(warm_start, dtype=float)), -config.input_bound),
         config.input_bound,
@@ -334,9 +372,7 @@ def solve_step(
         raise ValueError(f"warm start must have length {kc}")
 
     evals = 0
-    w2 = 2.0 * np.asarray(config.state_weight, dtype=float)
-    r2 = 2.0 * config.input_weight
-    r2_eye = r2 * np.eye(kc)
+    _, w2, r2_eye, lower, upper, r2, settings = config._solve_constants
 
     def cost(U: np.ndarray) -> float:
         nonlocal evals
@@ -358,7 +394,7 @@ def solve_step(
             return _DIVERGED_COST, (_DIVERGED_COST, np.zeros(kc), r2_eye)
         # S and 2 Q S, each flattened to (kp * 4, kc)
         s = sens.reshape(-1, kc)
-        qs = (w2[:, None] * sens).reshape(-1, kc)
+        qs = (w2 * sens).reshape(-1, kc)
         err = states - x_ref
         # an overflow here, or the NaN of overflows of both signs, is caught by
         # the one finiteness test below (on Python floats, cheaper at this size)
@@ -378,24 +414,20 @@ def solve_step(
     problem = NlpProblem(
         dimension=kc,
         objective=cost_and_gradient,
-        lower_bounds=np.full(kc, -config.input_bound),
-        upper_bounds=np.full(kc, config.input_bound),
+        lower_bounds=lower,
+        upper_bounds=upper,
         exact_gradient=True,
     )
     warm_cost, warm_start = rollout(warm)
     try:
-        # control-grade accuracy: inputs are O(1), so 1e-4 KKT residual is
-        # far below actuator resolution; the budget of two iterations is
-        # explained in the docstring
-        sol = minimize(
-            problem, warm, SolverSettings(kkt_tolerance=1e-4, max_iterations=2), start=warm_start
-        )
+        sol = minimize(problem, warm, settings, start=warm_start)
         status = sol.status
         sequence = sol.minimizer
         final_cost = cost(sequence)
     except (QpInfeasibleError, np.linalg.LinAlgError):
         status, sequence, final_cost = "fallback", warm, warm_cost
-    if final_cost > warm_cost or final_cost >= _DIVERGED_COST or not np.all(np.isfinite(sequence)):
+    finite = all(map(math.isfinite, sequence.tolist()))
+    if final_cost > warm_cost or final_cost >= _DIVERGED_COST or not finite:
         status, sequence, final_cost = "fallback", warm, warm_cost
     return ControlStep(
         applied_input=float(sequence[0]),

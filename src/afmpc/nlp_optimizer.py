@@ -3,7 +3,7 @@
 Solves minimize J(z) subject to c(z) <= 0 and lb <= z <= ub with a
 dual active-set QP (Goldfarb-Idnani) for the search direction and an
 l1-merit backtracking line search. Each QP takes one row system A p <= b,
-the linearized constraints and then the box rows (built once per call),
+the linearized constraints and then the box rows (built once per box),
 with one multiplier per row; every accepted iterate stays inside the box.
 
 A problem whose objective returns (J, grad J, H), H a symmetric positive
@@ -28,7 +28,9 @@ randomness, no wall-clock dependence.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -107,6 +109,40 @@ class Solution:
     objective_evaluations: int
 
 
+def _nan_max(values: list) -> float:
+    """np.maximum.reduce of the list of floats values, at a fraction of its
+    overhead on a few entries: the largest, or a NaN if any entry is one,
+    which max() alone keeps only in first place. Of equal entries, such as
+    0.0 and -0.0, it may return another; the callers reduce magnitudes, or
+    only compare the result."""
+    top = max(values)
+    total = sum(values)  # NaN if an entry is NaN (or +inf meets -inf)
+    if total != total:
+        for v in values:
+            if v != v:
+                return v
+    return top
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """np.maximum.reduce(np.abs(a)) of a vector of a few entries, on Python floats."""
+    return _nan_max([abs(v) for v in a.tolist()])
+
+
+def _abs_column_sums(M: np.ndarray) -> list:
+    """np.add.reduce(np.abs(M)), each column's sum of magnitudes, as floats.
+    On a C-ordered M numpy adds them from the first row down, which a loop
+    over the rows repeats, bit for bit, at less overhead; another layout,
+    which numpy may sum pairwise, keeps numpy's sum."""
+    if not M.flags.c_contiguous:
+        return np.add.reduce(np.abs(M)).tolist()
+    rows = np.abs(M).tolist()
+    sums = rows[0]
+    for row in rows[1:]:
+        sums = list(map(operator.add, sums, row))
+    return sums
+
+
 def _differences(fun, z):
     """Central-difference derivative of fun at z along each coordinate,
     two evaluations per coordinate."""
@@ -143,7 +179,7 @@ def _active_set_qp(H, g, A, b):
     """
     n = g.shape[0]
     m = A.shape[0]
-    feas_tol = _QP_FEAS_TOL * max(1.0, float(np.maximum.reduce(np.abs(b)))) if m else 0.0
+    feas_tol = _QP_FEAS_TOL * max(1.0, _max_abs(b)) if m else 0.0
     p = np.linalg.solve(H, -g)
     work: list[int] = []
     lam = np.zeros(0)  # multipliers of the working rows, in work order
@@ -152,7 +188,7 @@ def _active_set_qp(H, g, A, b):
     for _ in range(cap):
         if j is None:
             viol = A.dot(p) - b
-            if not m or float(np.maximum.reduce(viol)) <= feas_tol:
+            if not m or _nan_max(viol.tolist()) <= feas_tol:
                 out = np.zeros(m)
                 if work:
                     out[work] = np.maximum(lam, 0.0)
@@ -170,9 +206,7 @@ def _active_set_qp(H, g, A, b):
         curv = -float(A[j].dot(dp))
         slack = float(A[j].dot(p) - b[j])
         # a row dependent on the working rows leaves dp at rounding level
-        dependent = curv <= 0.0 or float(np.maximum.reduce(np.abs(dp))) <= 1e-12 * float(
-            np.maximum.reduce(np.abs(sol))
-        )
+        dependent = curv <= 0.0 or _max_abs(dp) <= 1e-12 * _max_abs(sol)
         t_full = math.inf if dependent else slack / curv
         shrink = np.flatnonzero(dlam < 0.0)
         # Python floats: a ratio over a subnormal dlam overflows to +inf
@@ -204,19 +238,29 @@ def _active_set_qp(H, g, A, b):
 def _bound_rows(problem: NlpProblem):
     """Box bounds as rows A and offsets c of A p <= c - A z around iterate z.
 
-    Each bounded coordinate gives an upper row, then a lower row.
+    Each bounded coordinate gives an upper row, then a lower row. Both are
+    built once per box and read-only: a receding-horizon controller hands
+    every period's solve the same box. The key is the bounds' bytes, which
+    tell -0.0 from 0.0 where == does not.
     """
-    n = problem.dimension
+    return _box_rows(problem.dimension, problem.upper_bounds.tobytes(), problem.lower_bounds.tobytes())
+
+
+@functools.lru_cache(maxsize=64)
+def _box_rows(n: int, upper: bytes, lower: bytes):
     eye = np.eye(n)
     rows = np.empty((2 * n, n))
     rows[0::2] = eye
     # -eye, not a zero fill: its off-diagonal entries are -0.0
     rows[1::2] = -eye
     offsets = np.empty(2 * n)
-    offsets[0::2] = problem.upper_bounds
-    offsets[1::2] = -problem.lower_bounds
+    offsets[0::2] = np.frombuffer(upper)
+    offsets[1::2] = -np.frombuffer(lower)
     bounded = offsets < _UNBOUNDED
-    return rows[bounded], offsets[bounded]
+    rows, offsets = rows[bounded], offsets[bounded]
+    rows.setflags(write=False)
+    offsets.setflags(write=False)
+    return rows, offsets
 
 
 def _qp_hessian(H):
@@ -230,9 +274,7 @@ def _qp_hessian(H):
         inv = np.linalg.inv(H)
     except np.linalg.LinAlgError:
         return np.eye(H.shape[0])
-    cond = float(np.maximum.reduce(np.add.reduce(np.abs(H)))) * float(
-        np.maximum.reduce(np.add.reduce(np.abs(inv)))
-    )
+    cond = _nan_max(_abs_column_sums(H)) * _nan_max(_abs_column_sums(inv))
     # not <=, so that a non-finite H (a NaN or inf cond) resets too
     if not cond <= _HESSIAN_COND_RESET:
         return np.eye(H.shape[0])
@@ -241,10 +283,17 @@ def _qp_hessian(H):
 
 def _kkt_residual(g, A, b, lam):
     """Largest KKT violation at p = 0 of the rows A p <= b with multipliers
-    lam: stationarity, or a row's infeasibility -b or complementarity |lam b|."""
-    res = float(np.maximum.reduce(np.abs(g + A.T.dot(lam))))
+    lam: stationarity, or a row's infeasibility -b or complementarity |lam b|.
+    A NaN in the stationarity part gives NaN; one in the rows' part only
+    leaves the stationarity part, as max(res, NaN) is res."""
+    res = _max_abs(g + A.T.dot(lam))
     if b.size:
-        res = max(res, float(np.maximum.reduce(np.maximum(-b, np.abs(lam * b)))))
+        rows = []
+        for bi, li in zip(b.tolist(), lam.tolist()):
+            # np.maximum(-b_i, |lam_i b_i|): NaN if either is, else on a tie the second
+            neg, comp = -bi, abs(li * bi)
+            rows.append(neg if neg > comp else comp)
+        res = max(res, _nan_max(rows))
     return res
 
 
@@ -321,7 +370,7 @@ def minimize(
         hess = np.asarray(hess, dtype=float)
         if hess.shape != (n, n):
             raise ValueError(f"objective Hessian must be a {n}x{n} matrix, got shape {hess.shape}")
-        if not np.isfinite(hess).all():
+        if not all(map(math.isfinite, hess.ravel().tolist())):
             raise ValueError("objective Hessian must be finite")
         return float(f), grad, hess
 
@@ -373,7 +422,7 @@ def minimize(
         p, lam_new = _active_set_qp(H, g, A, b)
         iters += 1
         # with the same multipliers, a tiny step can be the last ulp to a bound
-        if float(np.maximum.reduce(np.abs(p))) <= 1e-14 and not np.array_equal(lam, lam_new):
+        if _max_abs(p) <= 1e-14 and not np.array_equal(lam, lam_new):
             lam = lam_new
             continue
         mu = max(mu, 2.0 * float(np.maximum.reduce(np.abs(lam_new[:m])) if m else 0.0) + 1.0)

@@ -285,3 +285,36 @@ def test_run_csv_independent_of_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_run_csv_independent_of_the_runs_before_it_in_the_process(tmp_path):
+    # criterion 9 across configs whose solves build per-config constants: in
+    # one process, each run's CSV is the bytes of the same config's run in a
+    # fresh process. u_max 0.0 and -0.0 compare equal, but their input boxes
+    # differ in the sign of zero.
+    variants = {
+        "u_max_0": "mpc.u_max = 0.0\n",
+        "u_max_minus_0": "mpc.u_max = -0.0\n",
+        "q_diag": "mpc.q_diag = 0.1 0.1 10 0.1\n",
+        "r": "mpc.r = 0.05\n",
+        "kc": "mpc.kc = 2\n",
+        "default": "",
+    }
+    for name, text in variants.items():
+        path = tmp_path / f"{name}.cfg"
+        path.write_text("run.duration = 1.0\n" + text, encoding="utf-8")
+        config = harness.load_config(str(path), {"controller": "classical"})
+        log, _ = harness.run_scenario(config)
+        harness.export_csv(log, str(tmp_path / f"{name}_in_process.csv"))
+    for name in variants:
+        fresh = tmp_path / f"{name}_fresh.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "afmpc", "run", "--config", str(tmp_path / f"{name}.cfg"),
+             "--controller", "classical", "--out", str(fresh)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=checkout_env(),
+        )
+        assert proc.returncode in (cli.EXIT_OK, cli.EXIT_DIVERGED), proc.stderr
+        assert (tmp_path / f"{name}_in_process.csv").read_bytes() == fresh.read_bytes(), name

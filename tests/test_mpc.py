@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -405,6 +406,58 @@ def test_solve_step_validates_warm_start_length():
     x_ref = np.zeros((cfg.prediction_horizon, 4))
     with pytest.raises(ValueError, match="warm start must have length 3"):
         mpc.solve_step(model, np.zeros(4), x_ref, cfg, np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "name, shape",
+    [("d", (3,)), ("d", (7,)), ("d", (1,)), ("d", ()), ("d", (5, 1)),
+     ("x_ref", (6, 4)), ("x_ref", (4,)), ("x_ref", (1, 4)), ("x_ref", (5, 3))],
+)
+def test_solve_step_names_a_mis_sized_horizon_input(name, shape):
+    # each of these once failed deep in numpy, with a broadcast or an
+    # alignment error, or was broadcast over the horizon without a word
+    cfg = mpc.MpcConfig()
+    model = mpc.NominalPredictor(COEFFS, cfg.dt)
+    inputs = {"x_ref": np.zeros((5, 4)), "d": np.zeros(5)}
+    inputs[name] = np.zeros(shape)
+    want = r"\(prediction_horizon,\) = \(5,\)" if name == "d" else r"\(prediction_horizon, 4\) = \(5, 4\)"
+    with pytest.raises(ValueError, match=rf"^{name} must have shape {want}, got {re.escape(str(shape))}$"):
+        mpc.solve_step(model, np.zeros(4), inputs["x_ref"], cfg, np.zeros(3), inputs["d"])
+
+
+def test_solve_step_takes_horizon_inputs_of_the_right_shape_in_any_form():
+    # lists and the default d = None are the arrays they stand for
+    cfg = mpc.MpcConfig()
+    model = mpc.NominalPredictor(COEFFS, cfg.dt)
+    x = np.array([0.2, -0.5, 0.3, 1.0])
+    want = mpc.solve_step(model, x, np.zeros((5, 4)), cfg, np.zeros(3), np.zeros(5))
+    for x_ref, d in (([[0.0] * 4] * 5, [0.0] * 5), (np.zeros((5, 4)), None)):
+        got = mpc.solve_step(model, x, x_ref, cfg, np.zeros(3), d)
+        assert got.optimized_sequence.tobytes() == want.optimized_sequence.tobytes()
+        assert (got.predicted_cost, got.solver_status, got.evaluations) == (
+            want.predicted_cost, want.solver_status, want.evaluations
+        )
+
+
+def test_solve_constants_are_built_once_per_config_and_read_only():
+    cfg = mpc.MpcConfig(input_bound=2.0)
+    consts = cfg._solve_constants
+    assert cfg._solve_constants is consts
+    assert consts.weights.tolist() == list(cfg.state_weight)
+    assert consts.w2.shape == (4, 1) and consts.w2.ravel().tolist() == [0.2] * 4
+    assert consts.r2 == 0.6 and consts.r2_eye.tobytes() == (0.6 * np.eye(3)).tobytes()
+    assert consts.lower.tolist() == [-2.0] * 3 and consts.upper.tolist() == [2.0] * 3
+    assert (consts.settings.kkt_tolerance, consts.settings.max_iterations) == (1e-4, 2)
+    for array in (consts.weights, consts.w2, consts.r2_eye, consts.lower, consts.upper):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    # an equal config is another instance with its own constants; the zero
+    # bound keeps its sign, which == does not see
+    assert mpc.MpcConfig(input_bound=2.0)._solve_constants is not consts
+    plus, minus = mpc.MpcConfig(input_bound=0.0), mpc.MpcConfig(input_bound=-0.0)
+    assert plus == minus
+    assert plus._solve_constants.upper.tobytes() == np.zeros(3).tobytes()
+    assert minus._solve_constants.upper.tobytes() == np.full(3, -0.0).tobytes()
 
 
 def test_solve_step_applies_first_input_within_bounds():

@@ -315,6 +315,24 @@ def test_bound_rows_match_written_out_rows(pairs):
     assert offsets.tobytes() == np.array(want_offsets, dtype=float).tobytes()
 
 
+def test_bound_rows_are_built_once_per_box_and_read_only():
+    def box(lo, hi):
+        return NlpProblem(2, lambda z: 0.0, lower_bounds=np.array(lo), upper_bounds=np.array(hi))
+
+    rows, offsets = _bound_rows(box([-1.0, -2.0], [1.0, 2.0]))
+    for array in (rows, offsets):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 5.0
+    # the same box, from other arrays, gets the same rows
+    again = _bound_rows(box([-1.0, -2.0], [1.0, 2.0]))
+    assert again[0] is rows and again[1] is offsets
+    # a box of zeros keeps the sign of each: 0.0 == -0.0, but the rows differ
+    plus = _bound_rows(box([-0.0, -0.0], [0.0, 0.0]))[1]
+    minus = _bound_rows(box([0.0, 0.0], [-0.0, -0.0]))[1]
+    assert plus.tobytes() == np.array([0.0, 0.0, 0.0, 0.0]).tobytes()
+    assert minus.tobytes() == np.array([-0.0, -0.0, -0.0, -0.0]).tobytes()
+
+
 def box_qp(Q, q, lb, ub) -> NlpProblem:
     return NlpProblem(
         len(q),
@@ -884,3 +902,166 @@ def test_qp_hessian_reset_matches_the_rule(H):
     assert (out is not H) == reset
     if reset:
         assert np.array_equal(out, np.eye(H.shape[0]))
+
+
+# NaN semantics of the QP helpers, pinned: each reduction over a small
+# vector propagates a NaN wherever it sits, as np.maximum.reduce does, where
+# Python's max() keeps a NaN only in first place.
+BOX_A = np.array([[1.0, 0.0, 0.0], [-1.0, -0.0, -0.0], [0.0, 1.0, 0.0],
+                  [-0.0, -1.0, -0.0], [0.0, 0.0, 1.0], [-0.0, -0.0, -1.0]])
+
+
+@pytest.mark.parametrize("pos", range(6))
+def test_kkt_residual_is_nan_for_a_nan_gradient_or_multiplier(pos):
+    residual = nlp_optimizer._kkt_residual
+    g, b, lam = np.array([1.0, -4.0, 0.5]), np.array([-5.0, 2.0, 3.0, 1.0, 0.5, 2.0]), np.zeros(6)
+    g_nan = g.copy()
+    g_nan[pos % 3] = math.nan
+    assert math.isnan(residual(g_nan, BOX_A, b, lam))
+    lam_nan = np.array([0.0, 0.5, 0.0, 0.0, 2.0, 0.0])
+    lam_nan[pos] = math.nan
+    assert math.isnan(residual(g, BOX_A, b, lam_nan))
+
+
+@pytest.mark.parametrize("pos", range(6))
+def test_kkt_residual_with_a_nan_offset_is_its_stationarity_part(pos):
+    # the rows' part is NaN, and max(stationarity, NaN) keeps the
+    # stationarity part, here 4; a NaN-blind maximum over the rows would
+    # take the infeasibility 5 of the row with offset -5 instead
+    b = np.array([-5.0, 2.0, 3.0, 1.0, 0.5, 2.0])
+    b[pos] = math.nan
+    g = np.array([1.0, -4.0, 0.5])
+    got = nlp_optimizer._kkt_residual(g, BOX_A, b, np.zeros(6))
+    assert got == 4.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("pos", range(9))
+def test_qp_hessian_resets_a_non_finite_matrix_to_the_identity(pos, value):
+    H = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+    H.flat[pos] = value
+    with np.errstate(invalid="ignore"):
+        out = _qp_hessian(H)
+    assert out.tobytes() == np.eye(3).tobytes()
+
+
+@pytest.mark.parametrize("pos", range(3))
+def test_active_set_qp_on_a_nan_gradient_names_the_first_row(pos):
+    g = np.array([1.0, -4.0, 0.5])
+    g[pos] = math.nan
+    b = np.array([5.0, 5.0, 5.0, 5.0, 5.0, 5.0])
+    with pytest.raises(QpInfeasibleError, match=r"^QP infeasible: no finite step makes row 0 feasible \(violation nan\)$"):
+        _active_set_qp(2.0 * np.eye(3), g, BOX_A, b)
+
+
+@pytest.mark.parametrize("pos", range(6))
+def test_active_set_qp_on_a_nan_offset_names_its_row(pos):
+    # every other row holds; the NaN row's violation is NaN, which no
+    # feasibility test passes
+    b = np.array([5.0, 5.0, 5.0, 5.0, 5.0, 5.0])
+    b[pos] = math.nan
+    with pytest.raises(QpInfeasibleError, match=rf"^QP infeasible: no finite step makes row {pos} feasible \(violation nan\)$"):
+        _active_set_qp(2.0 * np.eye(3), np.array([1.0, -4.0, 0.5]), BOX_A, b)
+
+
+@pytest.mark.parametrize("pos", range(3))
+def test_minimize_on_a_nan_gradient(pos):
+    def objective(z):
+        g = 2.0 * z - 1.0
+        g[pos] = math.nan
+        return float(z @ z), g, 2.0 * np.eye(3)
+
+    z0 = np.array([0.5, -0.5, 1.0])
+    # a box: the first QP raises, naming the first row
+    boxed = NlpProblem(3, objective, lower_bounds=-np.ones(3), upper_bounds=np.ones(3), exact_gradient=True)
+    with pytest.raises(QpInfeasibleError, match="row 0 feasible"):
+        minimize(boxed, z0, SolverSettings(kkt_tolerance=1e-4, max_iterations=2))
+    # no bounds: each NaN step fails its line search, and two failed
+    # searches stall the run at z0, whose NaN residual was never the best
+    sol = minimize(NlpProblem(3, objective, exact_gradient=True), z0)
+    assert sol.status == "stalled" and sol.iterations == 2
+    assert sol.kkt_residual == math.inf and sol.minimizer.tolist() == z0.tolist()
+    assert sol.objective_evaluations == 1 + 2 * _MAX_BACKTRACKS
+
+
+def test_minimize_on_a_nan_bound():
+    # the problem rejects a NaN bound; one written in afterwards drops its
+    # row (NaN is not below 1e19) and clips its coordinate of z0 to NaN,
+    # which leaves every other row's offset NaN and the first QP raises
+    with pytest.raises(ValueError, match="no bound may be NaN"):
+        NlpProblem(2, lambda z: (float(z @ z), 2.0 * z, 2.0 * np.eye(2)),
+                   upper_bounds=np.array([1.0, math.nan]), exact_gradient=True)
+    problem = NlpProblem(2, lambda z: (float(z @ z), 2.0 * z, 2.0 * np.eye(2)),
+                         lower_bounds=-np.ones(2), upper_bounds=np.ones(2), exact_gradient=True)
+    problem.upper_bounds[1] = math.nan
+    with pytest.raises(QpInfeasibleError, match=r"row 0 feasible \(violation nan\)"):
+        minimize(problem, np.array([0.5, 0.5]))
+
+
+# The QP helpers reduce their few entries on Python floats; numpy's
+# reductions, which they replaced, are the reference here.
+any_float = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e308]))
+
+
+def same_float(got: float, want: float) -> bool:
+    return (math.isnan(got) and math.isnan(want)) or np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@hyp_settings(max_examples=300, deadline=None)
+@given(values=st.lists(any_float, min_size=1, max_size=12))
+def test_nan_max_is_numpys_maximum_reduce(values):
+    want = float(np.maximum.reduce(np.array(values)))
+    got = nlp_optimizer._nan_max(values)
+    # equal entries, 0.0 and -0.0, may differ in sign; magnitudes agree in bits
+    assert got == want or (math.isnan(got) and math.isnan(want))
+    assert same_float(nlp_optimizer._nan_max([abs(v) for v in values]), float(np.maximum.reduce(np.abs(values))))
+
+
+@hyp_settings(max_examples=200, deadline=None)
+@given(data=st.data(), order=st.sampled_from("CF"))
+def test_abs_column_sums_are_numpys_bit_for_bit(data, order):
+    n = data.draw(st.integers(1, 10))
+    entries = data.draw(st.lists(any_float, min_size=n * n, max_size=n * n))
+    M = np.array(entries).reshape(n, n).copy(order=order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.add.reduce(np.abs(M)).tolist()
+        got = nlp_optimizer._abs_column_sums(M)
+    assert all(same_float(a, b) for a, b in zip(got, want, strict=True))
+
+
+@hyp_settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_kkt_residual_is_its_numpy_formula(data):
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(0, 2 * n))
+    g = np.array(data.draw(st.lists(any_float, min_size=n, max_size=n)))
+    b = np.array(data.draw(st.lists(any_float, min_size=m, max_size=m)))
+    lam = np.array(data.draw(st.lists(any_float, min_size=m, max_size=m)))
+    A = np.array(data.draw(st.lists(st.sampled_from([1.0, -1.0, 0.0, -0.0, 0.5]), min_size=m * n, max_size=m * n))).reshape(m, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = float(np.maximum.reduce(np.abs(g + A.T.dot(lam))))
+        if m:
+            want = max(want, float(np.maximum.reduce(np.maximum(-b, np.abs(lam * b)))))
+        got = nlp_optimizer._kkt_residual(g, A, b, lam)
+    assert same_float(got, want)
+
+
+@hyp_settings(max_examples=200, deadline=None)
+@given(entries=st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1e-12, 1e12])), min_size=9, max_size=9))
+def test_qp_hessian_decides_as_numpys_condition_number(entries):
+    H = np.array(entries).reshape(3, 3)
+    H = H @ H.T  # symmetric, positive semidefinite, at times singular
+    try:
+        inv = np.linalg.inv(H)
+    except np.linalg.LinAlgError:
+        keep = False
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            cond = float(np.maximum.reduce(np.add.reduce(np.abs(H)))) * float(
+                np.maximum.reduce(np.add.reduce(np.abs(inv)))
+            )
+        keep = cond <= 1e10
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _qp_hessian(H)
+    assert (out is H) == keep
+    assert keep or out.tobytes() == np.eye(3).tobytes()

@@ -54,13 +54,25 @@ def test_interleave_solves_compares_the_tree_with_itself():
     assert ratios and all(float(r) > 0.0 for r in ratios.groups())
     # one tree, loaded twice under two names, solves every period alike
     assert lines[4] == "same results: yes"
+    # then each tree's solves once more, their rollouts answered from a
+    # record: the fixed cost, below the whole solve's
+    fixed = re.fullmatch(
+        r"fixed cost with recorded rollouts, per-solve minima: A p50 (\S+) us, sum (\S+) ms;"
+        r" B p50 (\S+) us, sum (\S+) ms; B/A p50 (\S+), sum (\S+)",
+        lines[5],
+    )
+    assert fixed and all(float(v) > 0.0 for v in fixed.groups())
+    pa, sa, pb, sb, ratio_p50, ratio_sum = map(float, fixed.groups())
+    solves = re.fullmatch(r"A \S+: p50 (\S+) us, sum (\S+) ms, .*", lines[1])
+    assert sa < float(solves.group(2))
+    assert abs(pb / pa - ratio_p50) <= 1e-3 and abs(sb / sa - ratio_sum) <= 1e-3
     # then each tree's whole run, its solves answered from its own record
     loop = re.fullmatch(
-        r"period loop with recorded solves, minima: A (\S+) ms, B (\S+) ms, B/A (\S+)", lines[5]
+        r"period loop with recorded solves, minima: A (\S+) ms, B (\S+) ms, B/A (\S+)", lines[6]
     )
     assert loop and all(float(v) > 0.0 for v in loop.groups())
     assert abs(float(loop.group(2)) / float(loop.group(1)) - float(loop.group(3))) <= 1e-3
-    assert lines[6:] == ["same logs: yes"]
+    assert lines[7:] == ["same logs: yes"]
 
 
 def test_interleave_solves_replays_a_run_and_tells_logs_apart_by_one_bit(tool):

@@ -19,6 +19,15 @@ from a larger one. Every replay gets a fresh
 copy of its predictor, so caches the predictor builds on first use are
 paid as in the closed-loop run.
 
+Then each repetition replays every solve of A and of B once more, in the
+same alternating order, with predict_trajectory answered from that tree's
+own rollouts, recorded in one untimed replay and keyed by the bytes of x0,
+U and d and the sensitivities flag. Its time is thus the solve's fixed
+cost: everything a solve does outside predict_trajectory (the lookup of
+a recorded rollout included). The script prints each tree's p50 and sum of
+the per-solve minima, and the ratios B/A. A replay that does not return
+its tree's own solve result, bit for bit, stops the script.
+
 Then each repetition runs each tree's whole default run once more, A and
 B in turn in the same alternating order, with every solve_step call
 answered by that tree's own recorded ControlStep in place of a solve. Its
@@ -94,6 +103,51 @@ def replay(pkg, call) -> tuple[int, tuple, int]:
     step = solve_step(*args, **kwargs)
     t1 = time.perf_counter_ns()
     return t1 - t0, (step.applied_input, step.predicted_cost), step.evaluations
+
+
+def rollout_key(x0, U, d, sensitivities) -> tuple:
+    """The key of one predict_trajectory call: the bytes of its arrays."""
+    return x0.tobytes(), U.tobytes(), d.tobytes(), bool(sensitivities)
+
+
+def record_rollouts(pkg, call) -> dict:
+    """Replay one recorded solve untimed; returns every predict_trajectory
+    result it got, keyed by rollout_key and made read-only."""
+    mpc = pkg.mpc
+    predict = mpc.predict_trajectory
+    rollouts = {}
+
+    def recording(model, x0, U, d, sensitivities=False):
+        out = predict(model, x0, U, d, sensitivities)
+        for array in out if sensitivities else (out,):
+            array.setflags(write=False)
+        rollouts[rollout_key(x0, U, d, sensitivities)] = out
+        return out
+
+    mpc.predict_trajectory = recording
+    try:
+        replay(pkg, call)
+    finally:
+        mpc.predict_trajectory = predict
+    return rollouts
+
+
+def replay_fixed(pkg, call, rollouts) -> tuple[int, tuple]:
+    """One timed solve whose rollouts are answered from rollouts (see
+    record_rollouts): (ns, (input, cost))."""
+    args, kwargs = call
+    mpc = pkg.mpc
+    predict = mpc.predict_trajectory
+    mpc.predict_trajectory = lambda model, x0, U, d, sensitivities=False: rollouts[
+        rollout_key(x0, U, d, sensitivities)
+    ]
+    try:
+        t0 = time.perf_counter_ns()
+        step = mpc.solve_step(*args, **kwargs)
+        t1 = time.perf_counter_ns()
+    finally:
+        mpc.predict_trajectory = predict
+    return t1 - t0, (step.applied_input, step.predicted_cost)
 
 
 def replay_run(pkg, run) -> tuple[int, object]:
@@ -178,6 +232,23 @@ def main(argv=None) -> int:
     print(f"B/A: p50 {stats[1][0] / stats[0][0]:.4f}, sum {stats[1][1] / stats[0][1]:.4f}")
     for line in result_lines(*results):
         print(line)
+
+    recorded = [[record_rollouts(pkg, call) for call in tree_calls[:n]]
+                for pkg, tree_calls in zip(trees, calls)]
+    fixed = [[float("inf")] * n for _ in trees]
+    for rep in range(args.reps):
+        order = (0, 1) if rep % 2 == 0 else (1, 0)
+        for i in range(n):
+            for t in order:
+                ns, result = replay_fixed(trees[t], calls[t][i], recorded[t][i])
+                if result != results[t][i]:
+                    raise SystemExit(f"tree {'AB'[t]}, solve {i}: the replay with recorded "
+                                     "rollouts returned another result")
+                fixed[t][i] = min(fixed[t][i], ns)
+    fixed_stats = [(statistics.median(ns) / 1e3, sum(ns) / 1e6) for ns in fixed]
+    (pa, sa), (pb, sb) = fixed_stats
+    print(f"fixed cost with recorded rollouts, per-solve minima: A p50 {pa:.1f} us, sum {sa:.2f} ms;"
+          f" B p50 {pb:.1f} us, sum {sb:.2f} ms; B/A p50 {pb / pa:.4f}, sum {sb / sa:.4f}")
 
     loop_best = [float("inf"), float("inf")]
     logs = [None, None]
