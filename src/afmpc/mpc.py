@@ -372,7 +372,8 @@ def solve_step(
         raise ValueError(f"warm start must have length {kc}")
 
     evals = 0
-    _, w2, r2_eye, lower, upper, r2, settings = config._solve_constants
+    consts = config._solve_constants
+    w2, r2_eye, r2 = consts.w2, consts.r2_eye, consts.r2
 
     def cost(U: np.ndarray) -> float:
         nonlocal evals
@@ -414,13 +415,13 @@ def solve_step(
     problem = NlpProblem(
         dimension=kc,
         objective=cost_and_gradient,
-        lower_bounds=lower,
-        upper_bounds=upper,
+        lower_bounds=consts.lower,
+        upper_bounds=consts.upper,
         exact_gradient=True,
     )
     warm_cost, warm_start = rollout(warm)
     try:
-        sol = minimize(problem, warm, settings, start=warm_start)
+        sol = minimize(problem, warm, consts.settings, start=warm_start)
         status = sol.status
         sequence = sol.minimizer
         final_cost = cost(sequence)

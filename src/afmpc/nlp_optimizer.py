@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -127,20 +126,6 @@ def _nan_max(values: list) -> float:
 def _max_abs(a: np.ndarray) -> float:
     """np.maximum.reduce(np.abs(a)) of a vector of a few entries, on Python floats."""
     return _nan_max([abs(v) for v in a.tolist()])
-
-
-def _abs_column_sums(M: np.ndarray) -> list:
-    """np.add.reduce(np.abs(M)), each column's sum of magnitudes, as floats.
-    On a C-ordered M numpy adds them from the first row down, which a loop
-    over the rows repeats, bit for bit, at less overhead; another layout,
-    which numpy may sum pairwise, keeps numpy's sum."""
-    if not M.flags.c_contiguous:
-        return np.add.reduce(np.abs(M)).tolist()
-    rows = np.abs(M).tolist()
-    sums = rows[0]
-    for row in rows[1:]:
-        sums = list(map(operator.add, sums, row))
-    return sums
 
 
 def _differences(fun, z):
@@ -274,7 +259,7 @@ def _qp_hessian(H):
         inv = np.linalg.inv(H)
     except np.linalg.LinAlgError:
         return np.eye(H.shape[0])
-    cond = _nan_max(_abs_column_sums(H)) * _nan_max(_abs_column_sums(inv))
+    cond = _nan_max(np.add.reduce(np.abs(H)).tolist()) * _nan_max(np.add.reduce(np.abs(inv)).tolist())
     # not <=, so that a non-finite H (a NaN or inf cond) resets too
     if not cond <= _HESSIAN_COND_RESET:
         return np.eye(H.shape[0])

@@ -1017,18 +1017,6 @@ def test_nan_max_is_numpys_maximum_reduce(values):
     assert same_float(nlp_optimizer._nan_max([abs(v) for v in values]), float(np.maximum.reduce(np.abs(values))))
 
 
-@hyp_settings(max_examples=200, deadline=None)
-@given(data=st.data(), order=st.sampled_from("CF"))
-def test_abs_column_sums_are_numpys_bit_for_bit(data, order):
-    n = data.draw(st.integers(1, 10))
-    entries = data.draw(st.lists(any_float, min_size=n * n, max_size=n * n))
-    M = np.array(entries).reshape(n, n).copy(order=order)
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = np.add.reduce(np.abs(M)).tolist()
-        got = nlp_optimizer._abs_column_sums(M)
-    assert all(same_float(a, b) for a, b in zip(got, want, strict=True))
-
-
 @hyp_settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_kkt_residual_is_its_numpy_formula(data):
