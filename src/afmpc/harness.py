@@ -66,6 +66,12 @@ CONTROLLERS = ("classical", "afmpc")
 _STEP_SMOOTH_WINDOW = 0.5  # seconds of quintic ramp after the step time
 
 
+# the end of RK4's stability interval on the negative real axis, -2.7853: the
+# nonzero real root of 1 + z + z^2/2 + z^3/6 + z^4/24 = 1, RK4's growth factor
+# per step of a mode x' = z x / h; a step whose z lies beyond it grows the mode
+_RK4_REAL_LIMIT = 2.785293563405289
+
+
 class ConfigError(ValueError):
     """Invalid scenario configuration; message lists every problem found."""
 
@@ -240,6 +246,7 @@ def _build_config(flat: dict) -> ScenarioConfig:
         return built[name]
 
     plant = section("plant")
+    true_coeffs = None if plant is None else derive_coefficients(plant)
     mpc_cfg = section("mpc")
     for i in (1, 2, 3, 4):
         lo, hi = flat[f"fuzzy.range_x{i}"]
@@ -277,7 +284,7 @@ def _build_config(flat: dict) -> ScenarioConfig:
         # and w^2; w^2 may overflow them or underflow to a 0 that raises
         with np.errstate(all="ignore"):
             try:
-                x0_ok = np.isfinite(state_reference(reference, derive_coefficients(plant), 0.0)).all()
+                x0_ok = np.isfinite(state_reference(reference, true_coeffs, 0.0)).all()
             except ZeroDivisionError:
                 x0_ok = False
         if not x0_ok:
@@ -285,7 +292,7 @@ def _build_config(flat: dict) -> ScenarioConfig:
     if flat["reference.step_time"] < 0.0:
         errors.append("reference.step_time: must be non-negative")
     section("disturbance")
-    section("mismatch")
+    mismatch = section("mismatch")
     for key in _FIELD_KEYS["mismatch"].values():
         if flat[key] <= 0.0:
             errors.append(f"{key}: factor must be positive")
@@ -301,6 +308,22 @@ def _build_config(flat: dict) -> ScenarioConfig:
         elif not _whole_multiple(flat["run.duration"], mpc_cfg.dt):
             # build_closed_loop would round the period count without a word
             errors.append("run.duration: must be a whole number of control periods")
+    if plant is not None:
+        # each model's fastest decay, a_p or c1 / J1 (a1 = -a_p, a4 = -c1 / J1),
+        # over one RK4 step: the plant's at run.dt, the predictor's
+        # mismatched coefficients' at mpc.dt
+        steps = [("run.dt", flat["run.dt"], true_coeffs, "a_p, c1 / J1")]
+        if mpc_cfg is not None:
+            steps.append(
+                ("mpc.dt", mpc_cfg.dt, mismatch.apply(true_coeffs), "a_p * mismatch.a1, c1 / J1 * mismatch.a4")
+            )
+        for key, h, c, rates in steps:
+            reach = h * max(-c.a1, -c.a4)
+            if reach > _RK4_REAL_LIMIT:
+                errors.append(
+                    f"{key}: {key} * max({rates}) is {reach:.4g}, beyond RK4's stability limit"
+                    f" {_RK4_REAL_LIMIT:.4g}"
+                )
     if flat["run.seed"] < 0:
         errors.append("run.seed: must be non-negative")
     if errors:
@@ -386,6 +409,16 @@ def dump_config(flat: Optional[dict] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _sinusoid(spec: ReferenceSpec, t):
+    """A sinusoid reference's y and y' at the times t, with w and the
+    sin(w t) and cos(w t) they come from."""
+    w = 2.0 * math.pi * spec.frequency
+    wt = w * np.asarray(t, dtype=float)
+    sin_wt, cos_wt = np.sin(wt), np.cos(wt)
+    a = spec.amplitude
+    return a * sin_wt, a * w * cos_wt, w, sin_wt, cos_wt
+
+
 def reference_trajectory(spec: ReferenceSpec, t):
     """Reference output y and its time derivative at the times t, as (y, y').
 
@@ -401,8 +434,7 @@ def reference_trajectory(spec: ReferenceSpec, t):
         return (zero, zero)
     a = spec.amplitude
     if spec.kind == "sinusoid":
-        w = 2.0 * math.pi * spec.frequency
-        return (a * np.sin(w * t), a * w * np.cos(w * t))
+        return _sinusoid(spec, t)[:2]
     # step: quintic ramp over a fixed smoothing window, flat before and after
     tau = (t - spec.step_time) / _STEP_SMOOTH_WINDOW
     before, after = t < spec.step_time, tau >= 1.0
@@ -423,21 +455,20 @@ def state_reference(spec: ReferenceSpec, coeffs: CoeffSet, t) -> np.ndarray:
     dynamically realizable (linearized about upright); otherwise the arm
     reference is zero and only the output channels are meaningful.
     """
-    y, yd = reference_trajectory(spec, t)
     if (
         spec.consistent_arm
         and spec.kind == "sinusoid"
         and spec.frequency > 0.0
         and spec.amplitude != 0.0
     ):
-        w = 2.0 * math.pi * spec.frequency
+        # the output's sin(w t) and cos(w t) serve the arm channels too
+        y, yd, w, sin_wt, cos_wt = _sinusoid(spec, t)
         a = spec.amplitude
         ratio = coeffs.b1 / coeffs.b2
-        wt = w * np.asarray(t, dtype=float)
-        sin_wt, cos_wt = np.sin(wt), np.cos(wt)
         x2r = ratio * (a * (w * w + coeffs.a3) / w * cos_wt - coeffs.a4 * a * sin_wt)
         x1r = ratio * (a * (w * w + coeffs.a3) / (w * w) * sin_wt + coeffs.a4 * a / w * cos_wt)
     else:
+        y, yd = reference_trajectory(spec, t)
         x1r = x2r = np.zeros_like(y)
     # rows in C order, so that each time's reference is contiguous
     return np.array([x1r, x2r, y, yd]).T.copy()

@@ -182,29 +182,29 @@ class AdaptiveFuzzyPredictor:
         g_floor = fuz.g_floor
         sums = self._jacobian_sums
 
-        def field_fn(s, dd: float, linearize: bool = False):
+        def field_fn(x1, x2, x3, x4, dd: float, linearize: bool = False):
             # v holds f_hat, the raw g_hat, then (theta_f o eps)' M,
             # (theta_g o eps)' M and eps' M
-            v = fz.basis(fuz, s).dot(sums).tolist()
+            v = fz.basis(fuz, (x1, x2, x3, x4)).dot(sums).tolist()
             f_est, g_raw = v[0], v[1]
             clamped = g_raw < g_floor
             g_est = g_floor if clamped else g_raw
-            k = (s[1], a1 * s[1] + b1 * u, s[3], f_est + g_est * (u + dd))
+            k = (x2, a1 * x2 + b1 * u, x4, f_est + g_est * (u + dd))
             if not linearize:
                 return k
             # gradient of the x4 derivative, d f_hat/dx_j + (u + d) d g_hat/dx_j,
             # de the j-th entry of eps' D
             ud = 0.0 if clamped else u + dd
-            tx = 2.0 * s[0]
+            tx = 2.0 * x1
             de = tx * v[18] + v[22]
             r1 = (tx * v[2] + v[6]) - f_est * de + ud * ((tx * v[10] + v[14]) - g_raw * de)
-            tx = 2.0 * s[1]
+            tx = 2.0 * x2
             de = tx * v[19] + v[23]
             r2 = (tx * v[3] + v[7]) - f_est * de + ud * ((tx * v[11] + v[15]) - g_raw * de)
-            tx = 2.0 * s[2]
+            tx = 2.0 * x3
             de = tx * v[20] + v[24]
             r3 = (tx * v[4] + v[8]) - f_est * de + ud * ((tx * v[12] + v[16]) - g_raw * de)
-            tx = 2.0 * s[3]
+            tx = 2.0 * x4
             de = tx * v[21] + v[25]
             r4 = (tx * v[5] + v[9]) - f_est * de + ud * ((tx * v[13] + v[17]) - g_raw * de)
 
@@ -233,10 +233,12 @@ def predict_trajectory(model, x0: np.ndarray, U: np.ndarray, d: np.ndarray, sens
     ValueError when x0 or a predicted state is not 4 floats.
 
     With sensitivities, returns (states, S) with S[p] = dx_p/dU, shape
-    (len(d), 4, len(U)): each predictor call also carries one tangent per
-    input U_j that has reached slot p through its RK4 stages (the later
-    ones are still zero). The states are those of the plain rollout, bit
-    for bit. A non-finite sensitivity counts as divergence too.
+    (len(d), 4, len(U)) and C-ordered, so that solve_step's reshape to
+    (len(d) * 4, len(U)) is a view: each predictor call also carries one
+    tangent per input U_j that has reached slot p through its RK4 stages
+    (the later ones are still zero). The states are those of the plain
+    rollout, bit for bit. A non-finite sensitivity counts as divergence
+    too.
     """
     U = np.atleast_1d(np.asarray(U, dtype=float))
     d = np.atleast_1d(np.asarray(d, dtype=float))
@@ -282,7 +284,8 @@ def predict_trajectory(model, x0: np.ndarray, U: np.ndarray, d: np.ndarray, sens
         return states
     if not all(map(math.isfinite, flat)):
         raise PredictionDivergenceError("prediction sensitivities diverged")
-    return states, np.array(flat).reshape(kp, kc, 4).transpose(0, 2, 1)
+    # one copy to C order: packing (4, kc) rows in Python costs more
+    return states, np.array(flat).reshape(kp, kc, 4).transpose(0, 2, 1).copy()
 
 
 def horizon_cost(err: np.ndarray, u: np.ndarray, config: MpcConfig) -> float:
@@ -393,7 +396,7 @@ def solve_step(
             states, sens = predict_trajectory(model, x_k, U, d, sensitivities=True)
         except PredictionDivergenceError:
             return _DIVERGED_COST, (_DIVERGED_COST, np.zeros(kc), r2_eye)
-        # S and 2 Q S, each flattened to (kp * 4, kc)
+        # S and 2 Q S, each flattened to (kp * 4, kc), views of C-ordered arrays
         s = sens.reshape(-1, kc)
         qs = (w2 * sens).reshape(-1, kc)
         err = states - x_ref
@@ -516,10 +519,11 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
     (frozen) model, and the plant: the first input applied across the fast
     sub-steps, whose states do not depend on the model being adapted. Last,
     when loop.model is an AdaptiveFuzzyPredictor, the adaptation: the
-    tracking errors E of all sub-steps at once, then one fz.adapt step per
-    sub-step, in order, at its measured state, with drive
-    k = (plant_dt gain) (E_i . P e4), input u and the predictor's
-    theta_bound. The result is that of adapting after every sub-step.
+    tracking errors E of all sub-steps at once and their products E_i . P e4
+    from one np.vecdot, then one fz.adapt step per sub-step, in order, at
+    its measured state, with drive k = (plant_dt gain) (E_i . P e4), input
+    u and the predictor's theta_bound. The result is that of adapting after
+    every sub-step, bit for bit.
 
     An adapting run logs w_diag = (f - f_hat(x)) + (b2 - g_hat(x)) u at the
     period's x and u, with f the plant's pendulum_field x4' at u = d = 0.
@@ -578,7 +582,7 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
         with np.errstate(over="ignore", invalid="ignore"):
             v_val = 0.5 * float(err.dot(loop.lyapunov_p.dot(err)))
         if ad is not None:
-            f_true = true_drift(x, 0.0)[3]
+            f_true = true_drift(*x, 0.0)[3]
             w_val = (f_true - fz.f_hat(fuzzy, x)) + (true_coeffs.b2 - fz.g_hat(fuzzy, x)) * u
         else:
             w_val = 0.0
@@ -601,10 +605,12 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     errors = refs[kp + 1 : kp + 1 + len(measured)] - np.array(measured)
-                    # one dot per row, as per sub-step: E.dot(pb) rounds differently
-                    for e_i, x_i in zip(errors, measured):
-                        k_i = drive_scale * float(e_i.dot(pb))
-                        fuzzy = fz.adapt(fuzzy, k_i, x_i, u, theta_bound=ad.theta_bound)
+                    # vecdot calls per row the BLAS ddot that e_i.dot(pb) calls,
+                    # so each drive is the per-sub-step float, bit for bit;
+                    # E @ pb, np.inner, einsum and (E * pb).sum(1) round differently
+                    drives = np.vecdot(errors, pb).tolist()
+                    for e_pb, x_i in zip(drives, measured):
+                        fuzzy = fz.adapt(fuzzy, drive_scale * e_pb, x_i, u, theta_bound=ad.theta_bound)
             except (fz.ParameterBlowupError, fz.DegenerateFiringError):
                 diverged = True
         if diverged:

@@ -136,10 +136,10 @@ def disturbance_value(spec: DisturbanceSpec, t: float) -> float:
 
 
 def pendulum_field(coeffs: CoeffSet, u: float):
-    """The pendulum model's field at the held input u, as rk4 takes it: a
-    function of the 4 floats x and the disturbance d that returns x' as 4
-    floats, and, called with linearize true, also jvp, the field's
-    Jacobian-vector product at x (see rk4).
+    """The pendulum model's field at the held input u, as rk4 takes it:
+    field(x1, x2, x3, x4, d) returns x' as 4 floats from the state's 4
+    floats and the disturbance d, and field(x1, x2, x3, x4, d, True) also
+    returns jvp, the field's Jacobian-vector product at x (see rk4).
 
     This is the model's one definition: the plant step, the nominal
     predictor and the run's logged model error evaluate it. The coefficients and u are bound as locals
@@ -149,8 +149,7 @@ def pendulum_field(coeffs: CoeffSet, u: float):
     a1, a2, a3, a4, b1, b2 = coeffs.a1, coeffs.a2, coeffs.a3, coeffs.a4, coeffs.b1, coeffs.b2
     b1u = b1 * u
 
-    def field(state, d: float, linearize: bool = False):
-        _, x2, x3, x4 = state
+    def field(x1, x2, x3, x4, d: float, linearize: bool = False):
         k = (x2, a1 * x2 + b1u, x4, a2 * x2 + a3 * math.sin(x3) + a4 * x4 + b2 * (u + d))
         if not linearize:
             return k
@@ -165,45 +164,44 @@ def pendulum_field(coeffs: CoeffSet, u: float):
 
 
 def rk4(field_fn, x, dt: float, d=(0.0, 0.0, 0.0), tangents=None):
-    """One classical RK4 step of x' = field_fn(x, d) from the 4 floats x.
+    """One classical RK4 step of x' = field_fn(x1, x2, x3, x4, d) from the 4
+    floats x.
 
-    field_fn maps 4 floats and a disturbance to 4 floats. The stages (k1 to
-    k4, components a, b, c, e) run on Python floats, several times cheaper
-    than numpy at this size, in the operation order of the ndarray form
-    x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), which they match bit
-    for bit, and the step returns its 4 floats as a tuple, so that the
-    next step takes it as it is. x may be any 4-sequence, but an ndarray's
-    entries enter as numpy scalars: a caller holding an ndarray passes
-    tolist(). d holds the disturbance at the start, the middle and the end
-    of the step; the two middle stages share the middle value.
+    field_fn takes the state as 4 positional floats and the disturbance,
+    and returns 4 floats, so that no stage builds a tuple for it to unpack.
+    The stages (k1 to k4, components a, b, c, e) run on Python floats,
+    several times cheaper than numpy at this size, in the operation order of
+    the ndarray form x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), which
+    they match bit for bit, and the step returns its 4 floats as a tuple,
+    so that the next step takes it as it is. x may be any 4-sequence, but
+    an ndarray's entries enter as numpy scalars: a caller holding an
+    ndarray passes tolist(). d holds the disturbance at the start, the
+    middle and the end of the step; the two middle stages share the middle
+    value.
 
     With tangents, a sequence of 5-sequences (a state tangent dx and an
     input tangent du each), the step also carries each tangent through the
     same four stages, as the exact derivative of the step. field_fn is then
-    called as field_fn(x, d, True) and returns its 4 floats together with
-    jvp, the Jacobian-vector product of the field at that stage: jvp(dx1,
-    dx2, dx3, dx4, du) gives 4 floats. The state is computed as without
-    tangents, bit for bit, and the step returns (state, list of the new
-    state tangents as 4-tuples); the input is held over the step, so du is
-    the caller's to set for the next one.
+    called as field_fn(x1, x2, x3, x4, d, True) and returns its 4 floats
+    together with jvp, the Jacobian-vector product of the field at that
+    stage: jvp(dx1, dx2, dx3, dx4, du) gives 4 floats. The state is
+    computed as without tangents, bit for bit, and the step returns (state,
+    list of the new state tangents as 4-tuples); the input is held over the
+    step, so du is the caller's to set for the next one.
     """
     d0, dm, d1 = d
-    if tangents is None:
-        stage = field_fn
-    else:
-        jvps = []
-
-        def stage(s, dd):
-            k, jvp = field_fn(s, dd, True)
-            jvps.append(jvp)
-            return k
-
     x1, x2, x3, x4 = x
     h = 0.5 * dt
-    a1, a2, a3, a4 = stage((x1, x2, x3, x4), d0)
-    b1, b2, b3, b4 = stage((x1 + h * a1, x2 + h * a2, x3 + h * a3, x4 + h * a4), dm)
-    c1, c2, c3, c4 = stage((x1 + h * b1, x2 + h * b2, x3 + h * b3, x4 + h * b4), dm)
-    e1, e2, e3, e4 = stage((x1 + dt * c1, x2 + dt * c2, x3 + dt * c3, x4 + dt * c4), d1)
+    if tangents is None:
+        a1, a2, a3, a4 = field_fn(x1, x2, x3, x4, d0)
+        b1, b2, b3, b4 = field_fn(x1 + h * a1, x2 + h * a2, x3 + h * a3, x4 + h * a4, dm)
+        c1, c2, c3, c4 = field_fn(x1 + h * b1, x2 + h * b2, x3 + h * b3, x4 + h * b4, dm)
+        e1, e2, e3, e4 = field_fn(x1 + dt * c1, x2 + dt * c2, x3 + dt * c3, x4 + dt * c4, d1)
+    else:
+        (a1, a2, a3, a4), ja = field_fn(x1, x2, x3, x4, d0, True)
+        (b1, b2, b3, b4), jb = field_fn(x1 + h * a1, x2 + h * a2, x3 + h * a3, x4 + h * a4, dm, True)
+        (c1, c2, c3, c4), jc = field_fn(x1 + h * b1, x2 + h * b2, x3 + h * b3, x4 + h * b4, dm, True)
+        (e1, e2, e3, e4), je = field_fn(x1 + dt * c1, x2 + dt * c2, x3 + dt * c3, x4 + dt * c4, d1, True)
     w = dt / 6.0
     out = (
         x1 + w * (((a1 + 2.0 * b1) + 2.0 * c1) + e1),
@@ -213,7 +211,6 @@ def rk4(field_fn, x, dt: float, d=(0.0, 0.0, 0.0), tangents=None):
     )
     if tangents is None:
         return out
-    ja, jb, jc, je = jvps
     moved = []
     for t1, t2, t3, t4, tu in tangents:
         a1, a2, a3, a4 = ja(t1, t2, t3, t4, tu)

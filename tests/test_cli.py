@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from afmpc import cli, harness
+from afmpc import cli, harness, mpc
+from afmpc.plant import IntegrationDivergenceError
 
 # this checkout's package, prepended so that a subprocess runs the afmpc
 # under test, not whichever one its inherited path finds first
@@ -218,15 +219,24 @@ def test_run_divergence_exit_code(tmp_path, capsys):
     assert harness.load_csv(out)["t"].shape[0] >= 1
 
 
-def test_run_afmpc_plant_divergence_exit_code(tmp_path, capsys):
-    # without adaptation and with a 2 s plant step the state grows past the
-    # range where the fuzzy basis can square it, inside the sub-step update
-    path = write_config(
-        tmp_path, "adapt.gain = 0\nmpc.dt = 2.0\nrun.dt = 2.0\nrun.duration = 120\n"
-    )
+def test_run_afmpc_plant_divergence_exit_code(tmp_path, capsys, monkeypatch):
+    # a plant step that leaves the finite range, here the 160th, in the
+    # fourth control period, ends the run diverged with the periods before
+    # it logged (load_config rejects the steps at which RK4 itself blows up)
+    inner = mpc.plant_step
+    calls = 0
+
+    def diverging(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == 160:
+            raise IntegrationDivergenceError("integration diverged")
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(mpc, "plant_step", diverging)
+    path = write_config(tmp_path, "run.duration = 120\nfuzzy.init_samples = 500\n")
     out = str(tmp_path / "log.csv")
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = cli.main(["run", "--config", path, "--controller", "afmpc", "--out", out])
+    code = cli.main(["run", "--config", path, "--controller", "afmpc", "--out", out])
     assert code == cli.EXIT_DIVERGED
     assert "run diverged" in capsys.readouterr().err
     t = harness.load_csv(out)["t"]

@@ -561,6 +561,12 @@ def valid_flats(draw):
     flat["run.duration"] = mpc_dt * count(1, 1000)
     flat["run.dt"] = run_dt
     flat["run.seed"] = count(0, 2**31)
+    # each RK4 step inside its stability interval, with a margin: the
+    # plant's decay rates a_p and c1 / J1 at run.dt, the predictor's
+    # mismatched ones at mpc.dt
+    reach = 2.7
+    flat["plant.a_p"] = num(1e-3, min(1e3, reach / run_dt, reach / (mpc_dt * flat["mismatch.a1"])))
+    flat["plant.c1"] = flat["plant.j1"] * num(1e-3, min(1e3, reach / run_dt, reach / (mpc_dt * flat["mismatch.a4"])))
     return flat
 
 
@@ -694,29 +700,82 @@ def test_noise_run_keeps_every_solve_within_the_rollout_budget(tmp_path):
     assert np.max(log.evaluations) <= 2 * _MAX_BACKTRACKS + 2
 
 
+@pytest.mark.parametrize(
+    "lines, report",
+    [
+        # a4 run.dt = -18.9 passed the loader, and its run overflowed
+        (
+            "plant.c1 = 302\nplant.j1 = 0.125\nrun.dt = 0.0078125\nmpc.dt = 0.328125\nrun.duration = 0.65625\n",
+            "run.dt: run.dt * max(a_p, c1 / J1) is 18.88, beyond RK4's stability limit 2.785\n"
+            "mpc.dt: mpc.dt * max(a_p * mismatch.a1, c1 / J1 * mismatch.a4) is 792.8,"
+            " beyond RK4's stability limit 2.785",
+        ),
+        (
+            "mpc.dt = 2.0\nrun.dt = 2.0\nrun.duration = 120\n",
+            "run.dt: run.dt * max(a_p, c1 / J1) is 66.08, beyond RK4's stability limit 2.785\n"
+            "mpc.dt: mpc.dt * max(a_p * mismatch.a1, c1 / J1 * mismatch.a4) is 66.08,"
+            " beyond RK4's stability limit 2.785",
+        ),
+        # 0.085 a_p = 2.808 lies just beyond the limit
+        (
+            "mpc.dt = 0.085\nrun.duration = 0.085\n",
+            "mpc.dt: mpc.dt * max(a_p * mismatch.a1, c1 / J1 * mismatch.a4) is 2.808,"
+            " beyond RK4's stability limit 2.785",
+        ),
+        # the predictor's rates carry the mismatch factors; the plant's do not
+        (
+            "mismatch.a1 = 2\n",
+            "mpc.dt: mpc.dt * max(a_p * mismatch.a1, c1 / J1 * mismatch.a4) is 3.304,"
+            " beyond RK4's stability limit 2.785",
+        ),
+        (
+            "plant.c1 = 0.029\nmismatch.a4 = 1000\n",
+            "mpc.dt: mpc.dt * max(a_p * mismatch.a1, c1 / J1 * mismatch.a4) is 1450,"
+            " beyond RK4's stability limit 2.785",
+        ),
+    ],
+    ids=["c1-over-j1", "two-second-steps", "mpc-dt-beyond", "mismatch-a1", "mismatch-a4"],
+)
+def test_config_rejects_steps_beyond_rk4_stability(tmp_path, lines, report):
+    path = write_config(tmp_path, lines)
+    with pytest.raises(harness.ConfigError) as excinfo:
+        harness.load_config(path)
+    assert str(excinfo.value) == report
+
+
+def test_config_accepts_a_step_just_inside_rk4_stability(tmp_path):
+    # 0.084 a_p = 2.775
+    cfg = harness.load_config(write_config(tmp_path, "mpc.dt = 0.084\nrun.duration = 0.084\n"))
+    assert cfg.mpc.dt == 0.084
+
+
 def test_logged_lyapunov_value_overflows_without_warning(tmp_path):
     # plant.c1 / plant.j1 = 2416 makes the plant's RK4 step at run.dt unstable:
     # x4 reaches about 2e153 in one period, so err' P err overflows. V logs
     # inf, as the rollouts' costs do, and the run ends diverged; the product
-    # warned "overflow encountered in dot" (an error under this suite)
+    # warned "overflow encountered in dot" (an error under this suite).
+    # load_config rejects these steps, so the config is built in code
     path = write_config(
         tmp_path,
         "controller = classical\n"
-        "plant.c1 = 302\n"
-        "plant.j1 = 0.125\n"
-        "run.dt = 0.0078125\n"
-        "mpc.dt = 0.328125\n"
         "mpc.kp = 1\n"
         "mpc.kc = 1\n"
         "mpc.u_max = 0\n"
         "reference.kind = sinusoid\n"
         "reference.amplitude = 1\n"
-        "reference.consistent_arm = false\n"
-        "run.duration = 0.65625\n",
+        "reference.consistent_arm = false\n",
+    )
+    cfg = harness.load_config(path)
+    cfg = dataclasses.replace(
+        cfg,
+        plant=PlantParams(c1=302.0, J1=0.125),
+        mpc=dataclasses.replace(cfg.mpc, dt=0.328125),
+        plant_dt=0.0078125,
+        duration=0.65625,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        log, _ = harness.run_scenario(harness.load_config(path))
+        log, _ = harness.run_scenario(cfg)
     assert log.diverged
     assert len(log) == 2
     assert np.isfinite(log.V[0]) and log.V[1] == math.inf

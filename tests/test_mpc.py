@@ -328,9 +328,10 @@ def test_fused_fuzzy_field_matches_f_hat_and_g_hat(model, x0, u, d):
     # with the fuzzy module's own estimates
     fuzzy_model, c = model.fuzzy, model.coeffs
 
-    def field(s, dd):
+    def field(x1, x2, x3, x4, dd):
+        s = (x1, x2, x3, x4)
         g = fz.g_hat(fuzzy_model, s)
-        return (s[1], c.a1 * s[1] + c.b1 * u, s[3], fz.f_hat(fuzzy_model, s) + g * (u + dd))
+        return (x2, c.a1 * x2 + c.b1 * u, x4, fz.f_hat(fuzzy_model, s) + g * (u + dd))
 
     x0 = x0.tolist()
     want = np.array(rk4(field, x0, model.dt, (d, d, d)))
@@ -1085,6 +1086,36 @@ def test_plant_divergence_at_a_sub_step_adapts_over_the_steps_before_it(monkeypa
     want = sequential_adaptation(loop, x0, log.u, j)
     assert log.final_fuzzy.theta_f.tobytes() == want.theta_f.tobytes()
     assert log.final_fuzzy.theta_g.tobytes() == want.theta_g.tobytes()
+
+
+def wide_floats():
+    """Floats of either sign with magnitudes from 1e-300 to 1e300, spread
+    evenly over the exponents, and NaN, the infinities and both zeros."""
+    spread = st.builds(
+        lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+        st.sampled_from((1.0, -1.0)),
+        st.floats(1.0, 10.0, exclude_max=True),
+        st.integers(-300, 299),
+    )
+    return st.one_of(spread, st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 0.0)))
+
+
+@hyp_settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.lists(wide_floats(), min_size=4, max_size=4), min_size=1, max_size=60),
+    p=st.lists(wide_floats(), min_size=4, max_size=4),
+)
+def test_vecdot_is_the_row_dot_bit_for_bit(rows, p):
+    # run_receding_horizon takes a period's drives E_i . P e4 from one
+    # np.vecdot, on the premise that numpy's float64 vecdot calls per row
+    # the BLAS ddot that e_i.dot(p) calls; a numpy or BLAS build that breaks
+    # it moves the adapted consequents in their last bits
+    E, p = np.array(rows), np.array(p)
+    with np.errstate(all="ignore"):
+        got = np.vecdot(E, p)
+        want = np.array([e_i.dot(p) for e_i in E])
+    # the bits, so that -0.0 and NaN compare too
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("i", [0, 22, 49, 71])

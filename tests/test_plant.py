@@ -61,23 +61,23 @@ def test_param_validation_rejects_nan(name):
 
 def test_dynamics_equilibria():
     c = default_coeffs()
-    np.testing.assert_allclose(pendulum_field(c, 0.0)(np.zeros(4), 0.0), np.zeros(4))
+    np.testing.assert_allclose(pendulum_field(c, 0.0)(*np.zeros(4), 0.0), np.zeros(4))
     # hanging-down position is also an equilibrium of the model
     down = np.array([0.0, 0.0, math.pi, 0.0])
-    np.testing.assert_allclose(pendulum_field(c, 0.0)(down, 0.0), np.zeros(4), atol=1e-13)
+    np.testing.assert_allclose(pendulum_field(c, 0.0)(*down, 0.0), np.zeros(4), atol=1e-13)
 
 
 def test_dynamics_direct_substitution():
     c = default_coeffs()
-    dx = pendulum_field(c, 0.0)(np.array([0.0, 1.0, 0.0, 0.0]), 0.0)
+    dx = pendulum_field(c, 0.0)(0.0, 1.0, 0.0, 0.0, 0.0)
     np.testing.assert_allclose(dx, [1.0, -33.04, 0.0, -62.776], rtol=1e-12)
 
 
 def test_dynamics_disturbance_enters_pendulum_channel_only():
     c = default_coeffs()
     field = pendulum_field(c, 0.0)
-    base = np.asarray(field(np.zeros(4), 0.0))
-    with_d = np.asarray(field(np.zeros(4), 0.5))
+    base = np.asarray(field(0.0, 0.0, 0.0, 0.0, 0.0))
+    with_d = np.asarray(field(0.0, 0.0, 0.0, 0.0, 0.5))
     diff = with_d - base
     np.testing.assert_allclose(diff[:3], 0.0)
     assert diff[3] == pytest.approx(0.5 * c.b2, rel=1e-12)

@@ -75,6 +75,20 @@ def test_interleave_solves_compares_the_tree_with_itself():
     assert lines[7:] == ["same logs: yes"]
 
 
+def test_interleave_solves_compares_the_adaptive_tree_with_itself():
+    # afmpc's period loop adds the adaptation after every plant sub-step;
+    # the tree against itself gives back every solve and the whole log
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "interleave_solves.py"), str(ROOT), str(ROOT / "src"),
+         "--controller", "afmpc", "--reps", "1"],
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "controller afmpc, 200 solves, 1 reps, per-solve minima"
+    assert lines[4] == "same results: yes"
+    assert lines[7:] == ["same logs: yes"]
+
+
 def test_interleave_solves_replays_a_run_and_tells_logs_apart_by_one_bit(tool):
     interleave = tool("interleave_solves")
     pkg = interleave.load_tree(str(ROOT), "afmpc_tool_test")
