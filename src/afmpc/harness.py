@@ -39,7 +39,6 @@ __all__ = [
     "default_config",
     "load_config",
     "dump_config",
-    "reference_trajectory",
     "state_reference",
     "build_closed_loop",
     "run_scenario",
@@ -276,22 +275,39 @@ def _build_config(flat: dict) -> ScenarioConfig:
                 solve_lyapunov(np.reshape(flat["adapt.lyapunov_a"], (4, 4)), q * np.eye(4))
             except (SingularLyapunovError, NotPositiveDefiniteWarning):
                 errors.append("adapt.lyapunov_a: must be Hurwitz")
+    # no time the run evaluates the reference or the disturbance at is later
+    # than t_end; rounded products are monotone, so a sinusoid's phase 2 pi f t
+    # that is finite at t_end is finite at every earlier time
+    t_end = None if mpc_cfg is None else flat["run.duration"] + mpc_cfg.prediction_horizon * mpc_cfg.dt
     reference = section("reference")
     if flat["reference.kind"] == "sinusoid" and flat["reference.frequency"] <= 0.0:
         errors.append("reference.frequency: must be positive for a sinusoid reference")
     elif plant is not None:
         # x0 is the state reference at t = 0, whose arm channels divide by w
-        # and w^2; w^2 may overflow them or underflow to a 0 that raises
+        # and w^2; w^2 may overflow them or underflow to a 0 that raises. At
+        # t_end a sinusoid's phase may overflow
+        times = [0.0] if t_end is None else [0.0, t_end]
         with np.errstate(all="ignore"):
             try:
-                x0_ok = np.isfinite(state_reference(reference, true_coeffs, 0.0)).all()
+                finite = np.isfinite(state_reference(reference, true_coeffs, np.array(times))).all(axis=1)
             except ZeroDivisionError:
-                x0_ok = False
-        if not x0_ok:
+                finite = [False]
+        if not finite[0]:
             errors.append("reference.frequency: too small for reference.amplitude, the state reference at t = 0 is not finite")
+        elif not finite[-1]:
+            errors.append("reference.frequency: too large for run.duration, the sinusoid's phase 2 pi f t overflows")
     if flat["reference.step_time"] < 0.0:
         errors.append("reference.step_time: must be non-negative")
-    section("disturbance")
+    disturbance = section("disturbance")
+    if (
+        t_end is not None
+        and disturbance is not None
+        and disturbance.kind == "sinusoid"
+        and disturbance.amplitude != 0.0
+        and not math.isfinite(2.0 * math.pi * disturbance.frequency * t_end)
+    ):
+        # a zero amplitude never reaches the sine: disturbance_value returns 0 first
+        errors.append("disturbance.frequency: too large for run.duration, the sinusoid's phase 2 pi f t overflows")
     mismatch = section("mismatch")
     for key in _FIELD_KEYS["mismatch"].values():
         if flat[key] <= 0.0:
@@ -409,67 +425,42 @@ def dump_config(flat: Optional[dict] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sinusoid(spec: ReferenceSpec, t):
-    """A sinusoid reference's y and y' at the times t, with w and the
-    sin(w t) and cos(w t) they come from."""
-    w = 2.0 * math.pi * spec.frequency
-    wt = w * np.asarray(t, dtype=float)
-    sin_wt, cos_wt = np.sin(wt), np.cos(wt)
-    a = spec.amplitude
-    return a * sin_wt, a * w * cos_wt, w, sin_wt, cos_wt
-
-
-def reference_trajectory(spec: ReferenceSpec, t):
-    """Reference output y and its time derivative at the times t, as (y, y').
-
-    t is a float or an array of times; y and y' take its shape. The formulas
-    are those of the scalar math module, bit for bit: np.sin and np.cos
-    round as math.sin and math.cos, np.float_power as Python's ** on floats
-    (numpy's own ** does not), and np.where keeps the exact 0.0 and
-    amplitude of the step's flat parts, signs of zero included.
-    """
-    t = np.asarray(t, dtype=float)
-    if spec.kind == "zero":
-        zero = np.zeros_like(t)
-        return (zero, zero)
-    a = spec.amplitude
-    if spec.kind == "sinusoid":
-        return _sinusoid(spec, t)[:2]
-    # step: quintic ramp over a fixed smoothing window, flat before and after
-    tau = (t - spec.step_time) / _STEP_SMOOTH_WINDOW
-    before, after = t < spec.step_time, tau >= 1.0
-    s = tau * tau * tau * (10.0 - 15.0 * tau + 6.0 * tau * tau)
-    s1 = 30.0 * tau * tau - 60.0 * np.float_power(tau, 3) + 30.0 * np.float_power(tau, 4)
-    y = np.where(before, 0.0, np.where(after, a, a * s))
-    yd = np.where(before | after, 0.0, a * s1 / _STEP_SMOOTH_WINDOW)
-    return (y, yd)
-
-
 def state_reference(spec: ReferenceSpec, coeffs: CoeffSet, t) -> np.ndarray:
     """Four-state reference for the tracking error at the times t: shape
     (4,) for a float t, (n, 4) for n times.
 
-    The pendulum channels follow the reference output and its derivative.
-    For a sinusoid with consistent_arm, the arm channels carry the
-    closed-form periodic arm motion that makes the output trajectory
-    dynamically realizable (linearized about upright); otherwise the arm
-    reference is zero and only the output channels are meaningful.
+    The pendulum channels carry the reference output y and its time
+    derivative. For a sinusoid with consistent_arm, the arm channels carry
+    the closed-form periodic arm motion that makes the output trajectory
+    dynamically realizable (linearized about upright), from the output's
+    own sin(w t) and cos(w t); otherwise the arm reference is zero and only
+    the output channels are meaningful.
+
+    Each row is the scalar math module's formula, bit for bit: np.sin and
+    np.cos round as math.sin and math.cos, np.float_power as Python's ** on
+    floats (numpy's own ** does not), and np.where keeps the exact 0.0 and
+    amplitude of the step's flat parts, signs of zero included.
     """
-    if (
-        spec.consistent_arm
-        and spec.kind == "sinusoid"
-        and spec.frequency > 0.0
-        and spec.amplitude != 0.0
-    ):
-        # the output's sin(w t) and cos(w t) serve the arm channels too
-        y, yd, w, sin_wt, cos_wt = _sinusoid(spec, t)
-        a = spec.amplitude
-        ratio = coeffs.b1 / coeffs.b2
-        x2r = ratio * (a * (w * w + coeffs.a3) / w * cos_wt - coeffs.a4 * a * sin_wt)
-        x1r = ratio * (a * (w * w + coeffs.a3) / (w * w) * sin_wt + coeffs.a4 * a / w * cos_wt)
-    else:
-        y, yd = reference_trajectory(spec, t)
-        x1r = x2r = np.zeros_like(y)
+    t = np.asarray(t, dtype=float)
+    a = spec.amplitude
+    x1r = x2r = y = yd = np.zeros(t.shape)  # zeros_like costs 5 times as much
+    if spec.kind == "sinusoid":
+        w = 2.0 * math.pi * spec.frequency
+        wt = w * t
+        sin_wt, cos_wt = np.sin(wt), np.cos(wt)
+        y, yd = a * sin_wt, a * w * cos_wt
+        if spec.consistent_arm and spec.frequency > 0.0 and a != 0.0:
+            ratio = coeffs.b1 / coeffs.b2
+            x2r = ratio * (a * (w * w + coeffs.a3) / w * cos_wt - coeffs.a4 * a * sin_wt)
+            x1r = ratio * (a * (w * w + coeffs.a3) / (w * w) * sin_wt + coeffs.a4 * a / w * cos_wt)
+    elif spec.kind == "step":
+        # quintic ramp over a fixed smoothing window, flat before and after
+        tau = (t - spec.step_time) / _STEP_SMOOTH_WINDOW
+        before, after = t < spec.step_time, tau >= 1.0
+        s = tau * tau * tau * (10.0 - 15.0 * tau + 6.0 * tau * tau)
+        s1 = 30.0 * tau * tau - 60.0 * np.float_power(tau, 3) + 30.0 * np.float_power(tau, 4)
+        y = np.where(before, 0.0, np.where(after, a, a * s))
+        yd = np.where(before | after, 0.0, a * s1 / _STEP_SMOOTH_WINDOW)
     # rows in C order, so that each time's reference is contiguous
     return np.array([x1r, x2r, y, yd]).T.copy()
 

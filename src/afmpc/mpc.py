@@ -529,13 +529,15 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
     period's x and u, with f the plant's pendulum_field x4' at u = d = 0.
 
     Terminates early on plant divergence, parameter blow-up or a degenerate
-    rule firing, with the log collected so far preserved. A plant
-    divergence at sub-step j ends the run after the adaptation over the
-    sub-steps before j; an adaptation failure ends it with the last good
-    model, and the period's sub-steps after that step are taken but
-    discarded. The adapting model is local to the run, which starts from
-    loop.model.fuzzy and returns the last model as final_fuzzy; the loop
-    itself is never written.
+    rule firing, with the log collected so far preserved. A firing that
+    degenerates at the period's own state logs the period with w_diag NaN
+    and ends the run before its plant sub-steps. A plant divergence at
+    sub-step j ends the run after the adaptation over the sub-steps before
+    j; an adaptation failure ends it with the last good model, and the
+    period's sub-steps after that step are taken but discarded. The
+    adapting model is local to the run, which starts from loop.model.fuzzy
+    and returns the last model as final_fuzzy; the loop itself is never
+    written.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -583,7 +585,10 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
             v_val = 0.5 * float(err.dot(loop.lyapunov_p.dot(err)))
         if ad is not None:
             f_true = true_drift(*x, 0.0)[3]
-            w_val = (f_true - fz.f_hat(fuzzy, x)) + (true_coeffs.b2 - fz.g_hat(fuzzy, x)) * u
+            try:
+                w_val = (f_true - fz.f_hat(fuzzy, x)) + (true_coeffs.b2 - fz.g_hat(fuzzy, x)) * u
+            except fz.DegenerateFiringError:
+                w_val, diverged = math.nan, True  # logged, then the run ends
         else:
             w_val = 0.0
 
@@ -591,6 +596,8 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
             t, x_k, u, float(xr_now[2]), float(xr_now[2] - x[2]), v_val, float(w_val),
             ctrl.predicted_cost, ctrl.solver_status, ctrl.evaluations,
         ))
+        if diverged:
+            break
 
         measured = []  # the state after each plant sub-step
         try:

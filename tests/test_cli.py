@@ -161,6 +161,60 @@ def test_run_tiny_reference_frequency_is_a_config_error(tmp_path, capsys, contro
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("controller", ["classical", "afmpc"])
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        # 2 pi f itself overflows: the disturbance's math.sin of inf raised
+        (
+            "disturbance.kind = sinusoid\ndisturbance.amplitude = 0.1\n"
+            "disturbance.frequency = 1e308\nrun.duration = 0.1\n",
+            "disturbance",
+        ),
+        # 2 pi f t overflows part-way through the default 10 s run
+        (
+            "disturbance.kind = sinusoid\ndisturbance.amplitude = 0.1\ndisturbance.frequency = 1e307\n",
+            "disturbance",
+        ),
+        # the reference's np.sin and np.cos of inf warned and gave NaN
+        # references from t = 2.9 s, in a run that exited 0 with rmse=nan
+        (
+            "reference.frequency = 1e307\nreference.amplitude = 1e-300\n"
+            "reference.consistent_arm = false\nrun.duration = 5.0\n",
+            "reference",
+        ),
+    ],
+    ids=["disturbance-1e308", "disturbance-1e307", "reference-1e307"],
+)
+def test_run_sinusoid_phase_overflow_is_a_config_error(tmp_path, capsys, controller, text, key):
+    path = write_config(tmp_path, text)
+    out = str(tmp_path / "log.csv")
+    code = cli.main(["run", "--config", path, "--controller", controller, "--out", out])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error:\n{key}.frequency: too large for run.duration, the sinusoid's phase 2 pi f t overflows\n"
+    )
+    assert not os.path.exists(out)
+
+
+def test_run_afmpc_degenerate_firing_at_the_logged_state_ends_diverged(tmp_path, capsys):
+    # the phase stays finite to the run's end, but x0's x4 is a*w = 1.26e307,
+    # where the rules' firing strengths are not finite: w_diag's f_hat raised
+    # DegenerateFiringError out of the run. The period is logged with w_diag
+    # NaN and the run ends diverged, as classical's does
+    path = write_config(
+        tmp_path, "reference.frequency = 1e307\nreference.consistent_arm = false\nrun.duration = 0.5\n"
+    )
+    out = str(tmp_path / "log.csv")
+    code = cli.main(["run", "--config", path, "--controller", "afmpc", "--out", out])
+    assert code == cli.EXIT_DIVERGED
+    assert capsys.readouterr().err == "run diverged before the configured duration\n"
+    logged = harness.load_csv(out)
+    assert logged["t"].tolist() == [0.0]
+    assert logged["x4"][0] == pytest.approx(1.2566370614359175e307)
+    assert np.isnan(logged["w_diag"][0])
+
+
 def test_run_negative_seed_is_a_config_error(tmp_path, capsys):
     path = write_config(tmp_path, SHORT_RUN)
     out = str(tmp_path / "log.csv")

@@ -588,7 +588,9 @@ def test_dump_load_round_trips_every_key(tmp_path_factory, flat):
 def small_flats(draw):
     """valid_flats, kept small enough to run: at most 3 rules per axis,
     300 fit samples, 8 prediction slots and 2 control periods; plant.k1,
-    a_p and c1 also draw their boundary value 0.0."""
+    a_p and c1 also draw their boundary value 0.0, and the reference's and
+    a sinusoid disturbance's frequency a few huge values, at which 2 pi f t
+    may overflow within the run."""
     flat = draw(valid_flats())
     kp = draw(st.integers(1, 8))
     flat["mpc.kp"] = kp
@@ -599,6 +601,10 @@ def small_flats(draw):
     for name in ("k1", "a_p", "c1"):
         key = f"plant.{name}"
         flat[key] = draw(st.sampled_from((0.0, flat[key])))
+    huge = (1e300, 1e306, 1e307, 1e308)
+    flat["reference.frequency"] = draw(st.sampled_from((flat["reference.frequency"], *huge)))
+    if flat["disturbance.kind"] == "sinusoid":
+        flat["disturbance.frequency"] = draw(st.sampled_from((flat["disturbance.frequency"], *huge)))
     return flat
 
 
@@ -784,15 +790,15 @@ def test_logged_lyapunov_value_overflows_without_warning(tmp_path):
 def test_reference_trajectory_sinusoid_derivatives():
     spec = harness.ReferenceSpec(kind="sinusoid", amplitude=0.2, frequency=0.65)
     w = 2.0 * math.pi * 0.65
-    y0 = harness.reference_trajectory(spec, 0.0)
+    y0 = harness.state_reference(spec, TRUE_COEFFS, 0.0)[2:]
     assert y0[0] == 0.0
     assert y0[1] == pytest.approx(0.2 * w, rel=1e-12)
     # the second entry is the time derivative of the first
     h = 1e-6
     for t in (0.13, 0.7, 1.9):
-        vals = harness.reference_trajectory(spec, t)
-        plus = harness.reference_trajectory(spec, t + h)
-        minus = harness.reference_trajectory(spec, t - h)
+        vals = harness.state_reference(spec, TRUE_COEFFS, t)[2:]
+        plus = harness.state_reference(spec, TRUE_COEFFS, t + h)[2:]
+        minus = harness.state_reference(spec, TRUE_COEFFS, t - h)[2:]
         fd = (plus[0] - minus[0]) / (2.0 * h)
         assert fd == pytest.approx(vals[1], abs=1e-5)
 
@@ -800,11 +806,11 @@ def test_reference_trajectory_sinusoid_derivatives():
 def test_reference_trajectory_zero_kind():
     spec = harness.ReferenceSpec(kind="zero", amplitude=0.3)
     for t in (0.0, 0.5, 4.0):
-        assert harness.reference_trajectory(spec, t) == (0.0, 0.0)
+        assert tuple(harness.state_reference(spec, TRUE_COEFFS, t)[2:]) == (0.0, 0.0)
 
 
 def test_reference_spec_rejects_an_unknown_kind():
-    # an unknown kind fell through reference_trajectory to the step branch,
+    # an unknown kind fell through the reference formulas to the step branch,
     # so a "ramp" reference silently tracked a step
     with pytest.raises(ValueError, match="unknown reference kind 'ramp'"):
         harness.ReferenceSpec(kind="ramp")
@@ -816,16 +822,16 @@ def test_reference_spec_rejects_an_unknown_kind():
 
 def test_reference_trajectory_step_ramp():
     spec = harness.ReferenceSpec(kind="step", amplitude=0.3, step_time=1.0)
-    assert harness.reference_trajectory(spec, 0.99) == (0.0, 0.0)
-    assert harness.reference_trajectory(spec, 1.5) == (0.3, 0.0)
-    assert harness.reference_trajectory(spec, 9.0) == (0.3, 0.0)
+    assert tuple(harness.state_reference(spec, TRUE_COEFFS, 0.99)[2:]) == (0.0, 0.0)
+    assert tuple(harness.state_reference(spec, TRUE_COEFFS, 1.5)[2:]) == (0.3, 0.0)
+    assert tuple(harness.state_reference(spec, TRUE_COEFFS, 9.0)[2:]) == (0.3, 0.0)
     # smooth ramp in between: the derivative agrees with finite differences
     h = 1e-6
     for t in (1.1, 1.25, 1.4):
-        vals = harness.reference_trajectory(spec, t)
+        vals = harness.state_reference(spec, TRUE_COEFFS, t)[2:]
         assert 0.0 < vals[0] < 0.3
-        plus = harness.reference_trajectory(spec, t + h)
-        minus = harness.reference_trajectory(spec, t - h)
+        plus = harness.state_reference(spec, TRUE_COEFFS, t + h)[2:]
+        minus = harness.state_reference(spec, TRUE_COEFFS, t - h)[2:]
         fd = (plus[0] - minus[0]) / (2.0 * h)
         assert fd == pytest.approx(vals[1], abs=1e-5)
 
@@ -833,7 +839,7 @@ def test_reference_trajectory_step_ramp():
 def test_state_reference_output_channels():
     spec = harness.ReferenceSpec(kind="sinusoid", amplitude=0.2, frequency=0.65)
     for t in (0.0, 0.4, 1.7):
-        y, yd = harness.reference_trajectory(spec, t)
+        y, yd = harness.state_reference(spec, TRUE_COEFFS, t)[2:]
         xr = harness.state_reference(spec, TRUE_COEFFS, t)
         assert xr[2] == pytest.approx(y, abs=1e-15)
         assert xr[3] == pytest.approx(yd, abs=1e-15)

@@ -1,7 +1,9 @@
 """The package layer: each public name has one import path, its module,
-and the package imports only the standard library and numpy."""
+each module's __all__ names what the module defines, once, and the package
+imports only the standard library and numpy."""
 
 import ast
+import importlib
 import sys
 import types
 from pathlib import Path
@@ -35,3 +37,12 @@ def test_package_imports_only_the_standard_library_and_numpy():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "numpy", f"{path.name} imports {name}"
+
+
+def test_every_module_defines_each_name_of_its_all_once():
+    for name in sorted(MODULES):
+        module = importlib.import_module(f"afmpc.{name}")
+        names = module.__all__
+        assert len(set(names)) == len(names), f"afmpc.{name}.__all__ repeats a name"
+        for public in names:
+            assert hasattr(module, public), f"afmpc.{name}.__all__ names {public}, which it does not define"
