@@ -53,11 +53,7 @@ def _cmd_run(args) -> int:
     overrides = {"controller": args.controller}
     if args.seed is not None:
         overrides["run.seed"] = str(args.seed)
-    try:
-        config = harness.load_config(args.config, overrides)
-    except harness.ConfigError as exc:
-        print(f"config error:\n{exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = harness.load_config(args.config, overrides)
     log, metrics = harness.run_scenario(config)
     try:
         harness.export_csv(log, args.out)
@@ -72,11 +68,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    try:
-        config = harness.load_config(args.config)
-    except harness.ConfigError as exc:
-        print(f"config error:\n{exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = harness.load_config(args.config)
     log_c, met_c, log_a, met_a, report = harness.run_comparison(config)
     try:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -101,12 +93,14 @@ def main(argv: Optional[list] = None) -> int:
     if args.print_defaults:
         print(harness.dump_config(), end="")
         return EXIT_OK
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    parser.print_usage(sys.stderr)
-    return EXIT_CONFIG
+    if args.command is None:
+        parser.print_usage(sys.stderr)
+        return EXIT_CONFIG
+    try:
+        return _cmd_run(args) if args.command == "run" else _cmd_compare(args)
+    except harness.ConfigError as exc:
+        print(f"config error:\n{exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -284,7 +284,8 @@ def _build_config(flat: dict) -> ScenarioConfig:
         errors.append("reference.frequency: must be positive for a sinusoid reference")
     elif plant is not None:
         # x0 is the state reference at t = 0, whose arm channels divide by w
-        # and w^2; w^2 may overflow them or underflow to a 0 that raises. At
+        # and w^2: w^2 underflows to a 0 that raises, or overflows them, at
+        # the tiniest frequencies; w^2 itself overflows at the largest. At
         # t_end a sinusoid's phase may overflow
         times = [0.0] if t_end is None else [0.0, t_end]
         with np.errstate(all="ignore"):
@@ -293,7 +294,9 @@ def _build_config(flat: dict) -> ScenarioConfig:
             except ZeroDivisionError:
                 finite = [False]
         if not finite[0]:
-            errors.append("reference.frequency: too small for reference.amplitude, the state reference at t = 0 is not finite")
+            w = 2.0 * math.pi * flat["reference.frequency"]
+            cause = "too large" if math.isinf(w * w) else "too small for reference.amplitude"
+            errors.append(f"reference.frequency: {cause}, the state reference at t = 0 is not finite")
         elif not finite[-1]:
             errors.append("reference.frequency: too large for run.duration, the sinusoid's phase 2 pi f t overflows")
     if flat["reference.step_time"] < 0.0:
@@ -367,8 +370,20 @@ def _assign(flat: dict, key: str, raw: str, where: str, errors: list) -> None:
         errors.append(f"{where}: {key}: {exc}")
 
 
-def _parse_lines(text: str, source: str) -> dict:
-    """Parse key = value lines onto the defaults; all errors at once."""
+def load_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
+    """Read, merge onto defaults, and validate a scenario config file.
+
+    `overrides` maps config keys to raw value strings applied after the
+    file (used by the CLI for --controller/--seed). Every line of the file
+    and every override that does not parse is reported, in that order, in
+    one ConfigError; the build checks run only once everything parses, so
+    that no default standing in for a bad entry adds a line of its own.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     flat = dict(_DEFAULTS)
     errors: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -376,28 +391,10 @@ def _parse_lines(text: str, source: str) -> dict:
         if not body:
             continue
         if "=" not in body:
-            errors.append(f"{source}:{lineno}: expected 'key = value', got {line.strip()!r}")
+            errors.append(f"{path}:{lineno}: expected 'key = value', got {line.strip()!r}")
             continue
         key, raw = (part.strip() for part in body.split("=", 1))
-        _assign(flat, key, raw, f"{source}:{lineno}", errors)
-    if errors:
-        raise ConfigError("\n".join(errors))
-    return flat
-
-
-def load_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
-    """Read, merge onto defaults, and validate a scenario config file.
-
-    `overrides` maps config keys to raw value strings applied after the
-    file (used by the CLI for --controller/--seed).
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    flat = _parse_lines(text, path)
-    errors: list[str] = []
+        _assign(flat, key, raw, f"{path}:{lineno}", errors)
     for key, raw in (overrides or {}).items():
         _assign(flat, key, raw, "override", errors)
     if errors:

@@ -325,7 +325,9 @@ def solve_step(
     the warm start is applied and the status flags the fallback. So does a
     point whose rollout diverged or whose cost, gradient or Hessian
     overflowed: the objective returns _DIVERGED_COST with a zero gradient
-    there, which the solver reports as converged. Solver trouble means a
+    there, which the solver reports as converged. So does a point whose
+    cost is NaN, as when x_ref holds a NaN; the period then reports the
+    warm start's cost, NaN too. So does solver trouble: a
     QpInfeasibleError or LinAlgError out of minimize; any other exception
     propagates. The program has box bounds only, so p = 0 is always
     feasible for its QPs: QpInfeasibleError here means numerical trouble,
@@ -429,9 +431,10 @@ def solve_step(
         sequence = sol.minimizer
         final_cost = cost(sequence)
     except (QpInfeasibleError, np.linalg.LinAlgError):
-        status, sequence, final_cost = "fallback", warm, warm_cost
+        sequence, final_cost = warm, math.nan
     finite = all(map(math.isfinite, sequence.tolist()))
-    if final_cost > warm_cost or final_cost >= _DIVERGED_COST or not finite:
+    # not <=, so that a NaN cost (solver trouble, or a NaN reference) falls back too
+    if not final_cost <= warm_cost or final_cost >= _DIVERGED_COST or not finite:
         status, sequence, final_cost = "fallback", warm, warm_cost
     return ControlStep(
         applied_input=float(sequence[0]),
@@ -574,23 +577,24 @@ def run_receding_horizon(x0: np.ndarray, loop: ClosedLoop, steps: int) -> Trajec
             times = np.concatenate([times, (t + sub_offsets) + plant_dt])
         refs = x_ref_fn(times)
         d_seq = _predicted_disturbances(disturbance, t, kp, cfg.dt)
-        ctrl = solve_step(model, x_k, refs[1 : kp + 1], cfg, warm, d_seq)
-        u = ctrl.applied_input
-
         xr_now = refs[0]
-        err = xr_now - x_k
-        # a huge but finite state, as in a run about to diverge, overflows
-        # here; V then logs inf (or NaN) and the run ends diverged
+        # a huge but finite state, as in a run about to diverge, overflows in
+        # the solve's rollouts (the fuzzy basis among them), in V and in w_diag:
+        # the solve then falls back, V logs inf (or NaN), and w_diag's
+        # DegenerateFiringError or the plant ends the run diverged
         with np.errstate(over="ignore", invalid="ignore"):
+            ctrl = solve_step(model, x_k, refs[1 : kp + 1], cfg, warm, d_seq)
+            u = ctrl.applied_input
+            err = xr_now - x_k
             v_val = 0.5 * float(err.dot(loop.lyapunov_p.dot(err)))
-        if ad is not None:
-            f_true = true_drift(*x, 0.0)[3]
-            try:
-                w_val = (f_true - fz.f_hat(fuzzy, x)) + (true_coeffs.b2 - fz.g_hat(fuzzy, x)) * u
-            except fz.DegenerateFiringError:
-                w_val, diverged = math.nan, True  # logged, then the run ends
-        else:
-            w_val = 0.0
+            if ad is not None:
+                f_true = true_drift(*x, 0.0)[3]
+                try:
+                    w_val = (f_true - fz.f_hat(fuzzy, x)) + (true_coeffs.b2 - fz.g_hat(fuzzy, x)) * u
+                except fz.DegenerateFiringError:
+                    w_val, diverged = math.nan, True  # logged, then the run ends
+            else:
+                w_val = 0.0
 
         rows.append((
             t, x_k, u, float(xr_now[2]), float(xr_now[2] - x[2]), v_val, float(w_val),

@@ -163,6 +163,25 @@ def test_run_tiny_reference_frequency_is_a_config_error(tmp_path, capsys, contro
 
 @pytest.mark.parametrize("controller", ["classical", "afmpc"])
 @pytest.mark.parametrize(
+    "frequency, arm", [("1e154", "true"), ("1e200", "true"), ("1e308", "true"), ("1e308", "false")]
+)
+def test_run_huge_reference_frequency_is_a_config_error(tmp_path, capsys, controller, frequency, arm):
+    # (2 pi f)^2, or 2 pi f itself at 1e308, overflows the state reference
+    # at t = 0; the config error blamed a frequency too small
+    path = write_config(
+        tmp_path, f"run.duration = 0.1\nreference.frequency = {frequency}\nreference.consistent_arm = {arm}\n"
+    )
+    out = str(tmp_path / "log.csv")
+    code = cli.main(["run", "--config", path, "--controller", controller, "--out", out])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error:\nreference.frequency: too large, the state reference at t = 0 is not finite\n"
+    )
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("controller", ["classical", "afmpc"])
+@pytest.mark.parametrize(
     "text, key",
     [
         # 2 pi f itself overflows: the disturbance's math.sin of inf raised

@@ -213,6 +213,19 @@ def test_build_validation_reports_all_problems(tmp_path):
             "reference.amplitude = 1e308",
             "reference.frequency: too small for reference.amplitude, the state reference at t = 0 is not finite",
         ),
+        (
+            "reference.frequency = 1e-160",
+            "reference.frequency: too small for reference.amplitude, the state reference at t = 0 is not finite",
+        ),
+        # (2 pi f)^2 overflows the arm channels from about 1.3e154 Hz, and 2 pi f
+        # itself the output's derivative at 1e308; each read "too small"
+        ("reference.frequency = 1e154", "reference.frequency: too large, the state reference at t = 0 is not finite"),
+        ("reference.frequency = 1e200", "reference.frequency: too large, the state reference at t = 0 is not finite"),
+        ("reference.frequency = 1e308", "reference.frequency: too large, the state reference at t = 0 is not finite"),
+        (
+            "reference.frequency = 1e308\nreference.consistent_arm = false",
+            "reference.frequency: too large, the state reference at t = 0 is not finite",
+        ),
     ],
 )
 def test_build_rule_reports_its_one_message(tmp_path, line, message):
@@ -254,6 +267,60 @@ def test_overrides_apply_after_file(tmp_path):
         harness.load_config(path, {"nope": "1"})
     with pytest.raises(harness.ConfigError, match="override: run.seed"):
         harness.load_config(path, {"run.seed": "x"})
+
+
+def test_load_config_reports_file_and_override_errors_together(tmp_path):
+    # a file error raised before the overrides were parsed, and hid theirs
+    path = write_config(tmp_path, "run.dt = abc\n")
+    with pytest.raises(harness.ConfigError) as excinfo:
+        harness.load_config(path, {"run.seed": "x", "nope": "1"})
+    assert str(excinfo.value) == (
+        f"{path}:1: run.dt: could not convert string to float: 'abc'\n"
+        "override: run.seed: invalid literal for int() with base 10: 'x'\n"
+        "override: unknown key 'nope'"
+    )
+
+
+# entries that do not parse, (key, raw value) -> the rest of their error line
+BAD_ENTRIES = {
+    ("run.dt", "abc"): "run.dt: could not convert string to float: 'abc'",
+    ("run.seed", "x"): "run.seed: invalid literal for int() with base 10: 'x'",
+    ("nope", "1"): "unknown key 'nope'",
+    ("controller", "pid"): "controller: expected one of classical, afmpc",
+    ("fuzzy.counts", "3 3 3"): "fuzzy.counts: expected 4 values, got 3",
+    ("reference.consistent_arm", "yes"): "reference.consistent_arm: expected true or false",
+    ("plant.m1", "inf"): "plant.m1: expected a finite number",
+}
+BAD_LINES = {f"{key} = {raw}": rest for (key, raw), rest in BAD_ENTRIES.items()}
+BAD_LINES["just words"] = "expected 'key = value', got 'just words'"
+GOOD_LINES = ("", "# a comment", "run.seed = 2", "mpc.kp = 6", "controller = afmpc")
+GOOD_OVERRIDES = (("mpc.kc", "2"), ("run.duration", "5.0"))
+
+
+@st.composite
+def bad_config_entries(draw):
+    """Good file lines with 0-3 bad ones among them, and good overrides with
+    0-3 bad ones among them; the report that they give, None if none is bad."""
+    bad_lines = draw(st.lists(st.sampled_from(sorted(BAD_LINES)), max_size=3))
+    lines = draw(st.permutations(bad_lines + draw(st.lists(st.sampled_from(GOOD_LINES), max_size=4))))
+    bad_overrides = draw(st.lists(st.sampled_from(sorted(BAD_ENTRIES)), max_size=3, unique_by=lambda e: e[0]))
+    overrides = dict(draw(st.permutations(bad_overrides + list(GOOD_OVERRIDES))))
+    report = [f"<cfg>:{n}: {BAD_LINES[line]}" for n, line in enumerate(lines, start=1) if line in BAD_LINES]
+    report += [f"override: {BAD_ENTRIES[key, raw]}" for key, raw in overrides.items() if (key, raw) in BAD_ENTRIES]
+    return "".join(line + "\n" for line in lines), overrides, "\n".join(report) or None
+
+
+@hyp_settings(max_examples=150, deadline=None)
+@given(case=bad_config_entries())
+def test_load_config_reports_one_line_per_bad_entry_in_order(tmp_path_factory, case):
+    text, overrides, report = case
+    path = write_config(tmp_path_factory.mktemp("cfg"), text)
+    if report is None:
+        assert harness.load_config(path, overrides).duration == 5.0
+        return
+    with pytest.raises(harness.ConfigError) as excinfo:
+        harness.load_config(path, overrides)
+    assert str(excinfo.value).replace(path, "<cfg>") == report
 
 
 def test_dump_config_round_trips_defaults(tmp_path):
@@ -612,10 +679,28 @@ ZERO_K1 = dict(
     config_values(harness.default_config()), **{"plant.k1": 0.0, "run.duration": 0.1}
 )
 
+# x0's x4 is 2 pi f = 6.3e300, and a narrow x4 range gives the fuzzy basis
+# coefficients near 1e7: their product with x4 overflowed in the solve's first
+# rollout, and the RuntimeWarning escaped the run
+HUGE_X4 = dict(
+    config_values(harness.default_config()),
+    **{
+        "controller": "afmpc",
+        "mpc.dt": 0.0078125,
+        "fuzzy.range_x4": (219.0, 219.0078125),
+        "reference.amplitude": 1.0,
+        "reference.frequency": 1e300,
+        "reference.consistent_arm": False,
+        "run.duration": 0.015625,
+        "run.dt": 0.0078125,
+    },
+)
+
 
 @hyp_settings(max_examples=200, deadline=None)
 @given(flat=small_flats())
 @example(flat=ZERO_K1)
+@example(flat=HUGE_X4)
 def test_a_config_that_load_config_accepts_runs(tmp_path_factory, flat):
     path = tmp_path_factory.mktemp("runs") / "scenario.cfg"
     path.write_text(harness.dump_config(flat), encoding="utf-8")

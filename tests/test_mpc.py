@@ -636,6 +636,45 @@ def test_solve_step_falls_back_without_warning_when_its_gradient_overflows(signs
     assert ctrl.predicted_cost == math.inf
 
 
+@pytest.mark.parametrize("slot", range(5))
+@pytest.mark.parametrize("channel", range(4))
+def test_solve_step_falls_back_without_warning_on_a_nan_reference(slot, channel):
+    # a NaN in x_ref makes every horizon cost NaN, and the warm start's
+    # rollout hands minimize the diverged objective, which it reports as
+    # converged; NaN > NaN is false, so the period read converged with cost NaN
+    cfg = mpc.MpcConfig()
+    x_ref = np.zeros((cfg.prediction_horizon, 4))
+    x_ref[slot, channel] = math.nan
+    model = mpc.NominalPredictor(COEFFS, cfg.dt)
+    warm = np.array([0.7, -0.2, 0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ctrl = mpc.solve_step(model, np.array([0.2, -0.5, 0.3, 1.0]), x_ref, cfg, warm)
+    assert ctrl.solver_status == "fallback"
+    assert ctrl.applied_input == 0.7
+    np.testing.assert_array_equal(ctrl.optimized_sequence, warm)
+    assert math.isnan(ctrl.predicted_cost)
+    assert ctrl.evaluations == 2
+
+
+@st.composite
+def nan_reference_cases(draw):
+    """A solve_step case whose x_ref holds a NaN in one slot and channel."""
+    cfg, x, x_ref, warm = draw(solve_step_cases())
+    x_ref[draw(st.integers(0, cfg.prediction_horizon - 1)), draw(st.integers(0, 3))] = math.nan
+    return cfg, x, x_ref, warm
+
+
+@hyp_settings(max_examples=60, deadline=None)
+@given(case=nan_reference_cases())
+def test_solve_step_falls_back_on_any_nan_reference(case):
+    cfg, x, x_ref, warm = case
+    ctrl = mpc.solve_step(mpc.NominalPredictor(COEFFS, cfg.dt), x, x_ref, cfg, warm)
+    assert ctrl.solver_status == "fallback"
+    np.testing.assert_array_equal(ctrl.optimized_sequence, np.clip(warm, -cfg.input_bound, cfg.input_bound))
+    assert math.isnan(ctrl.predicted_cost)
+
+
 class ThreeStatePredictor:
     """Nominal predictor that drops the last state of its output."""
 

@@ -114,15 +114,23 @@ def test_interleave_solves_replays_a_run_and_tells_logs_apart_by_one_bit(tool):
 
 def test_interleave_solves_reports_the_largest_difference(tool):
     result_lines = tool("interleave_solves").result_lines
-    same = [(1.5, 10.0), (-5.0, 2.0)]
+    same = [(1.5, 10.0, "converged"), (-5.0, 2.0, "max_iter")]
     assert result_lines(same, list(same)) == ["same results: yes"]
     # the largest |difference| of each, whichever tree's value is larger
-    moved = [(1.5 + 2.0**-40, 10.0), (-5.0, 2.0 - 2.0**-30)]
+    moved = [(1.5 + 2.0**-40, 10.0, "converged"), (-5.0, 2.0 - 2.0**-30, "max_iter")]
     assert result_lines(same, moved) == [
         "same results: no",
         f"largest |difference|: applied input {2.0**-40:.3e}, predicted cost {2.0**-30:.3e}",
+        "solves with another status: 0 of 2",
     ]
     assert result_lines(moved, same) == result_lines(same, moved)
+    # a status alone tells the results apart, with every input and cost equal
+    relabelled = [(1.5, 10.0, "fallback"), (-5.0, 2.0, "max_iter")]
+    assert result_lines(same, relabelled) == [
+        "same results: no",
+        f"largest |difference|: applied input {0.0:.3e}, predicted cost {0.0:.3e}",
+        "solves with another status: 1 of 2",
+    ]
 
 
 def test_robustness_stops_each_run_at_the_fall(tmp_path):

@@ -12,10 +12,11 @@ repetitions and B first on odd ones, so that both trees meet the same
 drift of the machine's speed. A solve's time is its minimum over the
 repetitions. The script prints, per tree, the p50 and the sum of those
 minima and the mean rollouts per solve (ControlStep.evaluations), then
-the ratios B/A, and whether both trees returned the same input and cost,
-bit for bit, for every solve; if not, the largest absolute difference of
-each over the paired solves, so that a rounding-level change can be told
-from a larger one. Every replay gets a fresh
+the ratios B/A, and whether both trees returned the same input, cost and
+status, bit for bit, for every solve; if not, the largest absolute
+difference of the input and of the cost over the paired solves, so that a
+rounding-level change can be told from a larger one, and how many solves
+differ in status. Every replay gets a fresh
 copy of its predictor, so caches the predictor builds on first use are
 paid as in the closed-loop run.
 
@@ -94,15 +95,15 @@ def record_solves(pkg, controller: str) -> tuple[list, tuple]:
 
 
 def replay(pkg, call) -> tuple[int, tuple, int]:
-    """One timed solve on a fresh copy of its predictor: (ns, (input, cost),
-    rollouts)."""
+    """One timed solve on a fresh copy of its predictor: (ns, (input, cost,
+    status), rollouts)."""
     args, kwargs = call
     args = (dataclasses.replace(args[0]),) + args[1:]
     solve_step = pkg.mpc.solve_step
     t0 = time.perf_counter_ns()
     step = solve_step(*args, **kwargs)
     t1 = time.perf_counter_ns()
-    return t1 - t0, (step.applied_input, step.predicted_cost), step.evaluations
+    return t1 - t0, (step.applied_input, step.predicted_cost, step.solver_status), step.evaluations
 
 
 def rollout_key(x0, U, d, sensitivities) -> tuple:
@@ -134,7 +135,7 @@ def record_rollouts(pkg, call) -> dict:
 
 def replay_fixed(pkg, call, rollouts) -> tuple[int, tuple]:
     """One timed solve whose rollouts are answered from rollouts (see
-    record_rollouts): (ns, (input, cost))."""
+    record_rollouts): (ns, (input, cost, status))."""
     args, kwargs = call
     mpc = pkg.mpc
     predict = mpc.predict_trajectory
@@ -147,7 +148,7 @@ def replay_fixed(pkg, call, rollouts) -> tuple[int, tuple]:
         t1 = time.perf_counter_ns()
     finally:
         mpc.predict_trajectory = predict
-    return t1 - t0, (step.applied_input, step.predicted_cost)
+    return t1 - t0, (step.applied_input, step.predicted_cost, step.solver_status)
 
 
 def replay_run(pkg, run) -> tuple[int, object]:
@@ -186,14 +187,17 @@ def same_logs(log_a, log_b) -> bool:
 
 
 def result_lines(results_a: list, results_b: list) -> list[str]:
-    """Whether the paired (input, cost) results are the same, bit for bit;
-    if not, also the largest |difference| of each over the pairs."""
+    """Whether the paired (input, cost, status) results are the same, bit
+    for bit; if not, also the largest |difference| of the input and of the
+    cost over the pairs, and how many pairs differ in status."""
     if results_a == results_b:
         return ["same results: yes"]
     du = max(abs(a[0] - b[0]) for a, b in zip(results_a, results_b))
     dc = max(abs(a[1] - b[1]) for a, b in zip(results_a, results_b))
+    ds = sum(a[2] != b[2] for a, b in zip(results_a, results_b))
     return ["same results: no",
-            f"largest |difference|: applied input {du:.3e}, predicted cost {dc:.3e}"]
+            f"largest |difference|: applied input {du:.3e}, predicted cost {dc:.3e}",
+            f"solves with another status: {ds} of {len(results_a)}"]
 
 
 def main(argv=None) -> int:
