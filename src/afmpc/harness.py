@@ -1,8 +1,9 @@
 """Scenario configuration, closed-loop experiment runner, metrics, and CSV I/O.
 
 Config files are plain text, one `key = value` per line with dotted section
-prefixes and `#` comments. Unknown keys are errors, and every invalid entry
-is reported at once. An empty file yields the default scenario: sinusoid
+prefixes and `#` comments. Unknown keys are errors, each number must lie in
+its key's interval (`_DOMAINS`), and every invalid entry is reported at
+once. An empty file yields the default scenario: sinusoid
 tracking with the adaptive controller's knobs at their tuned defaults and a
 +20% gravity-coefficient model mismatch.
 """
@@ -207,31 +208,70 @@ _CHOICES = {
 }
 
 
-def _parse_value(default, raw: str, choices: tuple = ()):
-    """Parse raw as a value of default's type; a string must be a choice."""
+# the interval of each number key, as its error line writes it; each entry
+# of a tuple key must lie in it. The finite bounds keep the run finite: at
+# every corner of the plant, reference.amplitude and reference.frequency
+# domains x0 stays below 1e36, and a sinusoid's phase 2 pi f t stays below
+# 6.3e15 up to t_end = run.duration + mpc.kp * mpc.dt, as mpc.dt <=
+# run.duration. The other bounds are the keys' sign rules
+_DOMAINS = {
+    **dict.fromkeys((f"plant.{name}" for name in ("m1", "k1", "j1", "g", "l1", "k_p")), "[1e-6, 1e6]"),
+    "plant.a_p": "[0, 1e6]",
+    "plant.c1": "[0, 1e6]",
+    "mpc.kp": "[1, 1000]",
+    "fuzzy.counts": "[1, inf)",
+    "fuzzy.g_floor": "(0, inf)",
+    "fuzzy.theta_bound": "(0, inf)",
+    "fuzzy.init_samples": "[1, inf)",
+    "adapt.gain": "[0, inf)",
+    "adapt.lyapunov_q_diag": "(0, inf)",
+    "reference.amplitude": "[-1e6, 1e6]",
+    "reference.frequency": "[1e-6, 1e6]",
+    "reference.step_time": "[0, 1e6]",
+    "disturbance.amplitude": "[0, 1e6]",
+    "disturbance.frequency": "[1e-6, 1e6]",
+    **dict.fromkeys(_FIELD_KEYS["mismatch"].values(), "(0, inf)"),
+    "scenario.alpha0": "[-1e6, 1e6]",
+    "run.duration": "(0, 1e6]",
+    "run.dt": "(0, inf)",
+    "run.seed": "[0, inf)",
+}
+
+
+def _parse_value(default, raw: str, choices: tuple = (), domain: Optional[str] = None):
+    """Parse raw as a value of default's type; a string must be a choice,
+    and a number, or each number of a tuple, must lie in the interval domain."""
     if isinstance(default, tuple):
-        vals = tuple(_parse_value(default[0], v) for v in raw.split())
-        if len(vals) != len(default):
-            raise ValueError(f"expected {len(default)} values, got {len(vals)}")
-        return vals
-    if isinstance(default, bool):
+        value = tuple(_parse_value(default[0], v) for v in raw.split())
+        if len(value) != len(default):
+            raise ValueError(f"expected {len(default)} values, got {len(value)}")
+    elif isinstance(default, bool):
         low = raw.lower()
         if low in ("true", "false"):
             return low == "true"
         raise ValueError("expected true or false")
-    if isinstance(default, str):
+    elif isinstance(default, str):
         if raw not in choices:
             raise ValueError(f"expected one of {', '.join(choices)}")
         return raw
-    if not isinstance(default, float):
-        return int(raw)
-    val = float(raw)
-    if not math.isfinite(val):
-        raise ValueError("expected a finite number")
-    return val
+    elif isinstance(default, float):
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError("expected a finite number")
+    else:
+        value = int(raw)
+    if domain is not None:
+        # ints compare with the float bounds exactly, however many digits
+        lo, hi = (float(bound) for bound in domain[1:-1].split(","))
+        for v in value if isinstance(value, tuple) else (value,):
+            if not ((lo < v or domain[0] == "[" and v == lo) and (v < hi or domain[-1] == "]" and v == hi)):
+                raise ValueError(f"must be in {domain}, got {raw}")
+    return value
 
 
 def _build_config(flat: dict) -> ScenarioConfig:
+    """The ScenarioConfig of flat, each of whose values lies in its key's
+    domain; raises ConfigError listing every check between keys that fails."""
     errors: list[str] = []
     built: dict = {}  # section -> its dataclass, or None if it raised
 
@@ -244,82 +284,27 @@ def _build_config(flat: dict) -> ScenarioConfig:
             built[name] = None
         return built[name]
 
-    plant = section("plant")
-    true_coeffs = None if plant is None else derive_coefficients(plant)
+    # the plant keys' domains imply PlantParams's own checks, so it builds
+    true_coeffs = derive_coefficients(section("plant"))
     mpc_cfg = section("mpc")
     for i in (1, 2, 3, 4):
         lo, hi = flat[f"fuzzy.range_x{i}"]
         if not hi > lo:
             errors.append(f"fuzzy.range_x{i}: range ({lo}, {hi}) is not increasing")
-    if any(c < 1 for c in flat["fuzzy.counts"]):
-        errors.append("fuzzy.counts: every count must be >= 1")
-    if flat["fuzzy.g_floor"] <= 0.0:
-        errors.append("fuzzy.g_floor: must be positive")
-    if flat["fuzzy.theta_bound"] <= 0.0:
-        errors.append("fuzzy.theta_bound: must be positive")
-    if flat["fuzzy.init_samples"] < 1:
-        errors.append("fuzzy.init_samples: must be >= 1")
-    if flat["adapt.gain"] < 0.0:
-        errors.append("adapt.gain: must be non-negative")
-    q = flat["adapt.lyapunov_q_diag"]
-    if q <= 0.0:
-        errors.append("adapt.lyapunov_q_diag: must be positive")
-    else:
-        # build_closed_loop's own solve, so that what passes here builds: P
-        # is positive definite exactly when A is Hurwitz (Lyapunov's
-        # theorem), and V = e'Pe is then a Lyapunov function of the error
-        # system; an A whose P the solve cannot represent fails too
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("error", NotPositiveDefiniteWarning)
-            try:
-                solve_lyapunov(np.reshape(flat["adapt.lyapunov_a"], (4, 4)), q * np.eye(4))
-            except (SingularLyapunovError, NotPositiveDefiniteWarning):
-                errors.append("adapt.lyapunov_a: must be Hurwitz")
-    # no time the run evaluates the reference or the disturbance at is later
-    # than t_end; rounded products are monotone, so a sinusoid's phase 2 pi f t
-    # that is finite at t_end is finite at every earlier time
-    t_end = None if mpc_cfg is None else flat["run.duration"] + mpc_cfg.prediction_horizon * mpc_cfg.dt
-    reference = section("reference")
-    if flat["reference.kind"] == "sinusoid" and flat["reference.frequency"] <= 0.0:
-        errors.append("reference.frequency: must be positive for a sinusoid reference")
-    elif plant is not None:
-        # x0 is the state reference at t = 0, whose arm channels divide by w
-        # and w^2: w^2 underflows to a 0 that raises, or overflows them, at
-        # the tiniest frequencies; w^2 itself overflows at the largest. At
-        # t_end a sinusoid's phase may overflow
-        times = [0.0] if t_end is None else [0.0, t_end]
-        with np.errstate(all="ignore"):
-            try:
-                finite = np.isfinite(state_reference(reference, true_coeffs, np.array(times))).all(axis=1)
-            except ZeroDivisionError:
-                finite = [False]
-        if not finite[0]:
-            w = 2.0 * math.pi * flat["reference.frequency"]
-            cause = "too large" if math.isinf(w * w) else "too small for reference.amplitude"
-            errors.append(f"reference.frequency: {cause}, the state reference at t = 0 is not finite")
-        elif not finite[-1]:
-            errors.append("reference.frequency: too large for run.duration, the sinusoid's phase 2 pi f t overflows")
-    if flat["reference.step_time"] < 0.0:
-        errors.append("reference.step_time: must be non-negative")
-    disturbance = section("disturbance")
-    if (
-        t_end is not None
-        and disturbance is not None
-        and disturbance.kind == "sinusoid"
-        and disturbance.amplitude != 0.0
-        and not math.isfinite(2.0 * math.pi * disturbance.frequency * t_end)
-    ):
-        # a zero amplitude never reaches the sine: disturbance_value returns 0 first
-        errors.append("disturbance.frequency: too large for run.duration, the sinusoid's phase 2 pi f t overflows")
+    # build_closed_loop's own solve, so that what passes here builds: P is
+    # positive definite exactly when A is Hurwitz (Lyapunov's theorem), and
+    # V = e'Pe is then a Lyapunov function of the error system; an A whose P
+    # the solve cannot represent fails too
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error", NotPositiveDefiniteWarning)
+        try:
+            solve_lyapunov(np.reshape(flat["adapt.lyapunov_a"], (4, 4)), flat["adapt.lyapunov_q_diag"] * np.eye(4))
+        except (SingularLyapunovError, NotPositiveDefiniteWarning):
+            errors.append("adapt.lyapunov_a: must be Hurwitz")
+    section("reference")
+    section("disturbance")
     mismatch = section("mismatch")
-    for key in _FIELD_KEYS["mismatch"].values():
-        if flat[key] <= 0.0:
-            errors.append(f"{key}: factor must be positive")
-    if flat["run.duration"] <= 0.0:
-        errors.append("run.duration: must be positive")
-    if flat["run.dt"] <= 0.0:
-        errors.append("run.dt: must be positive")
-    elif mpc_cfg is not None:
+    if mpc_cfg is not None:
         if not _whole_multiple(mpc_cfg.dt, flat["run.dt"]):
             errors.append("mpc.dt: must be a positive integer multiple of run.dt")
         if flat["run.duration"] < mpc_cfg.dt:
@@ -327,24 +312,18 @@ def _build_config(flat: dict) -> ScenarioConfig:
         elif not _whole_multiple(flat["run.duration"], mpc_cfg.dt):
             # build_closed_loop would round the period count without a word
             errors.append("run.duration: must be a whole number of control periods")
-    if plant is not None:
-        # each model's fastest decay, a_p or c1 / J1 (a1 = -a_p, a4 = -c1 / J1),
-        # over one RK4 step: the plant's at run.dt, the predictor's
-        # mismatched coefficients' at mpc.dt
-        steps = [("run.dt", flat["run.dt"], true_coeffs, "a_p, c1 / J1")]
-        if mpc_cfg is not None:
-            steps.append(
-                ("mpc.dt", mpc_cfg.dt, mismatch.apply(true_coeffs), "a_p * mismatch.a1, c1 / J1 * mismatch.a4")
+    # each model's fastest decay, a_p or c1 / J1 (a1 = -a_p, a4 = -c1 / J1),
+    # over one RK4 step: the plant's at run.dt, the predictor's mismatched
+    # coefficients' at mpc.dt
+    steps = [("run.dt", flat["run.dt"], true_coeffs, "a_p, c1 / J1")]
+    if mpc_cfg is not None:
+        steps.append(("mpc.dt", mpc_cfg.dt, mismatch.apply(true_coeffs), "a_p * mismatch.a1, c1 / J1 * mismatch.a4"))
+    for key, h, c, rates in steps:
+        reach = h * max(-c.a1, -c.a4)
+        if reach > _RK4_REAL_LIMIT:
+            errors.append(
+                f"{key}: {key} * max({rates}) is {reach:.4g}, beyond RK4's stability limit {_RK4_REAL_LIMIT:.4g}"
             )
-        for key, h, c, rates in steps:
-            reach = h * max(-c.a1, -c.a4)
-            if reach > _RK4_REAL_LIMIT:
-                errors.append(
-                    f"{key}: {key} * max({rates}) is {reach:.4g}, beyond RK4's stability limit"
-                    f" {_RK4_REAL_LIMIT:.4g}"
-                )
-    if flat["run.seed"] < 0:
-        errors.append("run.seed: must be non-negative")
     if errors:
         raise ConfigError("\n".join(errors))
     return ScenarioConfig(
@@ -365,7 +344,7 @@ def _assign(flat: dict, key: str, raw: str, where: str, errors: list) -> None:
         errors.append(f"{where}: unknown key {key!r}")
         return
     try:
-        flat[key] = _parse_value(_DEFAULTS[key], raw, _CHOICES.get(key, ()))
+        flat[key] = _parse_value(_DEFAULTS[key], raw, _CHOICES.get(key, ()), _DOMAINS.get(key))
     except ValueError as exc:
         errors.append(f"{where}: {key}: {exc}")
 
@@ -375,9 +354,10 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
 
     `overrides` maps config keys to raw value strings applied after the
     file (used by the CLI for --controller/--seed). Every line of the file
-    and every override that does not parse is reported, in that order, in
-    one ConfigError; the build checks run only once everything parses, so
-    that no default standing in for a bad entry adds a line of its own.
+    and every override that does not parse, or whose number lies outside
+    its key's domain, is reported, in that order, in one ConfigError; the
+    checks between keys run only once every value parses into its domain,
+    so that no default standing in for a bad entry adds a line of its own.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes and output files."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -141,7 +142,7 @@ def test_run_zero_k1_is_a_config_error(tmp_path, capsys):
     out = str(tmp_path / "log.csv")
     code = cli.main(["run", "--config", path, "--controller", "afmpc", "--out", out])
     assert code == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == "config error:\nplant: k1 must be positive, got 0.0\n"
+    assert capsys.readouterr().err == f"config error:\n{path}:5: plant.k1: must be in [1e-6, 1e6], got 0.0\n"
 
 
 @pytest.mark.parametrize("controller", ["classical", "afmpc"])
@@ -155,8 +156,7 @@ def test_run_tiny_reference_frequency_is_a_config_error(tmp_path, capsys, contro
     code = cli.main(["run", "--config", path, "--controller", controller, "--out", out])
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err == (
-        "config error:\nreference.frequency: too small for reference.amplitude,"
-        " the state reference at t = 0 is not finite\n"
+        f"config error:\n{path}:2: reference.frequency: must be in [1e-6, 1e6], got {frequency}\n"
     )
     assert not os.path.exists(out)
 
@@ -166,8 +166,8 @@ def test_run_tiny_reference_frequency_is_a_config_error(tmp_path, capsys, contro
     "frequency, arm", [("1e154", "true"), ("1e200", "true"), ("1e308", "true"), ("1e308", "false")]
 )
 def test_run_huge_reference_frequency_is_a_config_error(tmp_path, capsys, controller, frequency, arm):
-    # (2 pi f)^2, or 2 pi f itself at 1e308, overflows the state reference
-    # at t = 0; the config error blamed a frequency too small
+    # (2 pi f)^2, or 2 pi f itself at 1e308, overflowed the state reference
+    # at t = 0; a config error once blamed a frequency too small
     path = write_config(
         tmp_path, f"run.duration = 0.1\nreference.frequency = {frequency}\nreference.consistent_arm = {arm}\n"
     )
@@ -175,55 +175,139 @@ def test_run_huge_reference_frequency_is_a_config_error(tmp_path, capsys, contro
     code = cli.main(["run", "--config", path, "--controller", controller, "--out", out])
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err == (
-        "config error:\nreference.frequency: too large, the state reference at t = 0 is not finite\n"
+        f"config error:\n{path}:2: reference.frequency: must be in [1e-6, 1e6], got {frequency}\n"
     )
     assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("controller", ["classical", "afmpc"])
 @pytest.mark.parametrize(
-    "text, key",
+    "text, report",
     [
-        # 2 pi f itself overflows: the disturbance's math.sin of inf raised
+        # 2 pi f itself overflowed: the disturbance's math.sin of inf raised
         (
             "disturbance.kind = sinusoid\ndisturbance.amplitude = 0.1\n"
             "disturbance.frequency = 1e308\nrun.duration = 0.1\n",
-            "disturbance",
+            "<cfg>:3: disturbance.frequency: must be in [1e-6, 1e6], got 1e308",
         ),
-        # 2 pi f t overflows part-way through the default 10 s run
+        # 2 pi f t overflowed part-way through the default 10 s run
         (
             "disturbance.kind = sinusoid\ndisturbance.amplitude = 0.1\ndisturbance.frequency = 1e307\n",
-            "disturbance",
+            "<cfg>:3: disturbance.frequency: must be in [1e-6, 1e6], got 1e307",
         ),
         # the reference's np.sin and np.cos of inf warned and gave NaN
         # references from t = 2.9 s, in a run that exited 0 with rmse=nan
         (
             "reference.frequency = 1e307\nreference.amplitude = 1e-300\n"
             "reference.consistent_arm = false\nrun.duration = 5.0\n",
-            "reference",
+            "<cfg>:1: reference.frequency: must be in [1e-6, 1e6], got 1e307",
         ),
     ],
     ids=["disturbance-1e308", "disturbance-1e307", "reference-1e307"],
 )
-def test_run_sinusoid_phase_overflow_is_a_config_error(tmp_path, capsys, controller, text, key):
+def test_run_sinusoid_phase_overflow_is_a_config_error(tmp_path, capsys, controller, text, report):
     path = write_config(tmp_path, text)
     out = str(tmp_path / "log.csv")
     code = cli.main(["run", "--config", path, "--controller", controller, "--out", out])
     assert code == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        f"config error:\n{key}.frequency: too large for run.duration, the sinusoid's phase 2 pi f t overflows\n"
-    )
+    assert capsys.readouterr().err == f"config error:\n{report.replace('<cfg>', path)}\n"
     assert not os.path.exists(out)
 
 
-def test_run_afmpc_degenerate_firing_at_the_logged_state_ends_diverged(tmp_path, capsys):
+# a 301- and a 401-digit prediction horizon
+KP_301, KP_401 = "1" + "0" * 300, "1" + "0" * 400
+TINY_B2 = "plant.k1 = 1e-200\nplant.k_p = 1e-200\n"
+TINY_B2_REPORT = (
+    "<cfg>:1: plant.k1: must be in [1e-6, 1e6], got 1e-200\n<cfg>:2: plant.k_p: must be in [1e-6, 1e6], got 1e-200"
+)
+
+
+@pytest.mark.parametrize("controller", ["classical", "afmpc"])
+@pytest.mark.parametrize(
+    "text, report",
+    [
+        # b2 = k1 k_p / J1 underflowed to 0: the config error blamed the
+        # reference frequency, and without the consistent arm the run went on
+        # with no pendulum input
+        (TINY_B2, TINY_B2_REPORT),
+        (TINY_B2 + "reference.consistent_arm = false\n", TINY_B2_REPORT),
+        # the run raised "Maximum allowed size exceeded"; at 401 digits
+        # load_config itself raised OverflowError, as math.isfinite of the
+        # int would
+        (f"mpc.kp = {KP_301}\n", f"<cfg>:1: mpc.kp: must be in [1, 1000], got {KP_301}"),
+        (f"mpc.kp = {KP_401}\n", f"<cfg>:1: mpc.kp: must be in [1, 1000], got {KP_401}"),
+        # the step's ramp polynomial overflowed at t = 0 with a RuntimeWarning
+        (
+            "reference.kind = step\nreference.step_time = 1e100\n",
+            "<cfg>:2: reference.step_time: must be in [0, 1e6], got 1e100",
+        ),
+        # classical exited 0 with rmse=inf
+        ("scenario.alpha0 = 1e300\n", "<cfg>:1: scenario.alpha0: must be in [-1e6, 1e6], got 1e300"),
+        (
+            "disturbance.kind = sinusoid\ndisturbance.amplitude = 1e300\n",
+            "<cfg>:2: disturbance.amplitude: must be in [0, 1e6], got 1e300",
+        ),
+        # x0 overflowed, and the config error called the frequency too small
+        (
+            "reference.amplitude = 1e300\nreference.frequency = 1e10\n",
+            "<cfg>:1: reference.amplitude: must be in [-1e6, 1e6], got 1e300\n"
+            "<cfg>:2: reference.frequency: must be in [1e-6, 1e6], got 1e10",
+        ),
+        # classical exited 0 with rmse=inf
+        (
+            "reference.frequency = 1e200\nreference.consistent_arm = false\n",
+            "<cfg>:1: reference.frequency: must be in [1e-6, 1e6], got 1e200",
+        ),
+    ],
+    ids=[
+        "tiny-b2",
+        "tiny-b2-no-arm",
+        "kp-301-digits",
+        "kp-401-digits",
+        "step-time-1e100",
+        "alpha0-1e300",
+        "disturbance-amplitude-1e300",
+        "amplitude-1e300-frequency-1e10",
+        "frequency-1e200-no-arm",
+    ],
+)
+def test_run_value_outside_its_domain_is_a_config_error(tmp_path, capsys, controller, text, report):
+    # one line for each value outside its key's domain, and no run: no
+    # traceback, no warning (an error under this suite's filters) and no CSV
+    path = write_config(tmp_path, text + "run.duration = 0.1\n")
+    out = str(tmp_path / "log.csv")
+    code = cli.main(["run", "--config", path, "--controller", controller, "--out", out])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error:\n{report.replace('<cfg>', path)}\n"
+    assert not os.path.exists(out)
+
+
+def test_endless_duration_is_a_config_error(tmp_path):
+    # 2e301 control periods, a run that never ends, was accepted; load_config
+    # only, so that a regression cannot start it
+    path = write_config(tmp_path, "run.duration = 1e300\n")
+    with pytest.raises(harness.ConfigError) as excinfo:
+        harness.load_config(path)
+    assert str(excinfo.value) == f"{path}:1: run.duration: must be in (0, 1e6], got 1e300"
+
+
+def test_run_afmpc_degenerate_firing_at_the_logged_state_ends_diverged(tmp_path, capsys, monkeypatch):
     # the phase stays finite to the run's end, but x0's x4 is a*w = 1.26e307,
     # where the rules' firing strengths are not finite: w_diag's f_hat raised
     # DegenerateFiringError out of the run. The period is logged with w_diag
-    # NaN and the run ends diverged, as classical's does
-    path = write_config(
-        tmp_path, "reference.frequency = 1e307\nreference.consistent_arm = false\nrun.duration = 0.5\n"
+    # NaN and the run ends diverged, as classical's does. load_config
+    # rejects the frequency, so the config is built in code and handed to
+    # the command in its place
+    default = harness.default_config()
+    config = dataclasses.replace(
+        default,
+        reference=dataclasses.replace(default.reference, frequency=1e307, consistent_arm=False),
+        duration=0.5,
     )
+    monkeypatch.setattr(
+        harness, "load_config", lambda path, overrides: dataclasses.replace(config, controller=overrides["controller"])
+    )
+    path = write_config(tmp_path, "")
     out = str(tmp_path / "log.csv")
     code = cli.main(["run", "--config", path, "--controller", "afmpc", "--out", out])
     assert code == cli.EXIT_DIVERGED

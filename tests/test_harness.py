@@ -1,6 +1,7 @@
 """Tests for scenario configuration, references, metrics, and CSV I/O."""
 
 import dataclasses
+import itertools
 import math
 import re
 import warnings
@@ -14,7 +15,7 @@ from afmpc import harness, mpc
 from afmpc.dense_linalg import is_positive_definite
 from afmpc.mpc import TrajectoryLog
 from afmpc.nlp_optimizer import _MAX_BACKTRACKS
-from afmpc.plant import DisturbanceSpec, PlantParams, derive_coefficients
+from afmpc.plant import DisturbanceSpec, PlantParams, derive_coefficients, disturbance_value
 
 TRUE_COEFFS = derive_coefficients(PlantParams())
 STATUSES = ("converged", "max_iter", "stalled", "fallback")
@@ -184,55 +185,50 @@ def test_build_validation_reports_all_problems(tmp_path):
     )
     with pytest.raises(harness.ConfigError) as excinfo:
         harness.load_config(path)
-    msg = str(excinfo.value)
-    for fragment in (
-        "fuzzy.g_floor: must be positive",
-        "adapt.gain: must be non-negative",
-        "mismatch.b2: factor must be positive",
-        "fuzzy.range_x2: range (2.0, -2.0) is not increasing",
-        "run.duration: must be positive",
-    ):
-        assert fragment in msg
+    # every value outside its domain has its own line; like a line that does
+    # not parse, they hide the checks between keys, the reversed range's too
+    assert str(excinfo.value).replace(path, "<cfg>") == (
+        "<cfg>:1: fuzzy.g_floor: must be in (0, inf), got 0.0\n"
+        "<cfg>:2: adapt.gain: must be in [0, inf), got -1.0\n"
+        "<cfg>:3: mismatch.b2: must be in (0, inf), got 0.0\n"
+        "<cfg>:5: run.duration: must be in (0, 1e6], got 0.0"
+    )
 
 
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("fuzzy.counts = 0 3 3 3", "fuzzy.counts: every count must be >= 1"),
-        ("fuzzy.theta_bound = 0.0", "fuzzy.theta_bound: must be positive"),
-        ("fuzzy.init_samples = 0", "fuzzy.init_samples: must be >= 1"),
-        ("adapt.lyapunov_q_diag = 0.0", "adapt.lyapunov_q_diag: must be positive"),
-        ("reference.step_time = -1.0", "reference.step_time: must be non-negative"),
-        ("run.dt = 0.0", "run.dt: must be positive"),
+        ("fuzzy.counts = 0 3 3 3", "fuzzy.counts: must be in [1, inf), got 0 3 3 3"),
+        ("fuzzy.theta_bound = 0.0", "fuzzy.theta_bound: must be in (0, inf), got 0.0"),
+        ("fuzzy.init_samples = 0", "fuzzy.init_samples: must be in [1, inf), got 0"),
+        ("adapt.lyapunov_q_diag = 0.0", "adapt.lyapunov_q_diag: must be in (0, inf), got 0.0"),
+        ("reference.step_time = -1.0", "reference.step_time: must be in [0, 1e6], got -1.0"),
+        ("run.dt = 0.0", "run.dt: must be in (0, inf), got 0.0"),
         # b2 = k1 k_p / J1 = 0 leaves the pendulum no input, and the
         # consistent arm reference's b1 / b2 raised ZeroDivisionError
-        ("plant.k1 = 0.0", "plant: k1 must be positive, got 0.0"),
-        # x0's consistent arm reference at t = 0 overflows at the largest
-        # amplitudes as it does at the tiniest frequencies (tests/test_cli.py)
-        (
-            "reference.amplitude = 1e308",
-            "reference.frequency: too small for reference.amplitude, the state reference at t = 0 is not finite",
-        ),
-        (
-            "reference.frequency = 1e-160",
-            "reference.frequency: too small for reference.amplitude, the state reference at t = 0 is not finite",
-        ),
-        # (2 pi f)^2 overflows the arm channels from about 1.3e154 Hz, and 2 pi f
-        # itself the output's derivative at 1e308; each read "too small"
-        ("reference.frequency = 1e154", "reference.frequency: too large, the state reference at t = 0 is not finite"),
-        ("reference.frequency = 1e200", "reference.frequency: too large, the state reference at t = 0 is not finite"),
-        ("reference.frequency = 1e308", "reference.frequency: too large, the state reference at t = 0 is not finite"),
+        ("plant.k1 = 0.0", "plant.k1: must be in [1e-6, 1e6], got 0.0"),
+        # x0's consistent arm reference at t = 0 overflowed at the largest
+        # amplitudes, and was blamed on the frequency
+        ("reference.amplitude = 1e308", "reference.amplitude: must be in [-1e6, 1e6], got 1e308"),
+        # ... as it did at the tiniest frequencies (tests/test_cli.py)
+        ("reference.frequency = 1e-160", "reference.frequency: must be in [1e-6, 1e6], got 1e-160"),
+        # (2 pi f)^2 overflowed the arm channels from about 1.3e154 Hz, and
+        # 2 pi f itself the output's derivative at 1e308
+        ("reference.frequency = 1e154", "reference.frequency: must be in [1e-6, 1e6], got 1e154"),
+        ("reference.frequency = 1e200", "reference.frequency: must be in [1e-6, 1e6], got 1e200"),
+        ("reference.frequency = 1e308", "reference.frequency: must be in [1e-6, 1e6], got 1e308"),
         (
             "reference.frequency = 1e308\nreference.consistent_arm = false",
-            "reference.frequency: too large, the state reference at t = 0 is not finite",
+            "reference.frequency: must be in [1e-6, 1e6], got 1e308",
         ),
     ],
 )
 def test_build_rule_reports_its_one_message(tmp_path, line, message):
+    # each value lies outside its key's domain, which the parse pass checks
     path = write_config(tmp_path, line + "\n")
     with pytest.raises(harness.ConfigError) as excinfo:
         harness.load_config(path)
-    assert str(excinfo.value) == message
+    assert str(excinfo.value) == f"{path}:1: {message}"
 
 
 def test_control_period_must_divide_into_plant_steps(tmp_path):
@@ -354,40 +350,166 @@ PARSE_ERRORS = """\
 <cfg>:8: fuzzy.counts: expected 4 values, got 3
 <cfg>:9: reference.consistent_arm: expected true or false"""
 
-# one line of each build error kind, and the full report they give
+# one value outside each key's domain, in file order, and the full report
+# they give: every key has its own line, each plant key included
+DOMAIN_ERROR_LINES = """\
+plant.m1 = 0.0
+plant.k1 = 1e-7
+plant.a_p = -1.0
+plant.j1 = 2e6
+plant.g = -9.8
+plant.l1 = 0
+plant.c1 = 1e7
+plant.k_p = 1e300
+mpc.kp = 1001
+fuzzy.counts = 3 0 3 3
+fuzzy.g_floor = 0.0
+fuzzy.theta_bound = -1.0
+fuzzy.init_samples = 0
+adapt.gain = -0.5
+adapt.lyapunov_q_diag = 0.0
+reference.amplitude = 2e6
+reference.frequency = 0.0
+reference.step_time = -1.0
+disturbance.amplitude = -0.1
+disturbance.frequency = 2e6
+mismatch.a1 = 0.0
+mismatch.a2 = -1.0
+mismatch.a3 = 0
+mismatch.a4 = -0.0
+mismatch.b1 = -2.5
+mismatch.b2 = 0.0
+scenario.alpha0 = -2e6
+run.duration = 1000000.5
+run.dt = -0.001
+run.seed = -1
+"""
+DOMAIN_ERRORS = """\
+<cfg>:1: plant.m1: must be in [1e-6, 1e6], got 0.0
+<cfg>:2: plant.k1: must be in [1e-6, 1e6], got 1e-7
+<cfg>:3: plant.a_p: must be in [0, 1e6], got -1.0
+<cfg>:4: plant.j1: must be in [1e-6, 1e6], got 2e6
+<cfg>:5: plant.g: must be in [1e-6, 1e6], got -9.8
+<cfg>:6: plant.l1: must be in [1e-6, 1e6], got 0
+<cfg>:7: plant.c1: must be in [0, 1e6], got 1e7
+<cfg>:8: plant.k_p: must be in [1e-6, 1e6], got 1e300
+<cfg>:9: mpc.kp: must be in [1, 1000], got 1001
+<cfg>:10: fuzzy.counts: must be in [1, inf), got 3 0 3 3
+<cfg>:11: fuzzy.g_floor: must be in (0, inf), got 0.0
+<cfg>:12: fuzzy.theta_bound: must be in (0, inf), got -1.0
+<cfg>:13: fuzzy.init_samples: must be in [1, inf), got 0
+<cfg>:14: adapt.gain: must be in [0, inf), got -0.5
+<cfg>:15: adapt.lyapunov_q_diag: must be in (0, inf), got 0.0
+<cfg>:16: reference.amplitude: must be in [-1e6, 1e6], got 2e6
+<cfg>:17: reference.frequency: must be in [1e-6, 1e6], got 0.0
+<cfg>:18: reference.step_time: must be in [0, 1e6], got -1.0
+<cfg>:19: disturbance.amplitude: must be in [0, 1e6], got -0.1
+<cfg>:20: disturbance.frequency: must be in [1e-6, 1e6], got 2e6
+<cfg>:21: mismatch.a1: must be in (0, inf), got 0.0
+<cfg>:22: mismatch.a2: must be in (0, inf), got -1.0
+<cfg>:23: mismatch.a3: must be in (0, inf), got 0
+<cfg>:24: mismatch.a4: must be in (0, inf), got -0.0
+<cfg>:25: mismatch.b1: must be in (0, inf), got -2.5
+<cfg>:26: mismatch.b2: must be in (0, inf), got 0.0
+<cfg>:27: scenario.alpha0: must be in [-1e6, 1e6], got -2e6
+<cfg>:28: run.duration: must be in (0, 1e6], got 1000000.5
+<cfg>:29: run.dt: must be in (0, inf), got -0.001
+<cfg>:30: run.seed: must be in [0, inf), got -1"""
+
+# values in their domains that fail the checks between keys, and the full
+# report they give: a section dataclass's line, a reversed range, a
+# non-Hurwitz A and the plant's RK4 step (mpc's steps need a valid mpc)
 BUILD_ERROR_LINES = """\
-plant.m1 = -1.0
 mpc.kc = 6
 fuzzy.range_x2 = 2.0 -2.0
-fuzzy.g_floor = 0.0
-adapt.gain = -1.0
-mismatch.b2 = 0.0
-disturbance.amplitude = -0.1
-reference.frequency = 0.0
-run.duration = 0.0
+adapt.lyapunov_a = 1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1
+disturbance.seed = -1
+run.dt = 0.1
 """
 BUILD_ERRORS = """\
-plant: m1 must be positive, got -1.0
 mpc: K_c <= K_p violated: control_horizon 6 exceeds prediction_horizon 5
 fuzzy.range_x2: range (2.0, -2.0) is not increasing
-fuzzy.g_floor: must be positive
-adapt.gain: must be non-negative
-reference.frequency: must be positive for a sinusoid reference
-disturbance: disturbance amplitude must be non-negative
-mismatch.b2: factor must be positive
-run.duration: must be positive"""
+adapt.lyapunov_a: must be Hurwitz
+disturbance: disturbance seed must be non-negative
+run.dt: run.dt * max(a_p, c1 / J1) is 3.304, beyond RK4's stability limit 2.785"""
+
+# the checks that need a valid mpc: whole multiples and the predictor's RK4 step
+PERIOD_ERROR_LINES = """\
+run.dt = 0.0003
+run.duration = 10.01
+mismatch.a1 = 2
+"""
+PERIOD_ERRORS = """\
+mpc.dt: must be a positive integer multiple of run.dt
+run.duration: must be a whole number of control periods
+mpc.dt: mpc.dt * max(a_p * mismatch.a1, c1 / J1 * mismatch.a4) is 3.304, beyond RK4's stability limit 2.785"""
 
 
 @pytest.mark.parametrize(
     "lines, report",
-    [(PARSE_ERROR_LINES, PARSE_ERRORS), (BUILD_ERROR_LINES, BUILD_ERRORS)],
-    ids=["parse", "build"],
+    [
+        (PARSE_ERROR_LINES, PARSE_ERRORS),
+        (DOMAIN_ERROR_LINES, DOMAIN_ERRORS),
+        (BUILD_ERROR_LINES, BUILD_ERRORS),
+        (PERIOD_ERROR_LINES, PERIOD_ERRORS),
+    ],
+    ids=["parse", "domain", "build", "build-periods"],
 )
 def test_config_error_report_golden(tmp_path, lines, report):
     path = write_config(tmp_path, lines)
     with pytest.raises(harness.ConfigError) as excinfo:
         harness.load_config(path)
     assert str(excinfo.value).replace(path, "<cfg>") == report
+
+
+def domain_bounds(key: str) -> tuple:
+    """The two end points of key's interval in harness._DOMAINS."""
+    return tuple(float(bound) for bound in harness._DOMAINS[key][1:-1].split(","))
+
+
+def test_every_domain_belongs_to_a_number_key_whose_default_it_holds():
+    # a misspelled key would leave the key it meant without a domain
+    for key, domain in harness._DOMAINS.items():
+        assert key in harness._DEFAULTS, key
+        default = harness._DEFAULTS[key]
+        values = default if isinstance(default, tuple) else (default,)
+        assert all(type(v) in (int, float) for v in values), key
+        lo, hi = domain_bounds(key)
+        assert domain[0] in "[(" and domain[-1] in "])" and lo < hi, key
+        for v in values:
+            assert lo < v < hi or (v == lo and domain[0] == "[") or (v == hi and domain[-1] == "]"), key
+
+
+# PlantParams field -> its config key
+PLANT_KEYS = {f.name: f"plant.{f.name.lower()}" for f in dataclasses.fields(PlantParams)}
+# the latest time a run evaluates its reference or disturbance at is below
+# run.duration + mpc.kp * mpc.dt, and load_config takes no mpc.dt beyond
+# run.duration
+LATEST_T = domain_bounds("run.duration")[1] * (1.0 + domain_bounds("mpc.kp")[1])
+
+
+def test_state_reference_is_finite_at_every_corner_of_the_domains():
+    # x0 is the state reference at t = 0. Each of its entries is a product
+    # and quotient of the plant, amplitude and frequency keys, monotone in
+    # each, so its largest magnitude lies at a corner of their domains: the
+    # domains leave no x0, and no sinusoid phase 2 pi f t, that overflows
+    corners = itertools.product(
+        *(domain_bounds(key) for key in (*PLANT_KEYS.values(), "reference.amplitude", "reference.frequency"))
+    )
+    with np.errstate(all="raise"):
+        for *plant, amplitude, frequency in corners:
+            coeffs = derive_coefficients(PlantParams(**dict(zip(PLANT_KEYS, plant))))
+            for kind, arm, step_time in itertools.product(
+                harness._REFERENCE_KINDS, (True, False), domain_bounds("reference.step_time")
+            ):
+                spec = harness.ReferenceSpec(kind, amplitude, frequency, step_time, arm)
+                assert np.isfinite(harness.state_reference(spec, coeffs, np.array([0.0, LATEST_T]))).all()
+
+
+def test_sinusoid_disturbance_is_finite_at_the_latest_time():
+    amplitude, frequency = domain_bounds("disturbance.amplitude")[1], domain_bounds("disturbance.frequency")[1]
+    assert 2.0 * math.pi * frequency * LATEST_T < 6.3e15
+    assert math.isfinite(disturbance_value(DisturbanceSpec("sinusoid", amplitude, frequency), LATEST_T))
 
 
 @pytest.mark.parametrize(
@@ -414,7 +536,7 @@ def test_config_rejects_non_finite_numbers(tmp_path, line):
 @pytest.mark.parametrize(
     "lines, message",
     [
-        ("run.seed = -1\n", "run.seed: must be non-negative"),
+        ("run.seed = -1\n", "<cfg>:1: run.seed: must be in [0, inf), got -1"),
         (
             "disturbance.kind = band_limited_noise\ndisturbance.amplitude = 0.1\ndisturbance.seed = -1\n",
             "disturbance: disturbance seed must be non-negative",
@@ -427,7 +549,7 @@ def test_config_rejects_negative_seeds(tmp_path, lines, message):
     path = write_config(tmp_path, lines)
     with pytest.raises(harness.ConfigError) as excinfo:
         harness.build_closed_loop(harness.load_config(path))
-    assert str(excinfo.value) == message
+    assert str(excinfo.value).replace(path, "<cfg>") == message
 
 
 @pytest.mark.parametrize("frequency", ["-1.0", "0.0"])
@@ -437,9 +559,7 @@ def test_config_rejects_a_sinusoid_disturbance_without_a_positive_frequency(tmp_
     )
     with pytest.raises(harness.ConfigError) as excinfo:
         harness.load_config(path)
-    assert str(excinfo.value) == (
-        f"disturbance: sinusoid disturbance frequency must be finite and positive, got {float(frequency)}"
-    )
+    assert str(excinfo.value) == f"{path}:3: disturbance.frequency: must be in [1e-6, 1e6], got {frequency}"
 
 
 @pytest.mark.parametrize(
@@ -619,8 +739,8 @@ def valid_flats(draw):
     flat["reference.consistent_arm"] = draw(st.booleans())
     flat["disturbance.kind"] = pick("none", "constant", "sinusoid", "band_limited_noise")
     flat["disturbance.amplitude"] = num(0.0)
-    # only a sinusoid needs a positive frequency; other kinds ignore it
-    flat["disturbance.frequency"] = pos() if flat["disturbance.kind"] == "sinusoid" else num()
+    # in its domain for every kind, though only a sinusoid reads it
+    flat["disturbance.frequency"] = pos()
     flat["disturbance.seed"] = count(0, 2**31)
     flat.update({f"mismatch.{name}": pos() for name in ("a1", "a2", "a3", "a4", "b1", "b2")})
     flat["scenario.alpha0"] = num()
@@ -651,13 +771,18 @@ def test_dump_load_round_trips_every_key(tmp_path_factory, flat):
         assert repr(loaded[key]) == repr(value), key
 
 
+# the values outside their keys' domains that small_flats draws
+HUGE_FREQUENCIES = (1e300, 1e306, 1e307, 1e308)
+OUT_OF_DOMAIN = {"plant.k1": (0.0,), "reference.frequency": HUGE_FREQUENCIES, "disturbance.frequency": HUGE_FREQUENCIES}
+
+
 @st.composite
 def small_flats(draw):
     """valid_flats, kept small enough to run: at most 3 rules per axis,
-    300 fit samples, 8 prediction slots and 2 control periods; plant.k1,
-    a_p and c1 also draw their boundary value 0.0, and the reference's and
-    a sinusoid disturbance's frequency a few huge values, at which 2 pi f t
-    may overflow within the run."""
+    300 fit samples, 8 prediction slots and 2 control periods; plant.a_p
+    and c1 also draw their boundary value 0.0, and the values of
+    OUT_OF_DOMAIN, at which x0 or 2 pi f t overflowed, stay drawn so that
+    their rejection is checked."""
     flat = draw(valid_flats())
     kp = draw(st.integers(1, 8))
     flat["mpc.kp"] = kp
@@ -665,13 +790,13 @@ def small_flats(draw):
     flat["fuzzy.counts"] = tuple(draw(st.integers(1, 3)) for _ in range(4))
     flat["fuzzy.init_samples"] = draw(st.integers(1, 300))
     flat["run.duration"] = 2.0 * flat["mpc.dt"]
-    for name in ("k1", "a_p", "c1"):
+    for name in ("a_p", "c1"):
         key = f"plant.{name}"
         flat[key] = draw(st.sampled_from((0.0, flat[key])))
-    huge = (1e300, 1e306, 1e307, 1e308)
-    flat["reference.frequency"] = draw(st.sampled_from((flat["reference.frequency"], *huge)))
-    if flat["disturbance.kind"] == "sinusoid":
-        flat["disturbance.frequency"] = draw(st.sampled_from((flat["disturbance.frequency"], *huge)))
+    for key, values in OUT_OF_DOMAIN.items():
+        if key != "disturbance.frequency" or flat["disturbance.kind"] == "sinusoid":
+            # in its domain half the time, so that more draws run
+            flat[key] = draw(st.one_of(st.just(flat[key]), st.sampled_from(values)))
     return flat
 
 
@@ -679,31 +804,20 @@ ZERO_K1 = dict(
     config_values(harness.default_config()), **{"plant.k1": 0.0, "run.duration": 0.1}
 )
 
-# x0's x4 is 2 pi f = 6.3e300, and a narrow x4 range gives the fuzzy basis
-# coefficients near 1e7: their product with x4 overflowed in the solve's first
-# rollout, and the RuntimeWarning escaped the run
-HUGE_X4 = dict(
-    config_values(harness.default_config()),
-    **{
-        "controller": "afmpc",
-        "mpc.dt": 0.0078125,
-        "fuzzy.range_x4": (219.0, 219.0078125),
-        "reference.amplitude": 1.0,
-        "reference.frequency": 1e300,
-        "reference.consistent_arm": False,
-        "run.duration": 0.015625,
-        "run.dt": 0.0078125,
-    },
-)
-
 
 @hyp_settings(max_examples=200, deadline=None)
 @given(flat=small_flats())
 @example(flat=ZERO_K1)
-@example(flat=HUGE_X4)
 def test_a_config_that_load_config_accepts_runs(tmp_path_factory, flat):
     path = tmp_path_factory.mktemp("runs") / "scenario.cfg"
     path.write_text(harness.dump_config(flat), encoding="utf-8")
+    rejected = [key for key, values in OUT_OF_DOMAIN.items() if flat[key] in values]
+    if rejected:
+        # one line per value outside its domain, naming its key
+        with pytest.raises(harness.ConfigError) as excinfo:
+            harness.load_config(str(path))
+        assert [line.split(": ")[1] for line in str(excinfo.value).splitlines()] == rejected
+        return
     # a run that diverges passes through huge finite states whose products
     # overflow before the state itself does and the log ends; it must end
     # diverged without a RuntimeWarning, which pytest's filters make an error
@@ -713,6 +827,27 @@ def test_a_config_that_load_config_accepts_runs(tmp_path_factory, flat):
         # load_config's checks, or build_closed_loop's own
         return
     # two control periods, the second cut short only by a divergence
+    assert len(log) == 2 or log.diverged
+
+
+def test_huge_logged_x4_overflows_in_the_rollout_without_warning():
+    # x0's x4 is 2 pi f = 6.3e300, and a narrow x4 range gives the fuzzy basis
+    # coefficients near 1e7: their product with x4 overflowed in the solve's
+    # first rollout, and the RuntimeWarning escaped the run. load_config
+    # rejects the frequency, so the config is built in code
+    cfg = harness.default_config()
+    cfg = dataclasses.replace(
+        cfg,
+        controller="afmpc",
+        mpc=dataclasses.replace(cfg.mpc, dt=0.0078125),
+        fuzzy_range_x4=(219.0, 219.0078125),
+        reference=harness.ReferenceSpec(amplitude=1.0, frequency=1e300, consistent_arm=False),
+        duration=0.015625,
+        plant_dt=0.0078125,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log, _ = harness.run_scenario(cfg)
     assert len(log) == 2 or log.diverged
 
 
