@@ -71,6 +71,11 @@ _STEP_SMOOTH_WINDOW = 0.5  # seconds of quintic ramp after the step time
 # per step of a mode x' = z x / h; a step whose z lies beyond it grows the mode
 _RK4_REAL_LIMIT = 2.785293563405289
 
+# caps that keep a run in memory, far above every scenario in the repo: plant
+# steps per control period, fuzzy rules, and float64 entries (2^26 is 512 MB)
+# of the nominal_fit prior's init_samples x rules basis matrix
+_MAX_SUB_STEPS, _MAX_RULES, _MAX_FIT_ENTRIES = 100_000, 8192, 2**26
+
 
 class ConfigError(ValueError):
     """Invalid scenario configuration; message lists every problem found."""
@@ -213,28 +218,18 @@ _CHOICES = {
 # every corner of the plant, reference.amplitude and reference.frequency
 # domains x0 stays below 1e36, and a sinusoid's phase 2 pi f t stays below
 # 6.3e15 up to t_end = run.duration + mpc.kp * mpc.dt, as mpc.dt <=
-# run.duration. The other bounds are the keys' sign rules
+# run.duration. The others are sign rules, each section dataclass's among them
 _DOMAINS = {
     **dict.fromkeys((f"plant.{name}" for name in ("m1", "k1", "j1", "g", "l1", "k_p")), "[1e-6, 1e6]"),
-    "plant.a_p": "[0, 1e6]",
-    "plant.c1": "[0, 1e6]",
+    **dict.fromkeys(("plant.a_p", "plant.c1", "reference.step_time", "disturbance.amplitude"), "[0, 1e6]"),
     "mpc.kp": "[1, 1000]",
-    "fuzzy.counts": "[1, inf)",
-    "fuzzy.g_floor": "(0, inf)",
-    "fuzzy.theta_bound": "(0, inf)",
-    "fuzzy.init_samples": "[1, inf)",
-    "adapt.gain": "[0, inf)",
-    "adapt.lyapunov_q_diag": "(0, inf)",
-    "reference.amplitude": "[-1e6, 1e6]",
-    "reference.frequency": "[1e-6, 1e6]",
-    "reference.step_time": "[0, 1e6]",
-    "disturbance.amplitude": "[0, 1e6]",
-    "disturbance.frequency": "[1e-6, 1e6]",
-    **dict.fromkeys(_FIELD_KEYS["mismatch"].values(), "(0, inf)"),
-    "scenario.alpha0": "[-1e6, 1e6]",
+    **dict.fromkeys(("mpc.kc", "fuzzy.counts", "fuzzy.init_samples"), "[1, inf)"),
+    **dict.fromkeys(("mpc.q_diag", "mpc.r", "mpc.dt", "fuzzy.g_floor", "fuzzy.theta_bound", "run.dt"), "(0, inf)"),
+    **dict.fromkeys(("adapt.lyapunov_q_diag", *_FIELD_KEYS["mismatch"].values()), "(0, inf)"),
+    **dict.fromkeys(("mpc.u_max", "adapt.gain", "disturbance.seed", "run.seed"), "[0, inf)"),
+    **dict.fromkeys(("reference.amplitude", "scenario.alpha0"), "[-1e6, 1e6]"),
+    **dict.fromkeys(("reference.frequency", "disturbance.frequency"), "[1e-6, 1e6]"),
     "run.duration": "(0, 1e6]",
-    "run.dt": "(0, inf)",
-    "run.seed": "[0, inf)",
 }
 
 
@@ -269,24 +264,26 @@ def _parse_value(default, raw: str, choices: tuple = (), domain: Optional[str] =
     return value
 
 
+def _section(flat: dict, name: str):
+    """The dataclass of section name, built from flat's values of its keys."""
+    return _SECTIONS[name][0](**{attr: flat[key] for attr, key in _FIELD_KEYS[name].items()})
+
+
 def _build_config(flat: dict) -> ScenarioConfig:
     """The ScenarioConfig of flat, each of whose values lies in its key's
-    domain; raises ConfigError listing every check between keys that fails."""
+    domain; raises ConfigError listing every check between keys that fails,
+    K_c <= K_p among them, so that every section dataclass then builds."""
     errors: list[str] = []
-    built: dict = {}  # section -> its dataclass, or None if it raised
-
-    def section(name: str):
-        kwargs = {attr: flat[key] for attr, key in _FIELD_KEYS[name].items()}
-        try:
-            built[name] = _SECTIONS[name][0](**kwargs)
-        except ValueError as exc:
-            errors.append(f"{name}: {exc}")
-            built[name] = None
-        return built[name]
-
-    # the plant keys' domains imply PlantParams's own checks, so it builds
-    true_coeffs = derive_coefficients(section("plant"))
-    mpc_cfg = section("mpc")
+    if flat["mpc.kc"] > flat["mpc.kp"]:
+        errors.append(f"mpc.kc: must not exceed mpc.kp = {flat['mpc.kp']}, got {flat['mpc.kc']}")
+    rules = math.prod(flat["fuzzy.counts"])
+    fit = flat["fuzzy.init_samples"] * rules if flat["fuzzy.init"] == "nominal_fit" else 0
+    if rules > _MAX_RULES:
+        errors.append(f"fuzzy.counts: gives {rules} rules, beyond the limit {_MAX_RULES}")
+    elif fit > _MAX_FIT_ENTRIES:
+        errors.append(
+            f"fuzzy.init_samples: fuzzy.init_samples * rules is {fit}, beyond the nominal_fit limit {_MAX_FIT_ENTRIES}"
+        )
     for i in (1, 2, 3, 4):
         lo, hi = flat[f"fuzzy.range_x{i}"]
         if not hi > lo:
@@ -301,23 +298,25 @@ def _build_config(flat: dict) -> ScenarioConfig:
             solve_lyapunov(np.reshape(flat["adapt.lyapunov_a"], (4, 4)), flat["adapt.lyapunov_q_diag"] * np.eye(4))
         except (SingularLyapunovError, NotPositiveDefiniteWarning):
             errors.append("adapt.lyapunov_a: must be Hurwitz")
-    section("reference")
-    section("disturbance")
-    mismatch = section("mismatch")
-    if mpc_cfg is not None:
-        if not _whole_multiple(mpc_cfg.dt, flat["run.dt"]):
-            errors.append("mpc.dt: must be a positive integer multiple of run.dt")
-        if flat["run.duration"] < mpc_cfg.dt:
-            errors.append("run.duration: shorter than one control period")
-        elif not _whole_multiple(flat["run.duration"], mpc_cfg.dt):
-            # build_closed_loop would round the period count without a word
-            errors.append("run.duration: must be a whole number of control periods")
+    mpc_dt, run_dt = flat["mpc.dt"], flat["run.dt"]
+    if not _whole_multiple(mpc_dt, run_dt):
+        errors.append("mpc.dt: must be a positive integer multiple of run.dt")
+    # the loop's step count per period is the ratio rounded
+    if mpc_dt / run_dt >= _MAX_SUB_STEPS + 0.5:
+        errors.append(f"mpc.dt: mpc.dt / run.dt is {mpc_dt / run_dt:.4g}, beyond the limit {_MAX_SUB_STEPS:.4g}")
+    if flat["run.duration"] < mpc_dt:
+        errors.append("run.duration: shorter than one control period")
+    elif not _whole_multiple(flat["run.duration"], mpc_dt):
+        # build_closed_loop would round the period count without a word
+        errors.append("run.duration: must be a whole number of control periods")
     # each model's fastest decay, a_p or c1 / J1 (a1 = -a_p, a4 = -c1 / J1),
     # over one RK4 step: the plant's at run.dt, the predictor's mismatched
     # coefficients' at mpc.dt
-    steps = [("run.dt", flat["run.dt"], true_coeffs, "a_p, c1 / J1")]
-    if mpc_cfg is not None:
-        steps.append(("mpc.dt", mpc_cfg.dt, mismatch.apply(true_coeffs), "a_p * mismatch.a1, c1 / J1 * mismatch.a4"))
+    true_coeffs = derive_coefficients(_section(flat, "plant"))
+    steps = (
+        ("run.dt", run_dt, true_coeffs, "a_p, c1 / J1"),
+        ("mpc.dt", mpc_dt, _section(flat, "mismatch").apply(true_coeffs), "a_p * mismatch.a1, c1 / J1 * mismatch.a4"),
+    )
     for key, h, c, rates in steps:
         reach = h * max(-c.a1, -c.a4)
         if reach > _RK4_REAL_LIMIT:
@@ -326,12 +325,8 @@ def _build_config(flat: dict) -> ScenarioConfig:
             )
     if errors:
         raise ConfigError("\n".join(errors))
-    return ScenarioConfig(
-        **{
-            f.name: built[f.name] if f.name in _SECTIONS else flat[f.metadata["key"]]
-            for f in fields(ScenarioConfig)
-        }
-    )
+    keys = {f.name: flat[f.metadata["key"]] for f in fields(ScenarioConfig) if f.name not in _SECTIONS}
+    return ScenarioConfig(**keys, **{name: _section(flat, name) for name in _SECTIONS})
 
 
 def default_config() -> ScenarioConfig:
@@ -355,9 +350,9 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
     `overrides` maps config keys to raw value strings applied after the
     file (used by the CLI for --controller/--seed). Every line of the file
     and every override that does not parse, or whose number lies outside
-    its key's domain, is reported, in that order, in one ConfigError; the
-    checks between keys run only once every value parses into its domain,
-    so that no default standing in for a bad entry adds a line of its own.
+    its key's domain, is reported, in that order, in one ConfigError; then,
+    so that no default standing in for a bad entry adds a line of its own,
+    every failed check between keys is reported, each on a key-named line.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:

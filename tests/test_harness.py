@@ -164,10 +164,10 @@ def test_load_config_reports_every_parse_error(tmp_path):
 
 def test_load_config_rejects_kc_exceeding_kp(tmp_path):
     path = write_config(tmp_path, "mpc.kc = 6\n")
-    with pytest.raises(harness.ConfigError, match="K_c <= K_p violated") as excinfo:
+    with pytest.raises(harness.ConfigError) as excinfo:
         harness.load_config(path)
-    # one problem, one line
-    assert len(str(excinfo.value).splitlines()) == 1
+    # one problem, one line, named by the key that was written
+    assert str(excinfo.value) == "mpc.kc: must not exceed mpc.kp = 5, got 6"
 
 
 def test_build_validation_reports_all_problems(tmp_path):
@@ -416,24 +416,44 @@ DOMAIN_ERRORS = """\
 <cfg>:29: run.dt: must be in (0, inf), got -0.001
 <cfg>:30: run.seed: must be in [0, inf), got -1"""
 
+# one value outside the domain of each key that a section dataclass checks
+# itself, in file order, and the full report they give: each key has its own
+# line, where the dataclass reported only its first failed check (mpc.kc = 0
+# with mpc.r = -1 gave one mpc: line)
+SECTION_DOMAIN_ERROR_LINES = """\
+mpc.kc = 0
+mpc.q_diag = 0.1 0.1 0.0 0.1
+mpc.r = -1
+mpc.u_max = -0.5
+mpc.dt = 0
+disturbance.seed = -1
+"""
+SECTION_DOMAIN_ERRORS = """\
+<cfg>:1: mpc.kc: must be in [1, inf), got 0
+<cfg>:2: mpc.q_diag: must be in (0, inf), got 0.1 0.1 0.0 0.1
+<cfg>:3: mpc.r: must be in (0, inf), got -1
+<cfg>:4: mpc.u_max: must be in [0, inf), got -0.5
+<cfg>:5: mpc.dt: must be in (0, inf), got 0
+<cfg>:6: disturbance.seed: must be in [0, inf), got -1"""
+
 # values in their domains that fail the checks between keys, and the full
-# report they give: a section dataclass's line, a reversed range, a
-# non-Hurwitz A and the plant's RK4 step (mpc's steps need a valid mpc)
+# report they give: K_c > K_p, a reversed range, a non-Hurwitz A, a control
+# period that is no multiple of run.dt and the plant's RK4 step (a failed mpc
+# section hid the mpc.dt line)
 BUILD_ERROR_LINES = """\
 mpc.kc = 6
 fuzzy.range_x2 = 2.0 -2.0
 adapt.lyapunov_a = 1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1
-disturbance.seed = -1
 run.dt = 0.1
 """
 BUILD_ERRORS = """\
-mpc: K_c <= K_p violated: control_horizon 6 exceeds prediction_horizon 5
+mpc.kc: must not exceed mpc.kp = 5, got 6
 fuzzy.range_x2: range (2.0, -2.0) is not increasing
 adapt.lyapunov_a: must be Hurwitz
-disturbance: disturbance seed must be non-negative
+mpc.dt: must be a positive integer multiple of run.dt
 run.dt: run.dt * max(a_p, c1 / J1) is 3.304, beyond RK4's stability limit 2.785"""
 
-# the checks that need a valid mpc: whole multiples and the predictor's RK4 step
+# the checks on the control period: whole multiples and the predictor's RK4 step
 PERIOD_ERROR_LINES = """\
 run.dt = 0.0003
 run.duration = 10.01
@@ -450,10 +470,11 @@ mpc.dt: mpc.dt * max(a_p * mismatch.a1, c1 / J1 * mismatch.a4) is 3.304, beyond 
     [
         (PARSE_ERROR_LINES, PARSE_ERRORS),
         (DOMAIN_ERROR_LINES, DOMAIN_ERRORS),
+        (SECTION_DOMAIN_ERROR_LINES, SECTION_DOMAIN_ERRORS),
         (BUILD_ERROR_LINES, BUILD_ERRORS),
         (PERIOD_ERROR_LINES, PERIOD_ERRORS),
     ],
-    ids=["parse", "domain", "build", "build-periods"],
+    ids=["parse", "domain", "section-domains", "build", "build-periods"],
 )
 def test_config_error_report_golden(tmp_path, lines, report):
     path = write_config(tmp_path, lines)
@@ -478,6 +499,58 @@ def test_every_domain_belongs_to_a_number_key_whose_default_it_holds():
         assert domain[0] in "[(" and domain[-1] in "])" and lo < hi, key
         for v in values:
             assert lo < v < hi or (v == lo and domain[0] == "[") or (v == hi and domain[-1] == "]"), key
+
+
+def test_every_number_key_of_a_section_has_a_domain():
+    # a section dataclass raises at its first failed check, so a key left
+    # to it hid the section's other bad keys and every check on mpc.dt
+    for keys in harness._FIELD_KEYS.values():
+        for key in keys.values():
+            default = harness._DEFAULTS[key]
+            values = default if isinstance(default, tuple) else (default,)
+            if all(type(v) in (int, float) for v in values):
+                assert key in harness._DOMAINS, key
+
+
+# each config is only loaded, never run: none of the rejected runs fits in memory
+@pytest.mark.parametrize(
+    "lines, report",
+    [
+        # 5e10 plant steps per period, np.arange of which alone is 400 GB
+        ("run.dt = 1e-12\n", "mpc.dt: mpc.dt / run.dt is 5e+10, beyond the limit 1e+05"),
+        # 1e8 rules, whatever the controller, as compare runs afmpc; the
+        # prior fit's line would blame the default init_samples
+        (
+            "controller = classical\nfuzzy.counts = 100 100 100 100\n",
+            "fuzzy.counts: gives 100000000 rules, beyond the limit 8192",
+        ),
+        (
+            "fuzzy.counts = 8 8 8 16\nfuzzy.init_samples = 8193\n",
+            "fuzzy.init_samples: fuzzy.init_samples * rules is 67117056, beyond the nominal_fit limit 67108864",
+        ),
+    ],
+    ids=["sub-steps", "rules", "prior-fit"],
+)
+def test_config_rejects_runs_beyond_the_resource_limits(tmp_path, lines, report):
+    path = write_config(tmp_path, lines)
+    with pytest.raises(harness.ConfigError) as excinfo:
+        harness.load_config(path)
+    assert str(excinfo.value) == report
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        # 0.05 / 5e-7 is 100000.00000000001, which the run rounds to 1e5 steps
+        "run.dt = 5e-7\n",
+        "fuzzy.counts = 8 8 8 16\nfuzzy.init_samples = 8192\n",
+        # without the prior fit, no basis matrix of the samples is built
+        "fuzzy.counts = 8 8 8 16\nfuzzy.init = zero\nfuzzy.init_samples = 100000000\n",
+    ],
+    ids=["sub-steps", "rules-and-prior-fit", "zero-init"],
+)
+def test_config_accepts_runs_at_the_resource_limits(tmp_path, lines):
+    harness.load_config(write_config(tmp_path, lines))
 
 
 # PlantParams field -> its config key
@@ -539,7 +612,7 @@ def test_config_rejects_non_finite_numbers(tmp_path, line):
         ("run.seed = -1\n", "<cfg>:1: run.seed: must be in [0, inf), got -1"),
         (
             "disturbance.kind = band_limited_noise\ndisturbance.amplitude = 0.1\ndisturbance.seed = -1\n",
-            "disturbance: disturbance seed must be non-negative",
+            "<cfg>:3: disturbance.seed: must be in [0, inf), got -1",
         ),
     ],
     ids=["run", "disturbance"],
